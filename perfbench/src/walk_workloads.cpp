@@ -8,8 +8,8 @@
 //             Theorem 1 from (eps, delta) = (0.75, 0.2); engines single,
 //             sharded (threads = min(4, cores)) and vector, plus the
 //             single engine under churn.  The sim hot path dominates.
-//             At least three passes per run, so each operation's median
-//             shrugs off one disturbed run.
+//             At least three passes per run, so one disturbed pass does
+//             not set an operation's time.
 //   implicit  rgg2d (1e6 nodes, 1e4 agents), gnp and ba (2000 nodes, 1e3
 //             agents), each on all three engines, rounds sized so the
 //             families take similar shares.  On-demand adjacency in the
