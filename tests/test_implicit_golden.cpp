@@ -10,13 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <set>
+#include <string>
 
 #include "graph/ba.hpp"
 #include "graph/gnp.hpp"
 #include "graph/rgg2d.hpp"
 #include "rng/stream.hpp"
+#include "scenario/experiment.hpp"
+#include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace antdense::graph {
 namespace {
@@ -24,6 +29,23 @@ namespace {
 using implicit_hash::ba_attach_seed;
 using implicit_hash::gnp_edge_word;
 using implicit_hash::rgg2d_jitter_word;
+
+// The families hoist the constant (seed, tag) prefix of their derivations
+// out of the per-node / per-edge loops.  That is exact only because a
+// multi-index derive_seed is the fold of single-index steps.
+static_assert(rng::derive_seed(42, implicit_hash::kRgg2DJitterTag, 7) ==
+              rng::derive_seed(
+                  rng::derive_seed(42, implicit_hash::kRgg2DJitterTag), 7));
+static_assert(rng::derive_seed(7, implicit_hash::kGnpEdgeTag, 3, 9) ==
+              rng::derive_seed(
+                  rng::derive_seed(
+                      rng::derive_seed(7, implicit_hash::kGnpEdgeTag), 3),
+                  9));
+static_assert(rng::derive_seed(0xDEADBEEFULL, implicit_hash::kBaAttachTag,
+                               9) ==
+              rng::derive_seed(
+                  rng::derive_seed(0xDEADBEEFULL, implicit_hash::kBaAttachTag),
+                  9));
 
 TEST(ImplicitHash, PinnedRgg2DJitterWords) {
   EXPECT_EQ(rgg2d_jitter_word(0, 0), 0xdc313656b975a2b0ULL);
@@ -118,6 +140,76 @@ TEST(ImplicitGolden, BaAttachmentChainsArePinned) {
   EXPECT_EQ(ba.target_of(2999), 849u);
   EXPECT_EQ(ba.degree_of(0), 52u);
   EXPECT_EQ(ba.degree_of(500), 4u);
+}
+
+// ---------------------------------------------------------------------
+// Stream pins: whole walks on the implicit families, through the
+// scenario API on every engine.  Each neighbor step consumes exactly one
+// uniform_below(degree) draw (none at an isolated node) and picks by
+// index in for_each_neighbor order; any change to either shifts these
+// digests.  Covered: the batched step of all three engines, the
+// per-agent step (lazy walks interleave stay/step draws), and the
+// neighbor enumeration order (local density walks graph balls).
+// ---------------------------------------------------------------------
+
+/// FNV-1a over the hex bit patterns of a scenario's pooled estimates:
+/// exact to the last bit and independent of float formatting.
+std::string estimates_digest(const std::string& json) {
+  const scenario::ScenarioResult result =
+      scenario::Experiment(
+          scenario::ScenarioSpec::from_json(util::JsonValue::parse(json)))
+          .run();
+  std::string bits;
+  for (const double e : result.estimates) {
+    bits += util::hex64(std::bit_cast<std::uint64_t>(e));
+  }
+  return std::to_string(result.estimates.size()) + ":" +
+         util::hex64(util::fnv1a64(bits));
+}
+
+TEST(ImplicitStreamPins, WalkEstimatesArePinned) {
+  const struct {
+    const char* json;
+    const char* digest;
+  } pins[] = {
+      {R"({"topology":"rgg2d:n=400,r=0.1,seed=3","workload":"density",
+           "agents":40,"rounds":12,"seed":5,"engine":"single"})",
+       "40:9e6b248ff42797dd"},
+      {R"({"topology":"rgg2d:n=400,r=0.1,seed=3","workload":"density",
+           "agents":40,"rounds":12,"seed":5,"engine":"sharded","threads":2})",
+       "40:ce6e178b0a0fb855"},
+      {R"({"topology":"rgg2d:n=400,r=0.1,seed=3","workload":"density",
+           "agents":40,"rounds":12,"seed":5,"engine":"vector"})",
+       "40:07be08ae2000daa6"},
+      {R"({"topology":"gnp:n=300,p=0.02,seed=3","workload":"density",
+           "agents":40,"rounds":12,"seed":5,"engine":"single"})",
+       "40:1f301469c6de38be"},
+      {R"({"topology":"gnp:n=300,p=0.02,seed=3","workload":"density",
+           "agents":40,"rounds":12,"seed":5,"engine":"sharded","threads":2})",
+       "40:727bc5a4fc01ed68"},
+      {R"({"topology":"gnp:n=300,p=0.02,seed=3","workload":"density",
+           "agents":40,"rounds":12,"seed":5,"engine":"vector"})",
+       "40:c9a86fc100f4fa64"},
+      {R"({"topology":"ba:n=300,d=3,seed=3","workload":"density",
+           "agents":40,"rounds":12,"seed":5,"engine":"single"})",
+       "40:0df867ea52ea4d85"},
+      {R"({"topology":"ba:n=300,d=3,seed=3","workload":"density",
+           "agents":40,"rounds":12,"seed":5,"engine":"sharded","threads":2})",
+       "40:40f54eb832c6308e"},
+      {R"({"topology":"ba:n=300,d=3,seed=3","workload":"density",
+           "agents":40,"rounds":12,"seed":5,"engine":"vector"})",
+       "40:a3739337245bff8f"},
+      {R"({"topology":"gnp:n=300,p=0.02,seed=3","workload":"density",
+           "agents":40,"rounds":12,"seed":5,"lazy":0.3,"engine":"single"})",
+       "40:06f68de2705b6c36"},
+      {R"({"topology":"rgg2d:n=2500,r=0.04,seed=3","workload":"local-density",
+           "agents":40,"rounds":12,"seed":5,"tracked":4,"radius":2,
+           "engine":"single"})",
+       "40:704c6c132b51f574"},
+  };
+  for (const auto& p : pins) {
+    EXPECT_EQ(estimates_digest(p.json), p.digest) << p.json;
+  }
 }
 
 }  // namespace
