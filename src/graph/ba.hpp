@@ -22,7 +22,11 @@
 //
 // Honest complexity note: out-neighbors (the d attachments of u) cost
 // O(d) chains, but in-neighbors require scanning all m = n*d edge
-// targets, so neighbor enumeration is O(m).  Like gnp, ba is an
+// targets, so enumerating one row is O(m).  A step enumerates once; the
+// batched sampler instead gathers the in-rows of all of a batch's
+// distinct nodes in one m-edge sweep, so a round costs O(m) in total
+// rather than O(m) per agent.  Chain steps hoist the (seed, tag) prefix
+// of their stream derivation into the constructor.  Like gnp, ba is an
 // exact-in-distribution family for small and moderate n; rgg2d is the
 // massive-scale one.
 //
@@ -30,9 +34,11 @@
 // Topology concept, degree_of(u) the exact value.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "graph/implicit_hash.hpp"
 #include "graph/topology.hpp"
@@ -47,7 +53,12 @@ class Ba {
   using node_type = std::uint64_t;
 
   Ba(std::uint64_t num_nodes, std::uint64_t attach_degree, std::uint64_t seed)
-      : n_(num_nodes), d_(attach_degree), seed_(seed) {
+      : n_(num_nodes),
+        d_(attach_degree),
+        seed_(seed),
+        // ba_attach_seed(seed, j) == derive_seed(attach_root_, j):
+        // derive_seed folds its indices one at a time.
+        attach_root_(rng::derive_seed(seed, implicit_hash::kBaAttachTag)) {
     ANTDENSE_CHECK(num_nodes >= 2, "ba requires at least 2 nodes");
     ANTDENSE_CHECK(attach_degree >= 1, "ba attachment degree must be >= 1");
     ANTDENSE_CHECK(attach_degree < num_nodes,
@@ -77,7 +88,7 @@ class Ba {
   node_type target_of(std::uint64_t edge) const {
     std::uint64_t j = edge;
     while (true) {
-      rng::SplitMix64 gen(implicit_hash::ba_attach_seed(seed_, j));
+      rng::SplitMix64 gen(rng::derive_seed(attach_root_, j));
       const std::uint64_t r = rng::uniform_below(gen, 2 * j + 1);
       if (r % 2 == 0) {
         return (r / 2) / d_;  // even slot holds edge (r/2)'s source
@@ -99,32 +110,48 @@ class Ba {
     return rng::uniform_below(gen, n_);
   }
 
-  /// Uniform over u's neighbor *multiset*: one count pass, one uniform
-  /// draw, one selection pass.  Every node has degree >= d >= 1, so no
-  /// self-loop fallback is needed.
+  /// Uniform over u's neighbor *multiset*: one enumeration (one m-edge
+  /// sweep), one uniform draw.  Every node has degree >= d >= 1, so the
+  /// self-loop fallback never fires.
   template <rng::BitGenerator64 G>
   node_type random_neighbor(node_type u, G& gen) const {
-    const std::uint64_t deg = degree_of(u);
-    const std::uint64_t pick = rng::uniform_below(gen, deg);
-    std::uint64_t index = 0;
-    node_type chosen = u;
-    for_each_neighbor(u, [&](node_type v) {
-      if (index == pick) {
-        chosen = v;
-      }
-      ++index;
-    });
-    return chosen;
+    return detail::sample_enumerated_neighbor(*this, u, gen);
   }
 
-  /// Batched stepping, same generator stream as sequential calls.
+  /// Batched stepping, same generator stream as sequential calls.  Per
+  /// agent-order chunk, one sweep gathers the in-rows of the chunk's
+  /// distinct nodes; each agent then draws below d + its in-degree, and
+  /// a pick below d is resolved by one chain chase (its out-edge), one
+  /// above from the gathered in-row.  A chunk whose in-rows overflow
+  /// detail::kImplicitRowBudget is halved and swept again, down to a
+  /// single agent, whose one row may exceed the budget.  The spans may
+  /// alias elementwise.
   template <rng::BitGenerator64 G>
   void random_neighbors(std::span<const node_type> in,
                         std::span<node_type> out, G& gen) const {
     ANTDENSE_CHECK(in.size() == out.size(),
                    "bulk neighbor sampling needs equal-sized spans");
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = random_neighbor(in[i], gen);
+    std::vector<node_type> nodes;
+    std::vector<std::uint64_t> in_edges;
+    for (std::size_t lo = 0, hi = 0; lo < in.size(); lo = hi) {
+      hi = std::min(in.size(), lo + detail::kImplicitRowBudget / 2);
+      while (!collect_in_edges(in.subspan(lo, hi - lo), nodes, in_edges)) {
+        hi = lo + (hi - lo) / 2;
+      }
+      for (std::size_t i = lo; i < hi; ++i) {
+        const node_type u = in[i];
+        const auto first = std::partition_point(
+            in_edges.begin(), in_edges.end(),
+            [u](std::uint64_t e) { return (e >> 32) < u; });
+        const auto last = std::partition_point(
+            first, in_edges.end(),
+            [u](std::uint64_t e) { return (e >> 32) == u; });
+        const std::uint64_t pick = rng::uniform_below(
+            gen, d_ + static_cast<std::uint64_t>(last - first));
+        out[i] = pick < d_ ? target_of(u * d_ + pick)
+                           : first[static_cast<std::ptrdiff_t>(pick - d_)] &
+                                 0xFFFFFFFFULL;
+      }
     }
   }
 
@@ -159,10 +186,38 @@ class Ba {
   }
 
  private:
+  /// One sweep over all m edge targets: gathers every in-edge of the
+  /// chunk's distinct nodes as (target << 32) | source, sorted, which
+  /// groups each node's in-row in ascending edge order (sources are
+  /// non-decreasing in the edge id).  Both halves fit 32 bits since
+  /// n <= 2^32.  Returns false when a chunk of several agents would
+  /// hold more than the entry budget.
+  bool collect_in_edges(std::span<const node_type> chunk,
+                        std::vector<node_type>& nodes,
+                        std::vector<std::uint64_t>& in_edges) const {
+    nodes.assign(chunk.begin(), chunk.end());
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    const std::size_t room = detail::kImplicitRowBudget - nodes.size();
+    in_edges.clear();
+    for (std::uint64_t j = 0; j < m_; ++j) {
+      const node_type t = target_of(j);
+      if (std::binary_search(nodes.begin(), nodes.end(), t)) {
+        if (in_edges.size() == room && chunk.size() > 1) {
+          return false;
+        }
+        in_edges.push_back((t << 32) | source_of(j));
+      }
+    }
+    std::sort(in_edges.begin(), in_edges.end());
+    return true;
+  }
+
   std::uint64_t n_;
   std::uint64_t d_;
   std::uint64_t seed_;
-  std::uint64_t m_ = 0;  // total edges n * d
+  std::uint64_t attach_root_;  // derive_seed(seed, kBaAttachTag)
+  std::uint64_t m_ = 0;        // total edges n * d
 };
 
 static_assert(Topology<Ba>);

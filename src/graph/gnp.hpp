@@ -13,9 +13,13 @@
 // tests/test_implicit_golden.cpp).
 //
 // Honest complexity note: unlike rgg2d there is no spatial structure to
-// exploit, so neighbor enumeration scans all n-1 candidate pairs —
-// queries are O(n), not O(degree).  G(n, p) is therefore the
-// exact-in-distribution reference family for small and moderate n
+// exploit, so enumerating a row scans all n-1 candidate pairs — O(n),
+// not O(degree).  The scan hoists the row's own hash prefix: pairs
+// above u cost one SplitMix64 mix, pairs below it two (the (seed, tag)
+// prefix is hoisted into the constructor).  A step enumerates once, and
+// the batched sampler enumerates each distinct node of a batch once, so
+// a round costs O(n) per distinct occupied node.  G(n, p) is therefore
+// the exact-in-distribution reference family for small and moderate n
 // (differential tests, campaign sweeps), not the massive-scale one;
 // rgg2d fills that role.
 //
@@ -28,10 +32,13 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "graph/implicit_hash.hpp"
 #include "graph/topology.hpp"
 #include "rng/random.hpp"
+#include "rng/splitmix64.hpp"
 #include "util/check.hpp"
 #include "util/format.hpp"
 
@@ -42,7 +49,13 @@ class Gnp {
   using node_type = std::uint64_t;
 
   Gnp(std::uint64_t num_nodes, double p, std::uint64_t seed)
-      : n_(num_nodes), p_(p), seed_(seed) {
+      : n_(num_nodes),
+        p_(p),
+        seed_(seed),
+        // gnp_edge_word(seed, a, b) == derive_seed(row_prefix(a), b) with
+        // row_prefix(a) == derive_seed(edge_root_, a): derive_seed folds
+        // its indices one at a time.
+        edge_root_(rng::derive_seed(seed, implicit_hash::kGnpEdgeTag)) {
     ANTDENSE_CHECK(num_nodes >= 2, "gnp requires at least 2 nodes");
     ANTDENSE_CHECK(num_nodes <= (std::uint64_t{1} << 32),
                    "gnp supports at most 2^32 nodes");
@@ -71,15 +84,12 @@ class Gnp {
     if (u == v) {
       return false;
     }
-    if (all_edges_) {
-      return true;
-    }
     const node_type a = u < v ? u : v;
     const node_type b = u < v ? v : u;
-    return implicit_hash::gnp_edge_word(seed_, a, b) < threshold_;
+    return is_edge(rng::derive_seed(row_prefix(a), b));
   }
 
-  /// Exact degree of u — O(n) candidate scan (see header note).
+  /// Exact degree of u — O(n) row scan (see header note).
   std::uint64_t degree_of(node_type u) const {
     std::uint64_t count = 0;
     for_each_neighbor(u, [&count](node_type) { ++count; });
@@ -91,34 +101,43 @@ class Gnp {
     return rng::uniform_below(gen, n_);
   }
 
-  /// Uniform over N(u): one count pass, one uniform draw, one selection
-  /// pass.  Isolated nodes self-loop.
+  /// Uniform over N(u): one row scan, one uniform draw.  Isolated nodes
+  /// self-loop without drawing.
   template <rng::BitGenerator64 G>
   node_type random_neighbor(node_type u, G& gen) const {
-    const std::uint64_t deg = degree_of(u);
-    if (deg == 0) {
-      return u;
-    }
-    const std::uint64_t pick = rng::uniform_below(gen, deg);
-    std::uint64_t index = 0;
-    node_type chosen = u;
-    for_each_neighbor(u, [&](node_type v) {
-      if (index == pick) {
-        chosen = v;
-      }
-      ++index;
-    });
-    return chosen;
+    return detail::sample_enumerated_neighbor(*this, u, gen);
   }
 
-  /// Batched stepping, same generator stream as sequential calls.
+  /// Batched stepping, same generator stream as sequential calls: each
+  /// distinct node's row is scanned once per call and every agent on it
+  /// picks from the stored row.  Rows are stored flat, each as its length
+  /// followed by its neighbors; past detail::kImplicitRowBudget entries
+  /// the store restarts, so a call holds at most the budget plus one
+  /// row.  The spans may alias elementwise.
   template <rng::BitGenerator64 G>
   void random_neighbors(std::span<const node_type> in,
                         std::span<node_type> out, G& gen) const {
     ANTDENSE_CHECK(in.size() == out.size(),
                    "bulk neighbor sampling needs equal-sized spans");
+    std::vector<node_type> rows;
+    std::unordered_map<node_type, std::size_t> row_at;
     for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = random_neighbor(in[i], gen);
+      const node_type u = in[i];
+      auto found = row_at.find(u);
+      if (found == row_at.end()) {
+        if (rows.size() >= detail::kImplicitRowBudget) {
+          rows.clear();
+          row_at.clear();
+        }
+        found = row_at.emplace(u, rows.size()).first;
+        rows.push_back(0);
+        for_each_neighbor(u, [&rows](node_type v) { rows.push_back(v); });
+        rows[found->second] = rows.size() - found->second - 1;
+      }
+      const std::size_t at = found->second;
+      const std::uint64_t degree = rows[at];
+      out[i] =
+          degree == 0 ? u : rows[at + 1 + rng::uniform_below(gen, degree)];
     }
   }
 
@@ -136,8 +155,14 @@ class Gnp {
   /// Enumerates N(u) in ascending node order.
   template <typename Fn>
   void for_each_neighbor(node_type u, Fn&& fn) const {
-    for (node_type v = 0; v < n_; ++v) {
-      if (v != u && connected(u, v)) {
+    for (node_type v = 0; v < u; ++v) {
+      if (is_edge(rng::derive_seed(row_prefix(v), u))) {
+        fn(v);
+      }
+    }
+    const std::uint64_t prefix = row_prefix(u);
+    for (node_type v = u + 1; v < n_; ++v) {
+      if (is_edge(rng::derive_seed(prefix, v))) {
         fn(v);
       }
     }
@@ -149,9 +174,19 @@ class Gnp {
   }
 
  private:
+  /// Hash prefix shared by every pair {a, b} with a < b.
+  std::uint64_t row_prefix(node_type a) const {
+    return rng::derive_seed(edge_root_, a);
+  }
+
+  bool is_edge(std::uint64_t word) const {
+    return all_edges_ || word < threshold_;
+  }
+
   std::uint64_t n_;
   double p_;
   std::uint64_t seed_;
+  std::uint64_t edge_root_;  // derive_seed(seed, kGnpEdgeTag)
   std::uint64_t threshold_ = 0;
   bool all_edges_ = false;
 };

@@ -22,6 +22,15 @@
 // account for.  For perfect-square n the process is exactly uniform;
 // otherwise the trailing partial cell row thins the top band.
 //
+// Query cost: one enumeration per step.  The (2*reach+1)^2 candidate
+// window is walked with incremental wrap (no per-cell division); a cell
+// row whose nearest point lies beyond the radius is skipped before its
+// points are hashed, and each remaining point costs one SplitMix64 mix
+// (the (seed, tag) prefix of its derivation is hoisted into the
+// constructor).  random_neighbor enumerates the row once into a
+// per-thread buffer and picks from it, so memory stays O(1) plus one
+// row at any n.
+//
 // All geometry is integer: positions are 32.32-style fixed point (cell
 // index in the high bits, jitter in the low 32), distances compare in
 // unsigned 128-bit, and the only floating-point step is the one IEEE
@@ -43,6 +52,7 @@
 #include "graph/implicit_hash.hpp"
 #include "graph/topology.hpp"
 #include "rng/random.hpp"
+#include "rng/splitmix64.hpp"
 #include "util/check.hpp"
 #include "util/format.hpp"
 
@@ -60,7 +70,12 @@ class Rgg2D {
   };
 
   Rgg2D(std::uint64_t num_nodes, double radius, std::uint64_t seed)
-      : n_(num_nodes), radius_(radius), seed_(seed) {
+      : n_(num_nodes),
+        radius_(radius),
+        seed_(seed),
+        // rgg2d_jitter_word(seed, u) == derive_seed(jitter_root_, u):
+        // derive_seed folds its indices one at a time.
+        jitter_root_(rng::derive_seed(seed, implicit_hash::kRgg2DJitterTag)) {
     ANTDENSE_CHECK(num_nodes >= 2, "rgg2d requires at least 2 nodes");
     ANTDENSE_CHECK(num_nodes <= (std::uint64_t{1} << 32),
                    "rgg2d supports at most 2^32 nodes");
@@ -94,10 +109,7 @@ class Rgg2D {
 
   /// Node u's recomputed position: cell origin plus hash-derived jitter.
   Position position(node_type u) const {
-    const std::uint64_t w = implicit_hash::rgg2d_jitter_word(seed_, u);
-    return Position{((u % side_) << kCellBits) |
-                        (w & 0xFFFFFFFFULL),
-                    ((u / side_) << kCellBits) | (w >> 32)};
+    return cell_position(u % side_, u / side_, u);
   }
 
   /// Wrap-aware Euclidean adjacency test (exact, integer-only).
@@ -120,31 +132,19 @@ class Rgg2D {
     return rng::uniform_below(gen, n_);
   }
 
-  /// Uniform over N(u), recomputed on the fly: one count pass, one
-  /// uniform draw, one selection pass.  Isolated nodes self-loop (the
-  /// walk must stay total; for radii above the connectivity threshold
+  /// Uniform over N(u), recomputed on the fly: one enumeration, one
+  /// uniform draw.  Isolated nodes self-loop without drawing (the walk
+  /// must stay total; for radii above the connectivity threshold
   /// isolation is vanishingly rare).
   template <rng::BitGenerator64 G>
   node_type random_neighbor(node_type u, G& gen) const {
-    const std::uint64_t deg = degree_of(u);
-    if (deg == 0) {
-      return u;
-    }
-    const std::uint64_t pick = rng::uniform_below(gen, deg);
-    std::uint64_t index = 0;
-    node_type chosen = u;
-    for_each_neighbor(u, [&](node_type v) {
-      if (index == pick) {
-        chosen = v;
-      }
-      ++index;
-    });
-    return chosen;
+    return detail::sample_enumerated_neighbor(*this, u, gen);
   }
 
   /// Batched stepping: same generator stream as sequential
-  /// random_neighbor calls (the BulkTopology contract).  The spans may
-  /// alias elementwise.
+  /// random_neighbor calls (the BulkTopology contract).  Agents rarely
+  /// share a node at the sizes rgg2d exists for, so rows are not shared
+  /// across the batch.  The spans may alias elementwise.
   template <rng::BitGenerator64 G>
   void random_neighbors(std::span<const node_type> in,
                         std::span<node_type> out, G& gen) const {
@@ -171,15 +171,12 @@ class Rgg2D {
   /// work.
   template <typename Fn>
   void for_each_neighbor(node_type u, Fn&& fn) const {
-    const Position pu = position(u);
     const std::uint64_t cx = u % side_;
     const std::uint64_t cy = u / side_;
-    const auto visit = [&](std::uint64_t ccx, std::uint64_t ccy) {
-      const node_type v = ccy * side_ + ccx;
-      if (v >= n_ || v == u) {
-        return;
-      }
-      if (within_radius(pu, position(v))) {
+    const Position pu = cell_position(cx, cy, u);
+    // Cell (ccx, ccy) holds node v (absent when v >= n).
+    const auto visit = [&](std::uint64_t ccx, std::uint64_t ccy, node_type v) {
+      if (v < n_ && v != u && within_radius(pu, cell_position(ccx, ccy, v))) {
         fn(v);
       }
     };
@@ -187,16 +184,31 @@ class Rgg2D {
       // The window wraps onto itself: scan every cell exactly once.
       for (std::uint64_t y = 0; y < side_; ++y) {
         for (std::uint64_t x = 0; x < side_; ++x) {
-          visit(x, y);
+          visit(x, y, y * side_ + x);
         }
       }
       return;
     }
+    // The window does not wrap onto itself (side >= 2*reach + 2), so the
+    // torus distance to a cell row at window offset k is along that
+    // offset, and cell_gap bounds it from below: a row whose gap is
+    // beyond the radius cannot hold a neighbor and is never hashed.
+    // (A per-cell test costs more in mispredicted branches than the
+    // hashes it saves.)
+    const std::uint64_t jy = pu.y & kJitterMask;
+    const std::uint64_t x0 = (cx + side_ - reach_) % side_;
+    std::uint64_t ccy = (cy + side_ - reach_) % side_;
     for (std::uint64_t dy = 0; dy <= 2 * reach_; ++dy) {
-      const std::uint64_t ccy = (cy + side_ - reach_ + dy) % side_;
-      for (std::uint64_t dx = 0; dx <= 2 * reach_; ++dx) {
-        visit((cx + side_ - reach_ + dx) % side_, ccy);
+      const unsigned __int128 gap_y_sq = square(cell_gap(dy, jy));
+      if (gap_y_sq <= threshold_sq_) {
+        const node_type row = ccy * side_;
+        std::uint64_t ccx = x0;
+        for (std::uint64_t dx = 0; dx <= 2 * reach_; ++dx) {
+          visit(ccx, ccy, row + ccx);
+          ccx = ccx + 1 == side_ ? 0 : ccx + 1;
+        }
       }
+      ccy = ccy + 1 == side_ ? 0 : ccy + 1;
     }
   }
 
@@ -207,6 +219,7 @@ class Rgg2D {
 
  private:
   static constexpr std::uint32_t kCellBits = 32;
+  static constexpr std::uint64_t kJitterMask = 0xFFFFFFFFULL;
 
   static std::uint64_t integer_sqrt_ceil(std::uint64_t n) {
     auto s = static_cast<std::uint64_t>(
@@ -221,6 +234,28 @@ class Rgg2D {
     return s;
   }
 
+  /// Position of node v, which sits in cell (cx, cy): the cell origin
+  /// plus its jitter word (low half x, high half y).
+  Position cell_position(std::uint64_t cx, std::uint64_t cy,
+                         node_type v) const {
+    const std::uint64_t w = rng::derive_seed(jitter_root_, v);
+    return Position{(cx << kCellBits) | (w & kJitterMask),
+                    (cy << kCellBits) | (w >> 32)};
+  }
+
+  /// Lower bound on the axis distance from a point at in-cell jitter j
+  /// to any point of the cells at window index i (offset i - reach).
+  std::uint64_t cell_gap(std::uint64_t i, std::uint64_t j) const {
+    if (i > reach_) {
+      return ((i - reach_) << kCellBits) - j;
+    }
+    return i < reach_ ? ((reach_ - i - 1) << kCellBits) + j : 0;
+  }
+
+  static unsigned __int128 square(std::uint64_t d) {
+    return static_cast<unsigned __int128>(d) * d;
+  }
+
   std::uint64_t axis_distance(std::uint64_t a, std::uint64_t b) const {
     const std::uint64_t d = a > b ? a - b : b - a;
     return d <= world_ - d ? d : world_ - d;
@@ -229,15 +264,13 @@ class Rgg2D {
   bool within_radius(const Position& a, const Position& b) const {
     const std::uint64_t dx = axis_distance(a.x, b.x);
     const std::uint64_t dy = axis_distance(a.y, b.y);
-    const unsigned __int128 dist_sq =
-        static_cast<unsigned __int128>(dx) * dx +
-        static_cast<unsigned __int128>(dy) * dy;
-    return dist_sq <= threshold_sq_;
+    return square(dx) + square(dy) <= threshold_sq_;
   }
 
   std::uint64_t n_;
   double radius_;
   std::uint64_t seed_;
+  std::uint64_t jitter_root_;    // derive_seed(seed, kRgg2DJitterTag)
   std::uint64_t side_ = 0;       // cells per axis
   std::uint64_t world_ = 0;      // torus width in fixed-point units
   std::uint64_t threshold_ = 0;  // radius in fixed-point units

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "rng/random.hpp"
 #include "rng/xoshiro256pp.hpp"
@@ -105,6 +106,28 @@ inline void blocked_random_neighbors(std::span<const Node> in,
     }
     done += m;
   }
+}
+
+/// Entry budget of the scratch a batched implicit-family sampler (gnp,
+/// ba) holds within one call.  A batch whose rows would exceed it runs
+/// in agent-order chunks, so scratch is this many entries plus one row,
+/// never sized by the node or edge count.
+inline constexpr std::size_t kImplicitRowBudget = std::size_t{1} << 16;
+
+/// One-pass neighbor sampling for the implicit families, whose rows are
+/// enumerated (for_each_neighbor) rather than indexed: u's row goes once
+/// into the calling thread's scratch buffer, then one uniform pick below
+/// its length selects the neighbor.  Draw for draw this equals a count
+/// pass, uniform_below(degree) and a select pass to the pick; an
+/// isolated node takes no draw and self-loops.
+template <typename T, rng::BitGenerator64 G>
+inline typename T::node_type sample_enumerated_neighbor(
+    const T& topo, typename T::node_type u, G& gen) {
+  using node = typename T::node_type;
+  thread_local std::vector<node> row;
+  row.clear();
+  topo.for_each_neighbor(u, [](node v) { row.push_back(v); });
+  return row.empty() ? u : row[rng::uniform_below(gen, row.size())];
 }
 
 }  // namespace detail

@@ -18,9 +18,11 @@
 //     order) and then apply the pure pick_step map;
 //   - variable-pick families (explicit CSR graphs) batch per-node-bound
 //     Lemire the same way;
-//   - everything else (implicit rgg2d/gnp/ba, whose neighbor queries
-//     dominate anyway) falls back to the topology's own bulk sampler
-//     with the stream as an ordinary BitGenerator64.
+//   - everything else (implicit rgg2d/gnp/ba, whose row enumeration
+//     dominates anyway) falls back to the topology's own bulk sampler
+//     with the stream as an ordinary BitGenerator64 — which is where
+//     their batching lives (gnp scans each distinct row once per call,
+//     ba sweeps its edge list once per call).
 //
 // Because the contract is sequential-equivalent, which lane/kernel/batch
 // path executed is unobservable in the results — pinned differentially
@@ -207,9 +209,9 @@ inline void vector_step(const T& topo,
       done += m;
     }
   } else {
-    // Implicit families: the per-query adjacency scan dominates, so the
-    // bulk sampler with the stream as a plain BitGenerator64 is already
-    // the honest cost.
+    // Implicit families: row enumeration dominates, and their own bulk
+    // samplers amortise it across the batch; the stream serves them as
+    // a plain BitGenerator64.
     graph::random_neighbors(topo, std::span<const node>(pos), pos, stream);
   }
 }

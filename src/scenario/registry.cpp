@@ -293,6 +293,10 @@ Registry make_built_in() {
                   "graph, Section 4.4; e.g. expander:d=8,n=100000,seed=7)"});
 
   // --- Implicit generator families (KaGen-style, O(1) memory) ---
+  // Their size limits (node ids pack into 32 bits; ba's edge ids n*d
+  // into 48) are checked here, so canonical() rejects what make() would.
+  constexpr std::uint64_t kMaxImplicitNodes = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kMaxBaAttachDegree = std::uint64_t{1} << 16;
 
   const std::vector<KvField> rgg2d_fields = {
       u64_field("n", true), f64_field("r", true), u64_field("seed", false, 1)};
@@ -301,8 +305,8 @@ Registry make_built_in() {
     check_range(v.f64s[1] > 0.0 && v.f64s[1] < 1.0, "rgg2d", "r",
                 util::format_shortest(v.f64s[1]),
                 "radius must be in (0, 1)");
-    check_range(v.u64s[0] >= 2, "rgg2d", "n", std::to_string(v.u64s[0]),
-                "need at least 2 nodes");
+    check_range(v.u64s[0] >= 2 && v.u64s[0] <= kMaxImplicitNodes, "rgg2d",
+                "n", std::to_string(v.u64s[0]), "need 2 <= n <= 2^32");
     return v;
   };
   reg.register_family(
@@ -331,8 +335,8 @@ Registry make_built_in() {
     check_range(v.f64s[1] > 0.0 && v.f64s[1] <= 1.0, "gnp", "p",
                 util::format_shortest(v.f64s[1]),
                 "edge probability must be in (0, 1]");
-    check_range(v.u64s[0] >= 2, "gnp", "n", std::to_string(v.u64s[0]),
-                "need at least 2 nodes");
+    check_range(v.u64s[0] >= 2 && v.u64s[0] <= kMaxImplicitNodes, "gnp", "n",
+                std::to_string(v.u64s[0]), "need 2 <= n <= 2^32");
     return v;
   };
   reg.register_family(
@@ -351,17 +355,18 @@ Registry make_built_in() {
                     ",seed=" + std::to_string(v.u64s[2]);
            },
        .grammar = "gnp:n=NODES,p=PROB[,seed=S] (implicit Erdős–Rényi "
-                  "G(n, p), O(1) memory, O(n) neighbor queries; "
-                  "e.g. gnp:n=2000,p=0.01,seed=1)"});
+                  "G(n, p), O(1) memory, O(n) per distinct node per "
+                  "step; e.g. gnp:n=2000,p=0.01,seed=1)"});
 
   const std::vector<KvField> ba_fields = {
       u64_field("n", true), u64_field("d", true), u64_field("seed", false, 1)};
   const auto ba_parse = [=](const std::string& params) {
     const auto v = parse_kv("ba", params, ba_fields);
-    check_range(v.u64s[1] >= 1, "ba", "d", std::to_string(v.u64s[1]),
-                "attachment degree must be >= 1");
-    check_range(v.u64s[0] > v.u64s[1], "ba", "n", std::to_string(v.u64s[0]),
-                "need n > d");
+    check_range(v.u64s[1] >= 1 && v.u64s[1] <= kMaxBaAttachDegree, "ba", "d",
+                std::to_string(v.u64s[1]),
+                "attachment degree must be in [1, 2^16]");
+    check_range(v.u64s[0] > v.u64s[1] && v.u64s[0] <= kMaxImplicitNodes,
+                "ba", "n", std::to_string(v.u64s[0]), "need d < n <= 2^32");
     return v;
   };
   reg.register_family(
@@ -380,8 +385,8 @@ Registry make_built_in() {
                     ",seed=" + std::to_string(v.u64s[2]);
            },
        .grammar = "ba:n=NODES,d=ATTACH[,seed=S] (implicit Barabási–Albert "
-                  "preferential attachment, O(1) memory, O(n*d) neighbor "
-                  "queries; e.g. ba:n=5000,d=4,seed=1)"});
+                  "preferential attachment, O(1) memory, one O(n*d) edge "
+                  "sweep per step; e.g. ba:n=5000,d=4,seed=1)"});
 
   return reg;
 }

@@ -121,6 +121,8 @@ TEST(Registry, MalformedSpecsThrow) {
       "ba:n=64",               // missing d
       "ba:n=4,d=4",            // n must exceed d
       "ba:n=64,d=0",           // degenerate attachment
+      "gnp:n=5000000000,p=0.1",  // beyond 2^32 nodes
+      "ba:n=100000000,d=65537",  // beyond 2^16 attachments
   };
   for (const char* spec : bad) {
     SCOPED_TRACE(spec);
@@ -157,6 +159,10 @@ TEST(Registry, DiagnosticsNameTheOffendingKeyAndValue) {
       {"rgg2d:n=64,r=-0.5", "rgg2d", "r=-0.5"},
       {"ba:n=64,d=four", "ba", "d=four"},
       {"ba:d=2", "ba", "'n'"},
+      {"gnp:n=5000000000,p=0.1", "gnp", "n=5000000000"},
+      {"rgg2d:n=4294967297,r=0.1", "rgg2d", "n=4294967297"},
+      {"ba:n=4294967297,d=2", "ba", "n=4294967297"},
+      {"ba:n=100000000,d=65537", "ba", "d=65537"},
       {"expander:d=8,n=abc", "expander", "n=abc"},
       {"torus2d:64xtall", "torus2d", "HEIGHT=tall"},
       {"ring:1e4", "ring", "NODES=1e4"},

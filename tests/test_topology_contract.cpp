@@ -9,7 +9,9 @@
 //   - a fixed seed fixes the walk (determinism)
 //   - batched random_neighbors equals sequential calls draw-for-draw,
 //     leaving the generator in the identical state (the BulkTopology
-//     bit-stream contract the engines rely on)
+//     bit-stream contract the engines rely on) — also in place, for
+//     empty and one-node batches, and at the implicit families' edges:
+//     isolated nodes, and batches past the scratch entry budget
 //   - batched keys equals scalar keys
 //
 // Families are built through the scenario Registry, so this suite also
@@ -128,27 +130,99 @@ TEST(TopologyContract, FixedSeedFixesTheWalk) {
   }
 }
 
+/// Steps `nodes` once through the batched member, both into a separate
+/// output and in place (in == out), and once through sequential
+/// random_neighbor calls: all three must agree, leaving the generators
+/// in the identical state.
+void expect_batched_equals_sequential(const graph::AnyTopology& topo,
+                                      const std::vector<std::uint64_t>& nodes) {
+  rng::Xoshiro256pp batched_gen(0xBA7C4);
+  rng::Xoshiro256pp in_place_gen(0xBA7C4);
+  rng::Xoshiro256pp sequential_gen(0xBA7C4);
+  std::vector<std::uint64_t> batched(nodes.size());
+  topo.random_neighbors(std::span<const std::uint64_t>(nodes),
+                        std::span<std::uint64_t>(batched), batched_gen);
+  std::vector<std::uint64_t> in_place = nodes;
+  topo.random_neighbors(std::span<const std::uint64_t>(in_place),
+                        std::span<std::uint64_t>(in_place), in_place_gen);
+  std::vector<std::uint64_t> sequential(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    sequential[i] = topo.random_neighbor(nodes[i], sequential_gen);
+  }
+  EXPECT_EQ(batched, sequential);
+  EXPECT_EQ(in_place, sequential);
+  // Identical stream position afterwards: the next raw draw agrees.
+  const std::uint64_t next = sequential_gen();
+  EXPECT_EQ(batched_gen(), next);
+  EXPECT_EQ(in_place_gen(), next);
+}
+
+std::vector<std::uint64_t> random_nodes(const graph::AnyTopology& topo,
+                                        std::size_t count) {
+  rng::Xoshiro256pp seeder(77);
+  std::vector<std::uint64_t> nodes(count);
+  for (auto& u : nodes) {
+    u = topo.random_node(seeder);
+  }
+  return nodes;
+}
+
 TEST(TopologyContract, BatchedEqualsSequentialDrawForDraw) {
   for (const FamilyCase& c : kFamilies) {
     SCOPED_TRACE(c.spec);
     const graph::AnyTopology topo = build(c);
-    rng::Xoshiro256pp seeder(77);
-    std::vector<std::uint64_t> nodes(137);
-    for (auto& u : nodes) {
-      u = topo.random_node(seeder);
+    expect_batched_equals_sequential(topo, random_nodes(topo, 137));
+    // Degenerate batches: empty, and every agent on one node.
+    expect_batched_equals_sequential(topo, {});
+    expect_batched_equals_sequential(
+        topo, std::vector<std::uint64_t>(50, random_nodes(topo, 1)[0]));
+  }
+}
+
+TEST(TopologyContract, ImplicitBatchesMatchSequentialAtTheEdges) {
+  const scenario::Registry& reg = scenario::Registry::built_in();
+  // Isolated-heavy substrates (mean degree ~0.5): a degree-0 node takes
+  // no draw and self-loops, batched or not.
+  for (const char* spec : {"gnp:n=200,p=0.0025,seed=2",
+                           "rgg2d:n=400,r=0.02,seed=2"}) {
+    SCOPED_TRACE(spec);
+    const graph::AnyTopology topo = reg.make(spec);
+    const std::vector<std::uint64_t> nodes = random_nodes(topo, 300);
+    std::size_t isolated = 0;
+    for (const std::uint64_t u : nodes) {
+      std::vector<std::uint64_t> row;
+      topo.append_neighbors(u, row);
+      isolated += row.empty() ? 1 : 0;
     }
-    rng::Xoshiro256pp batched_gen(0xBA7C4);
-    rng::Xoshiro256pp sequential_gen(0xBA7C4);
-    std::vector<std::uint64_t> batched(nodes.size());
+    EXPECT_GT(isolated, nodes.size() / 4);
+    expect_batched_equals_sequential(topo, nodes);
+  }
+  // Dense gnp (rows of ~1000): the batch's distinct rows overflow the
+  // scratch entry budget, so the row store restarts mid-batch.
+  {
+    const graph::AnyTopology topo = reg.make("gnp:n=2000,p=0.5,seed=2");
+    expect_batched_equals_sequential(topo, random_nodes(topo, 300));
+  }
+  // ba with m = 160000 edges: one 20000-agent batch gathers more in-edges
+  // than the budget holds, so its chunk is halved and swept again.  Too
+  // many agents for a per-agent reference; small batches (under budget,
+  // pinned against sequential above) stand in for it.
+  {
+    const graph::AnyTopology topo = reg.make("ba:n=40000,d=4,seed=2");
+    const std::vector<std::uint64_t> nodes = random_nodes(topo, 20000);
+    rng::Xoshiro256pp whole_gen(0xBA7C4);
+    rng::Xoshiro256pp split_gen(0xBA7C4);
+    std::vector<std::uint64_t> whole(nodes.size());
     topo.random_neighbors(std::span<const std::uint64_t>(nodes),
-                          std::span<std::uint64_t>(batched), batched_gen);
-    std::vector<std::uint64_t> sequential(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      sequential[i] = topo.random_neighbor(nodes[i], sequential_gen);
+                          std::span<std::uint64_t>(whole), whole_gen);
+    std::vector<std::uint64_t> split(nodes.size());
+    for (std::size_t lo = 0; lo < nodes.size(); lo += 2000) {
+      topo.random_neighbors(
+          std::span<const std::uint64_t>(nodes).subspan(lo, 2000),
+          std::span<std::uint64_t>(split).subspan(lo, 2000), split_gen);
     }
-    EXPECT_EQ(batched, sequential);
-    // Identical stream position afterwards: the next raw draw agrees.
-    EXPECT_EQ(batched_gen(), sequential_gen());
+    EXPECT_EQ(whole, split);
+    EXPECT_EQ(whole_gen(), split_gen());
   }
 }
 
