@@ -3,7 +3,9 @@
 //   - Goldens: dynamics-absent scenarios produce byte-identical result
 //     documents to the pre-dynamics build on all three engines (hashes
 //     captured before the layer landed — the "static worlds are
-//     untouched" contract, which also pins the sensing-spec redesign).
+//     untouched" contract, which also pins the sensing-spec redesign),
+//     now for every workload x engine cell; dynamic scenarios (churn,
+//     drift, fade) likewise, one hash across thread counts.
 //   - Invariance: a churned sharded walk is bit-identical for 1, 2, and
 //     8 threads (mutation is serial; rewrites are per-range
 //     deterministic).
@@ -44,11 +46,15 @@ ScenarioSpec spec_of(const std::string& text) {
 /// The result document's content hash: to_json() minus the two wall-
 /// clock fields, dumped compact.  Matches the pre-dynamics capture
 /// procedure exactly.
-std::string result_hash(const ScenarioSpec& spec) {
-  util::JsonValue doc = Experiment(spec).run().to_json();
+std::string document_hash(const scenario::ScenarioResult& result) {
+  util::JsonValue doc = result.to_json();
   doc.erase("elapsed_seconds");
   doc.erase("elapsed_ns");
   return util::hex64(util::fnv1a64(doc.dump(0)));
+}
+
+std::string result_hash(const ScenarioSpec& spec) {
+  return document_hash(Experiment(spec).run());
 }
 
 // ---------------------------------------------------------------------
@@ -85,10 +91,106 @@ TEST(DynamicScenarios, StaticResultsAreByteIdenticalToPreDynamicsBuild) {
            "checkpoints":5,"agents":32,"rounds":20,"seed":11,
            "engine":"single"})",
        "50ccd5e52a6de938"},
+      // Every other workload x engine cell, and the trial fan-outs.
+      {R"({"topology":"torus2d:32x32","workload":"density","agents":64,
+           "rounds":16,"seed":1,"trials":3,"threads":2,"engine":"vector"})",
+       "bbe96fd3f3b77dc8"},
+      {R"({"topology":"ring:1024","workload":"property","agents":50,
+           "rounds":12,"property-fraction":0.25,"seed":9,
+           "engine":"single"})",
+       "dd0a41d55e275ac5"},
+      {R"({"topology":"ring:1024","workload":"property","agents":50,
+           "rounds":12,"property-fraction":0.25,"seed":9,"trials":3,
+           "threads":2,"engine":"single"})",
+       "66a107ce5922ca22"},
+      {R"({"topology":"ring:1024","workload":"property","agents":50,
+           "rounds":12,"property-fraction":0.25,"seed":9,
+           "engine":"vector"})",
+       "aa5ff6678eb5f80f"},
+      {R"({"topology":"ring:1024","workload":"property","agents":50,
+           "rounds":12,"property-fraction":0.25,"seed":9,"trials":3,
+           "threads":2,"engine":"vector"})",
+       "371953590407f36a"},
+      {R"({"topology":"ring:1024","workload":"property","agents":50,
+           "rounds":12,"property-fraction":0.25,"seed":9,"trials":3,
+           "threads":2,"engine":"sharded"})",
+       "12ed0c8bce9d2e2d"},
+      {R"({"topology":"hypercube:10","workload":"trajectory","tracked":4,
+           "checkpoints":5,"agents":32,"rounds":20,"seed":11,
+           "engine":"sharded","threads":3})",
+       "3c69d17b2aacea76"},
+      {R"({"topology":"hypercube:10","workload":"trajectory","tracked":4,
+           "checkpoints":5,"agents":32,"rounds":20,"seed":11,
+           "engine":"vector"})",
+       "c4c00f1d14f86968"},
+      {R"({"topology":"torus2d:16x16","workload":"local-density",
+           "radius":1,"tracked":3,"checkpoints":3,"agents":40,"rounds":12,
+           "seed":4,"engine":"single"})",
+       "fc38c1c3d71b4ca1"},
+      {R"({"topology":"torus2d:16x16","workload":"local-density",
+           "radius":1,"tracked":3,"checkpoints":3,"agents":40,"rounds":12,
+           "seed":4,"engine":"sharded","threads":2})",
+       "a9e9f7679988ed14"},
+      {R"({"topology":"torus2d:16x16","workload":"local-density",
+           "radius":1,"tracked":3,"checkpoints":3,"agents":40,"rounds":12,
+           "seed":4,"engine":"vector"})",
+       "1b708d07a3caabe8"},
   };
   for (const auto& g : goldens) {
     EXPECT_EQ(result_hash(spec_of(g.json)), g.hash)
         << "static result drifted for " << g.json;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Dynamic worlds: result-document goldens, single and sharded engines
+// ---------------------------------------------------------------------
+
+TEST(DynamicScenarios, DynamicResultsMatchTheirGoldens) {
+  const struct {
+    const char* json;
+    std::vector<unsigned> threads;  // every count must give `hash`
+    const char* hash;
+  } goldens[] = {
+      {R"({"topology":"torus2d:16x16","workload":"density","agents":32,
+           "rounds":20,"seed":3,"engine":"single",
+           "dynamics":"churn:p_edge=0.02,p_fail=0.01"})",
+       {0},
+       "cb64e9dc0a74e162"},
+      {R"({"topology":"torus2d:16x16","workload":"density","agents":32,
+           "rounds":20,"seed":3,"engine":"sharded",
+           "dynamics":"churn:p_edge=0.02,p_fail=0.01"})",
+       {1, 3},
+       "177109bc7acc0b53"},
+      {R"({"topology":"ring:256","workload":"density","agents":24,
+           "rounds":24,"seed":8,"trials":3,"engine":"single",
+           "dynamics":"drift:p_death=0.02,p_birth=0.05"})",
+       {1, 3},
+       "6d2dc18e24aa2513"},
+      {R"({"topology":"ring:256","workload":"density","agents":24,
+           "rounds":24,"seed":8,"trials":3,"engine":"sharded",
+           "dynamics":"drift:p_death=0.02,p_birth=0.05"})",
+       {1, 3},
+       "8603f6918a5e2f19"},
+      {R"({"topology":"torus2d:16x16","workload":"density","agents":32,
+           "rounds":20,"seed":5,"engine":"single","miss":0.2,
+           "dropout":0.1,"dynamics":"fade:p0=0.1,step=0.05"})",
+       {0},
+       "cbb059ac1ce8ab69"},
+  };
+  for (const auto& g : goldens) {
+    const ScenarioSpec pinned = spec_of(g.json);
+    for (const unsigned threads : g.threads) {
+      // The document records `threads`; put the pinned value back so one
+      // hash covers every thread count.
+      ScenarioSpec spec = pinned;
+      spec.threads = threads;
+      scenario::ScenarioResult result = Experiment(spec).run();
+      result.spec.threads = pinned.threads;
+      EXPECT_EQ(document_hash(result), g.hash)
+          << "dynamic result drifted for " << g.json << " at " << threads
+          << " thread(s)";
+    }
   }
 }
 
