@@ -17,15 +17,23 @@
 // scan for gnp, O(m) edge sweep for ba (per round on the batched paths,
 // per agent on the frozen legacy loop) — plus a resident-set column
 // that documents the O(agents) memory the implicit layer promises.
-// CI gates the ba cell's engine/legacy ratio at <= 0.1: the batched
-// sweep against the per-agent loop, in the same run.
 //
 // A fifth path, "engine+obs", re-times the scalar engine with the full
 // telemetry ambient installed (metrics registry + trace recorder), so
 // the cost of observability is a trended number instead of folklore.
-// The telemetry-DISABLED gate lives in CI: with no ambient installed,
-// the engine rows must stay within 1.05x of the frozen legacy loop on
-// the ring/torus2d cells — the dormant probes must cost nothing.
+// A sixth, "any+dyn0", re-times the AnyTopology path with a zero-rate
+// churn model attached: what the dynamics layer costs a walk whose
+// model never mutates anything.
+//
+// CI's bench-smoke job runs this with --tiny and gates ratios between
+// rows of the same run, so runner speed cancels out:
+//   - vector/engine <= 0.6 on every ring/torus2d cell;
+//   - engine/legacy <= 1.05 on every ring/torus2d cell (dormant
+//     telemetry costs nothing);
+//   - engine/legacy <= 0.1 on the ba cell (batched sampling);
+//   - any+dyn0/anytopology: geometric mean over the ring/torus2d cells
+//     <= 1.05, each cell <= 1.30.
+// engine+obs rows are trended, not gated.
 //
 // Flags:
 //   --out=PATH        JSON output path (default BENCH_engine.json)
@@ -33,11 +41,8 @@
 //   --reps=N          timing repetitions, best-of (default 3)
 //   --budget=STEPS    target agent-steps per timed run (default 2e7)
 //
-// Acceptance: the engine path is no slower than the legacy loop at 10k
-// agents on the 2-D torus (the batched torus stepping usually makes it
-// faster), the anytopology path is within 10% of the engine path there
-// (dispatch is per round, not per step), and the JSON must parse and
-// carry one record per (path, topology, agents) cell.
+// The JSON must parse and carry one record per (path, topology, agents)
+// cell.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -150,13 +155,11 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
                           .collision_counts[0];
       },
       agents, cfg.rounds, reps);
-#if ANTDENSE_DYNAMICS
   // The dynamics layer's overhead row: the same AnyTopology walk with a
   // zero-rate churn model attached — the mutation phase fires every
   // round but mutates nothing, an upper bound on what the layer costs a
   // scenario that never asked for dynamics (whose cfg.dynamics is null
-  // and which skips even this).  CI gates dyn/any <= 1.02x on the
-  // ring/torus2d cells.
+  // and which skips even this).
   sim::ChurnDynamics idle_dyn(any, 0.0, 0.0, 10, 0);
   cell.dyn_ns = time_path(
       [&](std::uint64_t rep) {
@@ -165,9 +168,6 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
         sink = sink + static_cast<std::uint64_t>(est[0] * 1e9);
       },
       agents, cfg.rounds, reps);
-#else
-  cell.dyn_ns = cell.any_ns;  // layer compiled out: overhead is zero
-#endif
   cell.peak_rss = bench::peak_rss_bytes();
   return cell;
 }
@@ -188,10 +188,9 @@ int main(int argc, char** argv) {
   bench::print_banner(
       "E-ENGINE",
       "unified WalkEngine vs the frozen legacy round loop vs AnyTopology",
-      "engine ns/agent-round <= legacy at 10k agents on torus2d; "
-      "anytopology within 10% of engine there; dormant telemetry keeps "
-      "engine within 1.05x of legacy on ring/torus2d; the dynamics-"
-      "capable engine keeps engine within 1.02x of legacy there too; "
+      "on ring/torus2d: vector <= 0.6x engine, engine <= 1.05x legacy "
+      "(dormant telemetry), any+dyn0 <= 1.05x anytopology (geomean; "
+      "1.30x per cell); ba: engine <= 0.1x legacy; "
       "BENCH_engine.json parses");
 
   const std::vector<std::uint32_t> agent_counts =

@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "graph/topology.hpp"
-#include "rng/random.hpp"
-#include "rng/splitmix64.hpp"
 #include "sim/density_sim.hpp"
 #include "util/check.hpp"
 
@@ -46,15 +44,8 @@ PropertyFrequencyResult estimate_property_frequency(const T& topo,
   ANTDENSE_CHECK(num_property <= num_agents,
                  "property count cannot exceed agent count");
 
-  // Uniformly random assignment of the property.
-  rng::Xoshiro256pp assign_gen(rng::derive_seed(seed, 0xF00Du));
-  std::vector<bool> has_property(num_agents, false);
-  const auto chosen = rng::sample_without_replacement(
-      assign_gen, num_agents, num_property);
-  for (std::uint64_t idx : chosen) {
-    has_property[idx] = true;
-  }
-
+  const std::vector<bool> has_property =
+      sim::draw_property_carriers(num_agents, num_property, seed);
   sim::DensityConfig cfg;
   cfg.num_agents = num_agents;
   cfg.rounds = rounds;

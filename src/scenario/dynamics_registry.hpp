@@ -19,12 +19,8 @@
 // "churn:p_edge=0,p_fail=0" hash identically), and diagnostics that
 // name the model and the offending key=value.  Model factories bind to
 // the scenario's substrate and agent count, which only the Experiment
-// knows — hence make() takes both.
-//
-// When the library is configured with ANTDENSE_DYNAMICS=OFF, built_in()
-// is empty: every dynamics spec fails with "unknown dynamics model",
-// keeping the rejection at spec-parse time rather than deep in an
-// engine.
+// knows — hence make() takes both.  An unknown model fails here, at
+// spec-parse time, rather than deep in an engine.
 #pragma once
 
 #include <functional>
@@ -55,8 +51,7 @@ class DynamicsRegistry {
     std::string grammar;
   };
 
-  /// The registry holding the built-in models (churn, drift, fade) —
-  /// empty when compiled with ANTDENSE_DYNAMICS=OFF.
+  /// The registry holding the built-in models (churn, drift, fade).
   static const DynamicsRegistry& built_in();
 
   /// Registers (or replaces) a model family under `name`.

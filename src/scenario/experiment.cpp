@@ -3,23 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "core/density_estimator.hpp"
-#include "core/property_frequency.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/splitmix64.hpp"
 #include "scenario/ball_density.hpp"
 #include "scenario/dynamics_registry.hpp"
 #include "sim/density_sim.hpp"
-#include "sim/dynamic_world.hpp"
-#include "sim/sharded_walk.hpp"
+#include "sim/dynamics.hpp"
 #include "sim/trial_runner.hpp"
-#include "sim/vector_walk.hpp"
 #include "sim/walk_engine.hpp"
 #include "stats/accumulator.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace antdense::scenario {
@@ -52,33 +49,35 @@ ScenarioSummary summarize(const std::vector<double>& estimates,
   return s;
 }
 
-/// Round-grained progress tap for the single-walk workloads.  Its only
-/// hook is end_round, which all three engines fire serially, and it
-/// draws no randomness — so riding it alongside the workload observers
-/// leaves every result stream bit-identical to the plain run.
+/// Round-grained progress tap for a single walk (trials == 1; a fan-out
+/// passes null hooks and reports trials instead).  Its only hook is
+/// end_round, which all three engines fire serially, and it draws no
+/// randomness — so riding it alongside the workload observers leaves
+/// every result stream bit-identical to the plain run.
 struct RoundProgressObserver {
-  RoundProgressObserver(const ProgressHooks& hooks, std::uint64_t total_rounds)
+  RoundProgressObserver(const ProgressHooks* hooks, std::uint64_t total_rounds)
       : hooks_(hooks), total_(total_rounds) {
-    stride_ = hooks.round_stride != 0
-                  ? hooks.round_stride
+    stride_ = hooks != nullptr && hooks->round_stride != 0
+                  ? hooks->round_stride
                   : static_cast<std::uint32_t>(
                         std::max<std::uint64_t>(1, total_rounds / 64));
   }
 
-  void end_round(std::uint32_t round) {
-    if (hooks_.on_progress && (round % stride_ == 0 || round == total_)) {
-      hooks_.on_progress(round, total_);
+  void end_round(std::uint32_t round) const {
+    if (hooks_ != nullptr && hooks_->on_progress &&
+        (round % stride_ == 0 || round == total_)) {
+      hooks_->on_progress(round, total_);
     }
   }
 
  private:
-  const ProgressHooks& hooks_;
+  const ProgressHooks* hooks_;
   std::uint64_t total_;
   std::uint32_t stride_;
 };
 
-/// Trial-grained progress tap for the fan-out workloads: one tick per
-/// finished trial, reported from whichever worker ran it.
+/// Trial-grained progress tap for the fan-outs: one tick per finished
+/// trial, reported from whichever worker ran it.
 struct TrialProgress {
   TrialProgress(const ProgressHooks& hooks, std::uint64_t total_trials)
       : hooks_(hooks), total_(total_trials) {}
@@ -98,6 +97,20 @@ struct TrialProgress {
   std::uint64_t total_;
   std::atomic<std::uint64_t> done_{0};
 };
+
+/// The one place a spec's engine becomes a sim::Exec.  Inner threads
+/// follow the spec; sim::run_trials runs each walk of a fan-out on one.
+sim::Exec engine_exec(const ScenarioSpec& spec) {
+  switch (spec.engine) {
+    case EngineMode::kSharded:
+      return sim::ShardExec{.threads = spec.threads};
+    case EngineMode::kVector:
+      return sim::VectorExec{};
+    case EngineMode::kSingleStream:
+      break;
+  }
+  return sim::SingleExec{};
+}
 
 sim::DensityConfig density_config(const ScenarioSpec& spec) {
   sim::DensityConfig cfg;
@@ -168,8 +181,7 @@ Experiment::Experiment(ScenarioSpec spec, const Registry& registry)
   spec_.topology = registry.canonical(spec_.topology);
   if (!spec_.dynamics.empty()) {
     // Canonicalize like the topology so journals and caches key on one
-    // spelling; this is also where an unknown model (or any dynamics
-    // spec on an ANTDENSE_DYNAMICS=OFF build) is rejected.
+    // spelling; this is also where an unknown model is rejected.
     spec_.dynamics = DynamicsRegistry::built_in().canonical(spec_.dynamics);
     ANTDENSE_CHECK(spec_.workload == Workload::kDensity,
                    "dynamics models apply to the density workload only");
@@ -198,8 +210,7 @@ ScenarioResult Experiment::run() const { return run(ProgressHooks{}); }
 ScenarioResult Experiment::run(const ProgressHooks& hooks) const {
   util::WallTimer timer;
   // Trace the whole workload as one span (RNG-neutral: a trace scope
-  // observes wall time only).  The ambient bundle is also what the
-  // property fan-out below re-installs inside its workers.
+  // observes wall time only).
   obs::Telemetry* telemetry = obs::ambient_telemetry();
   obs::SpanScope workload_span(
       telemetry != nullptr ? telemetry->trace : nullptr,
@@ -211,255 +222,110 @@ ScenarioResult Experiment::run(const ProgressHooks& hooks) const {
   result.true_value = static_cast<double>(spec_.agents - 1) /
                       static_cast<double>(topo_.num_nodes());
 
+  // Every workload is one row — a seed tag, an observer set, a result
+  // extraction — run under sim::run_trials' trial rule on the spec's
+  // engine.  trajectory and local-density are one walk (the constructor
+  // rejects trials > 1), so their rows may write the series directly;
+  // their last checkpoint is spec_.rounds.
+  const sim::DensityConfig cfg = density_config(spec_);
+  const bool one_walk = spec_.trials == 1;
+  const RoundProgressObserver progress(one_walk ? &hooks : nullptr,
+                                       spec_.rounds);
+  TrialProgress trial_progress(hooks, spec_.trials);
+  const auto fan_out = [&](auto&& run_trial) {
+    return sim::run_trials(
+        spec_.trials, spec_.seed, engine_exec(spec_), spec_.threads,
+        run_trial,
+        one_walk ? std::function<void(std::size_t)>{}
+                 : trial_progress.callback());
+  };
   switch (spec_.workload) {
-    case Workload::kDensity: {
-      // Dynamic worlds run through the dynamics-aware pipeline: the walk
-      // stream is the exact static stream (tag 0x51), the model mutates
-      // between rounds from its own derived stream, and each fan-out
-      // trial builds a fresh model from the canonical spec so trials
-      // stay independent and order-free.  validate() already rejected
-      // engine=vector here.
-      if (!spec_.dynamics.empty()) {
-        const DynamicsRegistry& models = DynamicsRegistry::built_in();
-        if (spec_.trials == 1) {
-          RoundProgressObserver progress(hooks, spec_.rounds);
-          const std::unique_ptr<sim::WorldDynamics> model =
-              models.make(spec_.dynamics, topo_, spec_.agents);
-          if (spec_.engine == EngineMode::kSharded) {
-            result.estimates = sim::run_dynamic_density_walk_sharded(
-                topo_, density_config(spec_), *model, spec_.seed,
-                sim::ShardExec{.threads = spec_.threads}, progress);
-          } else {
-            result.estimates = sim::run_dynamic_density_walk(
-                topo_, density_config(spec_), *model, spec_.seed, progress);
-          }
-        } else {
-          TrialProgress progress(hooks, spec_.trials);
-          const std::function<void(std::size_t)> on_trial_done =
-              progress.callback();
-          std::vector<std::vector<double>> per_trial(spec_.trials);
-          util::parallel_for(
-              spec_.trials,
-              [&](std::size_t trial) {
-                obs::ScopedTelemetry ambient(telemetry);
-                const std::uint64_t trial_seed =
-                    rng::derive_seed(spec_.seed, trial);
-                const std::unique_ptr<sim::WorldDynamics> model =
-                    models.make(spec_.dynamics, topo_, spec_.agents);
-                if (spec_.engine == EngineMode::kSharded) {
-                  per_trial[trial] = sim::run_dynamic_density_walk_sharded(
-                      topo_, density_config(spec_), *model, trial_seed,
-                      sim::ShardExec{.threads = 1});
-                } else {
-                  per_trial[trial] = sim::run_dynamic_density_walk(
-                      topo_, density_config(spec_), *model, trial_seed);
-                }
-                if (on_trial_done) {
-                  on_trial_done(trial);
-                }
-              },
-              spec_.threads);
-          for (const auto& v : per_trial) {
-            result.estimates.insert(result.estimates.end(), v.begin(),
-                                    v.end());
-          }
-        }
-        break;
-      }
-      // Single-stream, one trial matches run_density_walk(seed) exactly;
-      // fan-outs pool derived per-trial streams through the parallel
-      // trial runner.  The sharded engine keeps its own (thread-count-
-      // invariant) stream: one trial parallelizes within the walk, fan-
-      // outs parallelize across trials and run each walk's shards
-      // serially — the estimates are identical either way.
-      if (spec_.trials == 1) {
-        RoundProgressObserver progress(hooks, spec_.rounds);
-        switch (spec_.engine) {
-          case EngineMode::kSharded:
-            result.estimates =
-                sim::run_density_walk_sharded(
-                    topo_, density_config(spec_), spec_.seed,
-                    sim::ShardExec{.threads = spec_.threads}, nullptr,
-                    progress)
-                    .estimates();
-            break;
-          case EngineMode::kVector:
-            result.estimates =
-                sim::run_density_walk_vector(topo_, density_config(spec_),
-                                             spec_.seed, sim::VectorExec{},
-                                             nullptr, progress)
-                    .estimates();
-            break;
-          case EngineMode::kSingleStream:
-            result.estimates =
-                sim::run_density_walk(topo_, density_config(spec_),
-                                      spec_.seed, nullptr, progress)
-                    .estimates();
-            break;
-        }
-      } else {
-        TrialProgress progress(hooks, spec_.trials);
-        if (spec_.engine == EngineMode::kSharded) {
-          result.estimates = sim::collect_all_agent_estimates_sharded(
-              topo_, density_config(spec_), spec_.seed, spec_.trials,
-              spec_.threads, progress.callback());
-        } else if (spec_.engine == EngineMode::kVector) {
-          result.estimates = sim::collect_all_agent_estimates_vector(
-              topo_, density_config(spec_), spec_.seed, spec_.trials,
-              spec_.threads, progress.callback());
-        } else {
-          result.estimates = sim::collect_all_agent_estimates(
-              topo_, density_config(spec_), spec_.seed, spec_.trials,
-              spec_.threads, progress.callback());
-        }
-      }
+    case Workload::kDensity:
+      // Algorithm 1 (tag 0x51).  A dynamic world builds a fresh model
+      // per trial from the canonical spec, so trials stay independent
+      // and order-free; validate() already rejected engine=vector here.
+      result.estimates = fan_out([&](std::uint64_t seed,
+                                     const sim::Exec& exec) {
+        const std::unique_ptr<sim::WorldDynamics> model =
+            spec_.dynamics.empty()
+                ? nullptr
+                : DynamicsRegistry::built_in().make(spec_.dynamics, topo_,
+                                                    spec_.agents);
+        sim::WalkConfig walk = cfg.walk_config();
+        walk.dynamics = model.get();
+        sim::CollisionObserver counts(spec_.agents, cfg.noise(), model.get());
+        sim::run_walk(topo_, walk, rng::derive_seed(seed, 0x51u), exec,
+                      nullptr, counts, progress);
+        return counts.estimates(spec_.rounds);
+      });
       break;
-    }
 
     case Workload::kProperty: {
-      // estimate_property_frequency with the spec's trial fan-out and
-      // lazy knob: same property-assignment stream (tag 0xF00D), one
-      // derived seed per trial, bit-identical for any thread count.
+      // Section 5.2's two-class walk (tag 0x52), carriers drawn per
+      // trial.
       const auto num_property = static_cast<std::uint32_t>(
           std::lround(spec_.property_fraction * spec_.agents));
-      std::vector<std::vector<double>> per_trial(spec_.trials);
-      double truth = 0.0;
-      TrialProgress progress(hooks, spec_.trials);
-      const std::function<void(std::size_t)> on_trial_done =
-          progress.callback();
-      util::parallel_for(
-          spec_.trials,
-          [&](std::size_t trial) {
-            // parallel_for workers have no ambient telemetry of their
-            // own; propagate the experiment's bundle so engine taps
-            // fire inside each trial.
-            obs::ScopedTelemetry ambient(telemetry);
-            const std::uint64_t trial_seed =
-                spec_.trials == 1 ? spec_.seed
-                                  : rng::derive_seed(spec_.seed, trial);
-            rng::Xoshiro256pp assign_gen(
-                rng::derive_seed(trial_seed, 0xF00Du));
-            std::vector<bool> has_property(spec_.agents, false);
-            for (std::uint64_t idx : rng::sample_without_replacement(
-                     assign_gen, spec_.agents, num_property)) {
-              has_property[idx] = true;
-            }
-            const sim::PropertyResult raw = [&] {
-              switch (spec_.engine) {
-                case EngineMode::kSharded:
-                  return sim::run_property_walk_sharded(
-                      topo_, density_config(spec_), has_property, trial_seed,
-                      sim::ShardExec{.threads = spec_.trials == 1
-                                         ? spec_.threads
-                                         : 1});
-                case EngineMode::kVector:
-                  return sim::run_property_walk_vector(
-                      topo_, density_config(spec_), has_property, trial_seed);
-                case EngineMode::kSingleStream:
-                default:
-                  return sim::run_property_walk(topo_, density_config(spec_),
-                                                has_property, trial_seed);
-              }
-            }();
-            std::vector<double>& freq = per_trial[trial];
-            freq.reserve(spec_.agents);
-            for (std::uint32_t i = 0; i < spec_.agents; ++i) {
-              const auto c = static_cast<double>(raw.total_counts[i]);
-              const auto cp = static_cast<double>(raw.property_counts[i]);
-              freq.push_back(c == 0.0 ? 0.0 : cp / c);
-            }
-            if (trial == 0) {
-              truth = static_cast<double>(num_property) /
-                      static_cast<double>(spec_.agents - 1);
-            }
-            if (on_trial_done) {
-              on_trial_done(trial);
-            }
-          },
-          spec_.threads);
-      result.true_value = truth;
-      result.estimates.reserve(static_cast<std::size_t>(spec_.trials) *
-                               spec_.agents);
-      for (const auto& v : per_trial) {
-        result.estimates.insert(result.estimates.end(), v.begin(), v.end());
-      }
-      break;
-    }
-
-    case Workload::kTrajectory: {
-      // run_trajectory plus the lazy knob: same observers, same seed tag,
-      // so the unperturbed scenario matches sim::run_trajectory exactly.
-      result.checkpoints = spec_.checkpoint_rounds(spec_.rounds);
-      sim::CollisionObserver counts(spec_.agents);
-      sim::TrajectoryObserver trajectory(counts, spec_.tracked,
-                                         result.checkpoints);
-      sim::WalkConfig cfg;
-      cfg.num_agents = spec_.agents;
-      cfg.rounds = result.checkpoints.back();
-      cfg.lazy_probability = spec_.lazy_probability;
-      RoundProgressObserver progress(hooks, cfg.rounds);
-      if (spec_.engine == EngineMode::kSharded) {
-        sim::run_walk_sharded(
-            topo_, cfg, rng::derive_seed(spec_.seed, 0x7124u),
-            sim::ShardExec{.threads = spec_.threads},
-            static_cast<const std::vector<std::uint64_t>*>(nullptr), counts,
-            trajectory, progress);
-      } else if (spec_.engine == EngineMode::kVector) {
-        sim::run_walk_vector(
-            topo_, cfg, rng::derive_seed(spec_.seed, 0x7124u),
-            sim::VectorExec{},
-            static_cast<const std::vector<std::uint64_t>*>(nullptr), counts,
-            trajectory, progress);
-      } else {
-        sim::run_walk(topo_, cfg, rng::derive_seed(spec_.seed, 0x7124u),
-                      static_cast<const std::vector<std::uint64_t>*>(nullptr),
-                      counts, trajectory, progress);
-      }
-      result.series = trajectory.take_estimates();
-      for (const auto& trace : result.series) {
-        result.estimates.push_back(trace.back());
-      }
-      break;
-    }
-
-    case Workload::kLocalDensity: {
-      result.checkpoints = spec_.checkpoint_rounds(spec_.rounds);
-      BallDensityObserver balls(topo_, spec_.radius, result.checkpoints,
-                                spec_.agents);
-      sim::WalkConfig cfg;
-      cfg.num_agents = spec_.agents;
-      cfg.rounds = result.checkpoints.back();
-      cfg.lazy_probability = spec_.lazy_probability;
-      RoundProgressObserver progress(hooks, cfg.rounds);
-      if (spec_.engine == EngineMode::kSharded) {
-        sim::run_walk_sharded(
-            topo_, cfg, rng::derive_seed(spec_.seed, 0x10Du),
-            sim::ShardExec{.threads = spec_.threads},
-            static_cast<const std::vector<std::uint64_t>*>(nullptr), balls,
-            progress);
-      } else if (spec_.engine == EngineMode::kVector) {
-        sim::run_walk_vector(
-            topo_, cfg, rng::derive_seed(spec_.seed, 0x10Du),
-            sim::VectorExec{},
-            static_cast<const std::vector<std::uint64_t>*>(nullptr), balls,
-            progress);
-      } else {
-        sim::run_walk(topo_, cfg, rng::derive_seed(spec_.seed, 0x10Du),
-                      static_cast<const std::vector<std::uint64_t>*>(nullptr),
-                      balls, progress);
-      }
-      const std::vector<std::vector<double>> densities =
-          balls.take_densities();
-      result.estimates = densities.back();
-      result.series.resize(spec_.tracked);
-      for (std::uint32_t a = 0; a < spec_.tracked; ++a) {
-        result.series[a].reserve(densities.size());
-        for (const auto& row : densities) {
-          result.series[a].push_back(row[a]);
+      result.true_value = static_cast<double>(num_property) /
+                          static_cast<double>(spec_.agents - 1);
+      result.estimates = fan_out([&](std::uint64_t seed,
+                                     const sim::Exec& exec) {
+        sim::PropertyObserver counts(
+            sim::draw_property_carriers(spec_.agents, num_property, seed));
+        sim::run_walk(topo_, cfg.walk_config(), rng::derive_seed(seed, 0x52u),
+                      exec, nullptr, counts, progress);
+        std::vector<double> freq;
+        freq.reserve(spec_.agents);
+        for (std::uint32_t i = 0; i < spec_.agents; ++i) {
+          const auto c = static_cast<double>(counts.total_counts()[i]);
+          const auto cp = static_cast<double>(counts.property_counts()[i]);
+          freq.push_back(c == 0.0 ? 0.0 : cp / c);
         }
-      }
+        return freq;
+      });
       break;
     }
+
+    case Workload::kTrajectory:
+      // run_trajectory's observers and tag 0x7124.
+      result.checkpoints = spec_.checkpoint_rounds(spec_.rounds);
+      result.estimates = fan_out([&](std::uint64_t seed,
+                                     const sim::Exec& exec) {
+        sim::CollisionObserver counts(spec_.agents);
+        sim::TrajectoryObserver trajectory(counts, spec_.tracked,
+                                           result.checkpoints);
+        sim::run_walk(topo_, cfg.walk_config(),
+                      rng::derive_seed(seed, 0x7124u), exec, nullptr, counts,
+                      trajectory, progress);
+        result.series = trajectory.take_estimates();
+        std::vector<double> finals;
+        for (const auto& trace : result.series) {
+          finals.push_back(trace.back());
+        }
+        return finals;
+      });
+      break;
+
+    case Workload::kLocalDensity:
+      // The generic ball observer, tag 0x10D.
+      result.checkpoints = spec_.checkpoint_rounds(spec_.rounds);
+      result.estimates = fan_out([&](std::uint64_t seed,
+                                     const sim::Exec& exec) {
+        BallDensityObserver balls(topo_, spec_.radius, result.checkpoints,
+                                  spec_.agents);
+        sim::run_walk(topo_, cfg.walk_config(), rng::derive_seed(seed, 0x10Du),
+                      exec, nullptr, balls, progress);
+        const std::vector<std::vector<double>> densities =
+            balls.take_densities();
+        result.series.resize(spec_.tracked);
+        for (std::uint32_t a = 0; a < spec_.tracked; ++a) {
+          result.series[a].reserve(densities.size());
+          for (const auto& row : densities) {
+            result.series[a].push_back(row[a]);
+          }
+        }
+        return densities.back();
+      });
+      break;
   }
 
   result.summary = summarize(result.estimates, result.true_value, spec_.eps);

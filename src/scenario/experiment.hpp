@@ -1,21 +1,23 @@
 // The imperative half of the runtime scenario API: Experiment validates
 // a ScenarioSpec, builds its substrate through the Registry, resolves
 // the round budget (explicit rounds, or Theorem-1 planning via
-// core::plan_rounds), and runs the requested workload through the
-// existing engine drivers — run_density_walk / trial_runner for density,
-// estimate_property_frequency for property, run_trajectory for anytime
-// profiles, and the generic BallDensityObserver for local density.
+// core::plan_rounds), and runs the requested workload.  Each workload
+// is one row — a seed tag, an observer set, a result extraction — run
+// under sim::run_trials' trial rule on the sim::Exec the spec's `engine`
+// maps to (sim/density_sim.hpp): density is a CollisionObserver (handed
+// the dynamics model, if any), property a PropertyObserver, trajectory
+// a CollisionObserver plus TrajectoryObserver, local density the
+// generic BallDensityObserver.
 //
 // The result is one uniform ScenarioResult for all four workloads:
 // pooled per-agent estimates, summary statistics, optional checkpointed
 // series, and a stable JSON serialization (schema
 // "antdense.scenario.v1") that antdense_run emits and CI
 // schema-validates.  Determinism: a ScenarioResult is bit-identical for
-// a fixed spec, for any thread count — in both engine modes.  The
-// spec's `engine` field selects the walk execution model (the
-// historical single stream, or the sharded per-stream model of
-// sim/sharded_walk.hpp); the two modes are distinct experiments with
-// distinct identities, so `threads` remains a pure resource knob.
+// a fixed spec, for any thread count, on every engine.  The engines
+// (single stream, sharded per-shard streams, wide-lane vector) are
+// distinct experiments with distinct identities, so `threads` remains a
+// pure resource knob.
 //
 // Paper: Musco, Su & Lynch (PODC 2016, arXiv:1603.02981).
 #pragma once
@@ -70,17 +72,16 @@ struct ScenarioResult {
 };
 
 /// Optional progress tap for Experiment::run.  `on_progress(done, total)`
-/// reports completed work units out of a fixed total — rounds for the
-/// single-walk workloads (density trials==1, trajectory, local-density),
-/// trials for the fan-out workloads (density trials>1, property).  Calls
-/// may arrive from worker threads (trial fan-outs) but never concurrently
-/// with themselves for round-level taps (end_round is serial in all three
-/// engines).  The hooks observe execution without touching any RNG
+/// reports completed work units out of a fixed total — rounds for a
+/// single walk (trials == 1, every workload), trials for a fan-out
+/// (trials > 1).  Calls may arrive from worker threads (trial fan-outs)
+/// but never concurrently with themselves for round-level taps
+/// (end_round is serial in all three engines).  The hooks observe execution without touching any RNG
 /// stream, so results stay bit-identical with or without them.
 struct ProgressHooks {
   std::function<void(std::uint64_t done, std::uint64_t total)> on_progress;
   /// Report every `round_stride` rounds (and always at the final round);
-  /// 0 picks max(1, total/64).  Ignored for trial-grained workloads.
+  /// 0 picks max(1, total/64).  Ignored for trial fan-outs.
   std::uint32_t round_stride = 0;
 };
 

@@ -1,10 +1,17 @@
 // The synchronous multi-agent random-walk drivers (the paper's model,
 // Section 2): N anonymous agents on a regular topology, one step per
 // round, collision counting through count(position) at the end of each
-// round.  Both drivers are thin wrappers over the shared round loop in
-// sim/walk_engine.hpp — run_density_walk is the engine plus a
-// CollisionObserver, run_property_walk the engine plus a
-// PropertyObserver.
+// round.
+//
+// One engine seam: a sim::Exec value names the round loop that runs a
+// walk — the single stream (sim/walk_engine.hpp), the sharded
+// per-shard streams (sim/sharded_walk.hpp), or the wide-lane vector
+// engine (sim/vector_walk.hpp) — and sim::run_walk visits it once per
+// walk.  Every driver takes an Exec: run_density_walk is the seam plus
+// a CollisionObserver, run_property_walk the seam plus a
+// PropertyObserver.  Each engine has its own stream identity; within
+// one, results never depend on the execution knobs except
+// ShardExec::shard_size.
 //
 // The drivers also implement the perturbations Section 6.1 proposes for
 // robustness studies (they are *off* by default, matching the paper's
@@ -17,25 +24,57 @@
 //     with probability p per round;
 //   - caller-supplied initial positions (non-uniform placement).
 //
-// Determinism contract: for a fixed seed, results are bit-identical to
-// the pre-engine loops (frozen in sim/legacy_reference.hpp) in every
-// mode except detection_miss_probability > 0, whose stream was
-// re-goldened when the per-partner Bernoulli loop became a binomial
-// draw.  tests/test_walk_engine.cpp pins both sides of this contract.
+// Determinism contract: for a fixed seed, single-engine results are
+// bit-identical to the pre-engine loops (frozen in
+// sim/legacy_reference.hpp) in every mode except
+// detection_miss_probability > 0, whose stream was re-goldened when the
+// per-partner Bernoulli loop became a binomial draw.
+// tests/test_walk_engine.cpp pins both sides of this contract.
 //
 // Paper: Musco, Su & Lynch (PODC 2016, arXiv:1603.02981); full
 // concept-to-header map in docs/ARCHITECTURE.md.
 #pragma once
 
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 #include "graph/topology.hpp"
+#include "rng/random.hpp"
 #include "rng/splitmix64.hpp"
+#include "rng/xoshiro256pp.hpp"
+#include "sim/sharded_walk.hpp"
+#include "sim/vector_walk.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/check.hpp"
 
 namespace antdense::sim {
+
+/// The historical single-stream engine (run_walk_single): no knobs.
+struct SingleExec {};
+
+/// Which round loop runs a walk, with that engine's execution knobs.
+using Exec = std::variant<SingleExec, ShardExec, VectorExec>;
+
+/// The engine seam: runs the walk on `exec`'s round loop with the same
+/// observer pack.  `stream_seed` seeds the engine directly (drivers
+/// derive their own stream tag first).  Each engine is deterministic in
+/// its inputs; see the three loops for their stream contracts.
+template <graph::Topology T, class... Obs>
+void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
+              const Exec& exec,
+              const std::vector<typename T::node_type>* initial_positions,
+              Obs&... observers) {
+  if (const auto* shard = std::get_if<ShardExec>(&exec)) {
+    run_walk_sharded(topo, cfg, stream_seed, *shard, initial_positions,
+                     observers...);
+  } else if (const auto* vec = std::get_if<VectorExec>(&exec)) {
+    run_walk_vector(topo, cfg, stream_seed, *vec, initial_positions,
+                    observers...);
+  } else {
+    run_walk_single(topo, cfg, stream_seed, initial_positions, observers...);
+  }
+}
 
 struct DensityConfig {
   std::uint32_t num_agents = 0;
@@ -61,6 +100,13 @@ struct DensityConfig {
     ANTDENSE_CHECK(observation_dropout_probability >= 0.0 &&
                        observation_dropout_probability <= 1.0,
                    "dropout probability must be in [0,1]");
+  }
+
+  /// The sensing slice of this config, for the CollisionObserver.
+  CollisionObserver::Noise noise() const {
+    return {.detection_miss = detection_miss_probability,
+            .spurious = spurious_collision_probability,
+            .dropout = observation_dropout_probability};
   }
 
   /// The movement-only slice of this config, for the walk engine.
@@ -95,34 +141,41 @@ struct DensityResult {
   }
 };
 
-/// Runs Algorithm 1 for every agent simultaneously and returns all
-/// per-agent collision counts.  If `initial_positions` is non-null it
-/// must hold num_agents nodes (used by the non-uniform-placement
-/// experiments); otherwise agents start i.i.d. uniform, as the paper
-/// assumes.  Deterministic in `seed`.
-///
-/// `extra` observers ride after the CollisionObserver in pack order
-/// (the scenario layer attaches its round-progress observer here); an
-/// extra observer that draws no randomness leaves the result stream
-/// bit-identical to the plain call.
-template <graph::Topology T, typename... Extra>
+/// Runs Algorithm 1 for every agent simultaneously on `exec`'s engine
+/// and returns all per-agent collision counts.  If `initial_positions`
+/// is non-null it must hold num_agents nodes (used by the
+/// non-uniform-placement experiments); otherwise agents start i.i.d.
+/// uniform, as the paper assumes.  Deterministic in `seed`.
+template <graph::Topology T>
 DensityResult run_density_walk(
     const T& topo, const DensityConfig& cfg, std::uint64_t seed,
-    const std::vector<typename T::node_type>* initial_positions = nullptr,
-    Extra&... extra) {
+    const Exec& exec = SingleExec{},
+    const std::vector<typename T::node_type>* initial_positions = nullptr) {
   cfg.validate();
-  CollisionObserver observer(
-      cfg.num_agents, {.detection_miss = cfg.detection_miss_probability,
-                       .spurious = cfg.spurious_collision_probability,
-                       .dropout = cfg.observation_dropout_probability});
-  run_walk(topo, cfg.walk_config(), rng::derive_seed(seed, 0x51u),
-           initial_positions, observer, extra...);
+  CollisionObserver observer(cfg.num_agents, cfg.noise());
+  run_walk(topo, cfg.walk_config(), rng::derive_seed(seed, 0x51u), exec,
+           initial_positions, observer);
 
   DensityResult result;
   result.collision_counts = observer.take_counts();
   result.rounds = cfg.rounds;
   result.num_nodes = topo.num_nodes();
   return result;
+}
+
+/// run_density_walk on a named engine, for callers that pick the engine
+/// by function name (the perfbench probes among them).
+template <graph::Topology T>
+DensityResult run_density_walk_sharded(const T& topo, const DensityConfig& cfg,
+                                       std::uint64_t seed,
+                                       const ShardExec& exec) {
+  return run_density_walk(topo, cfg, seed, exec);
+}
+
+template <graph::Topology T>
+DensityResult run_density_walk_vector(const T& topo, const DensityConfig& cfg,
+                                      std::uint64_t seed) {
+  return run_density_walk(topo, cfg, seed, VectorExec{});
 }
 
 struct PropertyResult {
@@ -132,6 +185,20 @@ struct PropertyResult {
   std::uint64_t num_nodes = 0;
 };
 
+/// Section 5.2's carriers: `num_property` of the `num_agents` agents,
+/// uniformly without replacement, from `seed`'s tag-0xF00D stream.
+inline std::vector<bool> draw_property_carriers(std::uint32_t num_agents,
+                                                std::uint32_t num_property,
+                                                std::uint64_t seed) {
+  rng::Xoshiro256pp gen(rng::derive_seed(seed, 0xF00Du));
+  std::vector<bool> has_property(num_agents, false);
+  for (const std::uint64_t idx :
+       rng::sample_without_replacement(gen, num_agents, num_property)) {
+    has_property[idx] = true;
+  }
+  return has_property;
+}
+
 /// Two-class variant for Section 5.2: agents additionally detect whether
 /// a colliding partner carries property P, tracking both encounter
 /// counters simultaneously (one walk, two rates).  Honors
@@ -140,12 +207,13 @@ struct PropertyResult {
 template <graph::Topology T>
 PropertyResult run_property_walk(const T& topo, const DensityConfig& cfg,
                                  const std::vector<bool>& has_property,
-                                 std::uint64_t seed) {
+                                 std::uint64_t seed,
+                                 const Exec& exec = SingleExec{}) {
   cfg.validate();
   ANTDENSE_CHECK(has_property.size() == cfg.num_agents,
                  "property flags must match agent count");
   PropertyObserver observer(has_property);
-  run_walk(topo, cfg.walk_config(), rng::derive_seed(seed, 0x52u),
+  run_walk(topo, cfg.walk_config(), rng::derive_seed(seed, 0x52u), exec,
            static_cast<const std::vector<typename T::node_type>*>(nullptr),
            observer);
 

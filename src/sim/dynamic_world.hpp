@@ -1,6 +1,6 @@
 // The built-in WorldDynamics implementations (sim/dynamics.hpp) and the
-// density observer that understands them.  Three perturbation models,
-// spec grammar in scenario/dynamics_registry.cpp:
+// dynamic density driver.  Three perturbation models, spec grammar in
+// scenario/dynamics_registry.cpp:
 //
 //   churn:p_edge=,p_fail=[,mean_down=][,seed=]
 //     Edge churn + node failure on a time-varying overlay
@@ -30,7 +30,9 @@
 // All mutation randomness comes from the engine-provided mutation
 // stream; observation draws (fade) come from the observer's view
 // generator in agent order, which keeps every model thread-count-
-// invariant under the sharded engine.
+// invariant under the sharded engine.  The density observer is the
+// plain CollisionObserver (sim/walk_engine.hpp) handed the model: it
+// reads drift's alive mask and birth rounds, and fade's transform.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +46,6 @@
 #include "rng/random.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/dynamics.hpp"
-#include "sim/sharded_walk.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/check.hpp"
 
@@ -108,11 +109,8 @@ class DriftDynamics final : public WorldDynamics {
   void mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
               std::span<std::uint64_t> positions) override;
   const std::uint8_t* count_mask() const override { return alive_.data(); }
-  std::uint32_t birth_round(std::uint32_t slot) const override {
-    return birth_round_[slot];
-  }
-  bool alive(std::uint32_t slot) const override {
-    return alive_[slot] != 0;
+  const std::uint32_t* birth_rounds() const override {
+    return birth_round_.data();
   }
 
  private:
@@ -154,116 +152,21 @@ class FadeDynamics final : public WorldDynamics {
   std::vector<double> miss_;
 };
 
-/// CollisionObserver's dynamics-aware sibling: per-slot cumulative
-/// counts plus the bookkeeping dynamic worlds need — dead slots are
-/// skipped, a slot whose birth round changed restarts from zero, and
-/// raw partner counts run through the model's observation transform
-/// before the spec-level sensing noise (dropout first, then miss, then
-/// spurious — the same draw order as CollisionObserver).  Estimates are
-/// counts / rounds-observed for the slots alive at the end of the walk.
-class DynamicCollisionObserver {
- public:
-  DynamicCollisionObserver(std::uint32_t num_agents,
-                           const WorldDynamics& model,
-                           CollisionObserver::Noise noise);
-
-  template <typename View>
-  void after_round(const View& v) {
-    ANTDENSE_ASSERT(v.num_agents == counts_.size(),
-                    "observer sized for a different agent count");
-    const bool transforms = model_->transforms_observations();
-    std::uint64_t observed = 0;
-    for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
-      const std::uint32_t born = model_->birth_round(i);
-      if (born != seen_birth_[i]) {
-        seen_birth_[i] = born;
-        counts_[i] = 0;
-        observed_rounds_[i] = 0;
-      }
-      if (!model_->alive(i)) {
-        continue;
-      }
-      ++observed_rounds_[i];
-      if (noise_.dropout > 0.0 && rng::bernoulli(v.gen, noise_.dropout)) {
-        continue;  // reading lost entirely; the round still elapsed
-      }
-      std::uint64_t others = v.counter.occupancy(v.keys[i]) - 1;
-      if (transforms) {
-        others = model_->observe(i, others, v.gen);
-      }
-      if (noise_.detection_miss > 0.0) {
-        others = rng::binomial(v.gen, others, 1.0 - noise_.detection_miss);
-      }
-      if (noise_.spurious > 0.0 && rng::bernoulli(v.gen, noise_.spurious)) {
-        ++others;
-      }
-      counts_[i] += others;
-      observed += others;
-    }
-    if (collisions_tap_ != nullptr) {
-      collisions_tap_->add(observed);
-    }
-  }
-
-  /// Algorithm-1 estimates for the living population: counts_i /
-  /// rounds-observed_i over slots alive with at least one observed
-  /// round.  (Dead slots carry stale counts and are excluded.)
-  std::vector<double> estimates() const;
-
-  const std::vector<std::uint64_t>& counts() const { return counts_; }
-
- private:
-  const WorldDynamics* model_;
-  CollisionObserver::Noise noise_;
-  std::vector<std::uint64_t> counts_;
-  std::vector<std::uint32_t> observed_rounds_;
-  std::vector<std::uint32_t> seen_birth_;
-  obs::Counter* collisions_tap_ = nullptr;
-};
-
-/// Algorithm 1 with a dynamic world on the single-stream engine: the
-/// walk stream is the exact run_density_walk stream (tag 0x51); the
-/// model mutates between rounds from its own derived stream.  Returns
-/// the living population's estimates.
-template <typename... Extra>
-std::vector<double> run_dynamic_density_walk(const graph::AnyTopology& topo,
-                                             const DensityConfig& cfg,
-                                             WorldDynamics& model,
-                                             std::uint64_t seed,
-                                             Extra&... extra) {
-  cfg.validate();
-  DynamicCollisionObserver observer(
-      cfg.num_agents, model,
-      {.detection_miss = cfg.detection_miss_probability,
-       .spurious = cfg.spurious_collision_probability,
-       .dropout = cfg.observation_dropout_probability});
-  WalkConfig wcfg = cfg.walk_config();
-  wcfg.dynamics = &model;
-  run_walk(topo, wcfg, rng::derive_seed(seed, 0x51u),
-           static_cast<const std::vector<std::uint64_t>*>(nullptr), observer,
-           extra...);
-  return observer.estimates();
-}
-
-/// run_dynamic_density_walk on the sharded engine (its own stream, as
-/// run_density_walk_sharded): bit-identical for any exec.threads.
-template <typename... Extra>
-std::vector<double> run_dynamic_density_walk_sharded(
+/// Algorithm 1 with a dynamic world: run_density_walk's stream (tag
+/// 0x51) on `exec`'s engine, the model mutating between rounds from its
+/// own derived stream.  Returns the living population's estimates
+/// (CollisionObserver::estimates).  The vector engine rejects models.
+inline std::vector<double> run_dynamic_density_walk(
     const graph::AnyTopology& topo, const DensityConfig& cfg,
-    WorldDynamics& model, std::uint64_t seed, const ShardExec& exec,
-    Extra&... extra) {
+    WorldDynamics& model, std::uint64_t seed,
+    const Exec& exec = SingleExec{}) {
   cfg.validate();
-  DynamicCollisionObserver observer(
-      cfg.num_agents, model,
-      {.detection_miss = cfg.detection_miss_probability,
-       .spurious = cfg.spurious_collision_probability,
-       .dropout = cfg.observation_dropout_probability});
+  CollisionObserver observer(cfg.num_agents, cfg.noise(), &model);
   WalkConfig wcfg = cfg.walk_config();
   wcfg.dynamics = &model;
-  run_walk_sharded(topo, wcfg, rng::derive_seed(seed, 0x51u), exec,
-                   static_cast<const std::vector<std::uint64_t>*>(nullptr),
-                   observer, extra...);
-  return observer.estimates();
+  run_walk(topo, wcfg, rng::derive_seed(seed, 0x51u), exec, nullptr,
+           observer);
+  return observer.estimates(cfg.rounds);
 }
 
 }  // namespace antdense::sim

@@ -1,16 +1,21 @@
 // The dynamics layer's engine-facing contract: a WorldDynamics is a
 // perturbation model that mutates the world *between* rounds of the
 // synchronous walk (Musco, Su & Lynch, PODC 2016 — whose motivating
-// ants/robots live in a world that changes underfoot; see ROADMAP item
-// 4 and Hindes et al. on stochastic sensing and dynamics).
+// ants/robots live in a world that changes underfoot; see Hindes et al.
+// on stochastic sensing and dynamics).
 //
-// Engine integration (run_walk / run_walk_sharded):
+// Engine integration (run_walk_single / run_walk_sharded; the vector
+// engine rejects models):
 //
 //   round r (r >= 2):   mutate(r, mut_gen, positions)     [serial]
 //                       step agents from the WALK stream  [unchanged]
 //                       rewrite_moves(prev, pos, b, e)    [per shard]
 //                       count agents with count_mask()    [per shard]
 //                       observer hooks                    [unchanged]
+//
+// CollisionObserver (sim/walk_engine.hpp) reads count_mask() and
+// birth_rounds() once per round, and routes partner counts through
+// observe() when transforms_observations() says so.
 //
 // RNG-stream isolation is the heart of the contract: every stochastic
 // mutation draw comes from `mut_gen`, a generator the engine seeds via
@@ -36,15 +41,6 @@
 #include <string>
 
 #include "rng/xoshiro256pp.hpp"
-
-// Compile-time switch for the dynamics layer (CMake option
-// ANTDENSE_DYNAMICS, default ON).  When 0, the engines compile without
-// the mutation-phase branches and reject configs carrying a dynamics
-// model — CI's dynamics-smoke job byte-compares a static scenario
-// against such a build to prove the branches are inert.
-#ifndef ANTDENSE_DYNAMICS
-#define ANTDENSE_DYNAMICS 1
-#endif
 
 namespace antdense::sim {
 
@@ -89,25 +85,18 @@ class WorldDynamics {
     (void)end;
   }
 
-  /// Per-slot liveness mask (1 = count this agent into round occupancy),
-  /// or nullptr when every agent always counts.  Stable between mutate
-  /// calls; indexed by agent slot.
+  /// Per-slot liveness mask (1 = alive: counts into round occupancy and
+  /// observes), or nullptr when every agent always counts.  Dead slots
+  /// keep stepping to preserve the walk stream.  The pointer is fixed
+  /// for the model's life (null or not); the contents change only in
+  /// mutate.  Indexed by agent slot.
   virtual const std::uint8_t* count_mask() const { return nullptr; }
 
-  /// The round in which slot `slot`'s current incarnation was born
-  /// (1 for initial agents).  Observers reset a slot's accumulators
-  /// when this changes — a reborn agent is a *new* anonymous agent.
-  virtual std::uint32_t birth_round(std::uint32_t slot) const {
-    (void)slot;
-    return 1;
-  }
-
-  /// Whether slot `slot` is currently alive (dead slots keep stepping
-  /// to preserve the walk stream, but neither count nor observe).
-  virtual bool alive(std::uint32_t slot) const {
-    (void)slot;
-    return true;
-  }
+  /// Per-slot round in which the slot's current incarnation was born (1
+  /// for initial agents); non-null exactly when count_mask() is.
+  /// Observers reset a slot's accumulators when this changes — a reborn
+  /// agent is a *new* anonymous agent.
+  virtual const std::uint32_t* birth_rounds() const { return nullptr; }
 
   /// True when the model perturbs observations and the observer must
   /// route each raw collision count through observe().

@@ -29,9 +29,10 @@
 // every topology family and workload.
 //
 // The sharded stream is deliberately NOT the single-stream engine's:
-// run_walk at a fixed seed keeps its historical goldens, while
+// run_walk_single at a fixed seed keeps its historical goldens, while
 // run_walk_sharded defines its own (equally valid, Theorem-1-conforming)
-// sample.  Pick per experiment via scenario::ScenarioSpec::engine.
+// sample.  Pick per walk with sim::ShardExec in a sim::Exec
+// (sim/density_sim.hpp); per experiment via ScenarioSpec::engine.
 //
 // Paper: Musco, Su & Lynch (PODC 2016, arXiv:1603.02981).
 #pragma once
@@ -44,11 +45,9 @@
 #include <vector>
 
 #include "graph/topology.hpp"
-#include "rng/splitmix64.hpp"
 #include "rng/stream.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "sim/concurrent_counter.hpp"
-#include "sim/density_sim.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -93,7 +92,7 @@ struct ShardExec {
 };
 
 /// Runs the sharded round loop.  Observers follow the same hook
-/// vocabulary as run_walk (walk_engine.hpp) against ShardRoundView;
+/// vocabulary as run_walk_single (walk_engine.hpp) against ShardRoundView;
 /// after_round/fill hooks fire once per shard per round, concurrently
 /// across shards, and must only write state for agents in the view's
 /// range.  Deterministic in (stream_seed, cfg, exec.shard_size) for any
@@ -143,8 +142,7 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
   const bool lazy = cfg.lazy_probability > 0.0;
   const bool concurrent = threads > 1;
 
-#if ANTDENSE_DYNAMICS
-  // Dynamics plumbing (see run_walk): mutation is SERIAL, between
+  // Dynamics plumbing (see run_walk_single): mutation is SERIAL, between
   // rounds, on its own domain-tagged stream; move rewriting and masked
   // counting run per shard (const, deterministic, disjoint ranges), so
   // thread-count invariance holds with dynamics enabled.
@@ -165,10 +163,6 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
           ? rng::derive_mutation_stream(stream_seed, dyn->model_seed())
           : 0);
   std::vector<node> prev(rewrites ? n_agents : 0);
-#else
-  ANTDENSE_CHECK(cfg.dynamics == nullptr,
-                 "this build was configured with ANTDENSE_DYNAMICS=OFF");
-#endif
 
   // Resolved on the caller thread; phase spans wrap the serial seams
   // around the two parallel phases (no new barriers), while striped
@@ -194,14 +188,12 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
     const std::uint32_t b = plan.begin(s);
     const std::uint32_t e = plan.end(s);
     rng::Xoshiro256pp& gen = gens[s];
-#if ANTDENSE_DYNAMICS
     if constexpr (kDynCapable) {
       if (rewrites) {
         // Disjoint slice per shard: the pre-step snapshot is race-free.
         std::copy(pos.begin() + b, pos.begin() + e, prev.begin() + b);
       }
     }
-#endif
     if (lazy) {
       for (std::uint32_t i = b; i < e; ++i) {
         if (!rng::bernoulli(gen, cfg.lazy_probability)) {
@@ -213,16 +205,13 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
           topo, std::span<const node>(pos).subspan(b, e - b),
           std::span<node>(pos).subspan(b, e - b), gen);
     }
-#if ANTDENSE_DYNAMICS
     if constexpr (kDynCapable) {
       if (rewrites) {
         dyn->rewrite_moves(prev, pos, b, e);
       }
     }
-#endif
     graph::node_keys(topo, std::span<const node>(pos).subspan(b, e - b),
                      std::span<std::uint64_t>(keys).subspan(b, e - b));
-#if ANTDENSE_DYNAMICS
     if (count_mask != nullptr) {
       if (concurrent) {
         for (std::uint32_t i = b; i < e; ++i) {
@@ -237,9 +226,7 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
           }
         }
       }
-    } else
-#endif
-    if (concurrent) {
+    } else if (concurrent) {
       for (std::uint32_t i = b; i < e; ++i) {
         counter.add(keys[i]);
       }
@@ -279,7 +266,6 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
 
   for (round = 1; round <= cfg.rounds; ++round) {
     counter.begin_round();
-#if ANTDENSE_DYNAMICS
     if constexpr (kDynCapable) {
       if (dyn != nullptr && round > 1) {
         // Serial mutation tick between rounds, on the mutation stream —
@@ -288,7 +274,6 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
         dyn->mutate(round, mut_gen, std::span<std::uint64_t>(pos));
       }
     }
-#endif
     (detail::notify_begin_round(observers, round), ...);
     {
       const obs::EngineTap::PhaseSpan phase(tap, 0);
@@ -313,56 +298,6 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
     (detail::notify_end_round(observers, round), ...);
   }
   tap.add_rounds(cfg.rounds);
-}
-
-/// Algorithm 1 on the sharded engine: run_density_walk's contract
-/// (same seed tag, same result packaging, same trailing `extra`
-/// observer support) on the sharded stream.  Deterministic in
-/// (seed, cfg, exec.shard_size) for any exec.threads.
-template <graph::Topology T, typename... Extra>
-DensityResult run_density_walk_sharded(
-    const T& topo, const DensityConfig& cfg, std::uint64_t seed,
-    const ShardExec& exec,
-    const std::vector<typename T::node_type>* initial_positions = nullptr,
-    Extra&... extra) {
-  cfg.validate();
-  CollisionObserver observer(
-      cfg.num_agents, {.detection_miss = cfg.detection_miss_probability,
-                       .spurious = cfg.spurious_collision_probability,
-                       .dropout = cfg.observation_dropout_probability});
-  run_walk_sharded(topo, cfg.walk_config(), rng::derive_seed(seed, 0x51u),
-                   exec, initial_positions, observer, extra...);
-
-  DensityResult result;
-  result.collision_counts = observer.take_counts();
-  result.rounds = cfg.rounds;
-  result.num_nodes = topo.num_nodes();
-  return result;
-}
-
-/// Section 5.2's two-class walk on the sharded engine.
-template <graph::Topology T>
-PropertyResult run_property_walk_sharded(const T& topo,
-                                         const DensityConfig& cfg,
-                                         const std::vector<bool>& has_property,
-                                         std::uint64_t seed,
-                                         const ShardExec& exec) {
-  cfg.validate();
-  ANTDENSE_CHECK(has_property.size() == cfg.num_agents,
-                 "property flags must match agent count");
-  PropertyObserver observer(has_property);
-  run_walk_sharded(topo, cfg.walk_config(), rng::derive_seed(seed, 0x52u),
-                   exec,
-                   static_cast<const std::vector<typename T::node_type>*>(
-                       nullptr),
-                   observer);
-
-  PropertyResult result;
-  result.total_counts = observer.take_total_counts();
-  result.property_counts = observer.take_property_counts();
-  result.rounds = cfg.rounds;
-  result.num_nodes = topo.num_nodes();
-  return result;
 }
 
 }  // namespace antdense::sim

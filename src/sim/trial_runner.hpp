@@ -1,45 +1,56 @@
-// Multi-trial Monte Carlo drivers.
+// Multi-trial Monte Carlo drivers, all on one fan-out (run_trials) and
+// any engine (sim::Exec).
 //
-// Two sampling disciplines:
+// The trial rule: one trial runs on the calling thread at `seed` itself,
+// on `exec` as given; more trials run trial t at derive_seed(seed, t),
+// spread over `threads` workers, each walk on one inner thread (the
+// sharded engine's results do not depend on it).  Output is identical
+// for any thread count.  scenario::Experiment runs every workload
+// through this rule.
+//
+// Two sampling disciplines on top of it:
 //   - collect_all_agent_estimates: pools every agent's estimate from each
 //     trial.  Matches the paper's multi-agent viewpoint (Theorem 1 holds
 //     per agent; the union-bound remark covers all agents), but estimates
 //     within one trial are mildly correlated.
 //   - collect_single_agent_estimates: keeps only agent 0 per trial,
 //     giving fully independent samples for tail estimation.
-// Trials are parallelized; each trial's seed derives from its index, so
-// output is identical for any thread count.  The _sharded variant pools
-// the sharded engine's stream instead (walks run their shards serially
-// inside each worker — by the sharded engine's thread-count invariance
-// the estimates are identical to any within-walk parallelization).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <variant>
 #include <vector>
 
 #include "graph/topology.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/splitmix64.hpp"
 #include "sim/density_sim.hpp"
-#include "sim/sharded_walk.hpp"
-#include "sim/vector_walk.hpp"
 #include "util/parallel.hpp"
 
 namespace antdense::sim {
 
-namespace detail {
-
-/// Shared trial fan-out: runs run_trial(trial) -> per-agent estimates in
-/// parallel and concatenates the results in trial order.  When set,
-/// `on_trial_done(trial)` fires from the worker that finished that trial
-/// (concurrently across workers) — a progress tap, never part of the
-/// result.
+/// The one trial fan-out: runs `run_trial(trial_seed, trial_exec)` ->
+/// estimates under the trial rule above and concatenates the results in
+/// trial order.  When set, `on_trial_done(trial)` fires from the worker
+/// that finished that trial (concurrently across workers) — a progress
+/// tap, never part of the result.
 template <typename RunTrialFn>
-std::vector<double> pool_trial_estimates(
-    std::uint32_t trials, std::uint32_t num_agents, unsigned threads,
-    RunTrialFn&& run_trial,
+std::vector<double> run_trials(
+    std::uint32_t trials, std::uint64_t seed, const Exec& exec,
+    unsigned threads, RunTrialFn&& run_trial,
     const std::function<void(std::size_t)>& on_trial_done = {}) {
+  if (trials == 1) {
+    std::vector<double> out = run_trial(seed, exec);
+    if (on_trial_done) {
+      on_trial_done(0);
+    }
+    return out;
+  }
+  Exec inner = exec;
+  if (auto* shard = std::get_if<ShardExec>(&inner)) {
+    shard->threads = 1;
+  }
   std::vector<std::vector<double>> per_trial(trials);
   // Captured on the caller thread and re-installed per worker so
   // engine taps fire inside each trial (telemetry never affects the
@@ -49,69 +60,30 @@ std::vector<double> pool_trial_estimates(
       trials,
       [&](std::size_t trial) {
         obs::ScopedTelemetry ambient(telemetry);
-        per_trial[trial] = run_trial(trial);
+        per_trial[trial] = run_trial(rng::derive_seed(seed, trial), inner);
         if (on_trial_done) {
           on_trial_done(trial);
         }
       },
       threads);
   std::vector<double> all;
-  all.reserve(static_cast<std::size_t>(trials) * num_agents);
+  all.reserve(static_cast<std::size_t>(trials) * per_trial[0].size());
   for (const auto& v : per_trial) {
     all.insert(all.end(), v.begin(), v.end());
   }
   return all;
 }
 
-}  // namespace detail
-
 template <graph::Topology T>
 std::vector<double> collect_all_agent_estimates(
     const T& topo, const DensityConfig& cfg, std::uint64_t root_seed,
     std::uint32_t trials, unsigned threads = 0,
-    const std::function<void(std::size_t)>& on_trial_done = {}) {
-  return detail::pool_trial_estimates(
-      trials, cfg.num_agents, threads,
-      [&](std::size_t trial) {
-        return run_density_walk(topo, cfg, rng::derive_seed(root_seed, trial))
-            .estimates();
-      },
-      on_trial_done);
-}
-
-/// collect_all_agent_estimates on the sharded engine: same per-trial
-/// seed derivation, sharded stream per walk.
-template <graph::Topology T>
-std::vector<double> collect_all_agent_estimates_sharded(
-    const T& topo, const DensityConfig& cfg, std::uint64_t root_seed,
-    std::uint32_t trials, unsigned threads = 0,
-    const std::function<void(std::size_t)>& on_trial_done = {}) {
-  return detail::pool_trial_estimates(
-      trials, cfg.num_agents, threads,
-      [&](std::size_t trial) {
-        return run_density_walk_sharded(topo, cfg,
-                                        rng::derive_seed(root_seed, trial),
-                                        ShardExec{.threads = 1})
-            .estimates();
-      },
-      on_trial_done);
-}
-
-/// collect_all_agent_estimates on the vector engine: same per-trial
-/// seed derivation, wide-lane stream per walk.
-template <graph::Topology T>
-std::vector<double> collect_all_agent_estimates_vector(
-    const T& topo, const DensityConfig& cfg, std::uint64_t root_seed,
-    std::uint32_t trials, unsigned threads = 0,
-    const std::function<void(std::size_t)>& on_trial_done = {}) {
-  return detail::pool_trial_estimates(
-      trials, cfg.num_agents, threads,
-      [&](std::size_t trial) {
-        return run_density_walk_vector(topo, cfg,
-                                       rng::derive_seed(root_seed, trial))
-            .estimates();
-      },
-      on_trial_done);
+    const Exec& exec = SingleExec{}) {
+  return run_trials(trials, root_seed, exec, threads,
+                    [&](std::uint64_t seed, const Exec& trial_exec) {
+                      return run_density_walk(topo, cfg, seed, trial_exec)
+                          .estimates();
+                    });
 }
 
 template <graph::Topology T>
@@ -120,17 +92,14 @@ std::vector<double> collect_single_agent_estimates(const T& topo,
                                                    std::uint64_t root_seed,
                                                    std::uint32_t trials,
                                                    unsigned threads = 0) {
-  std::vector<double> out(trials, 0.0);
-  util::parallel_for(
-      trials,
-      [&](std::size_t trial) {
-        const DensityResult r = run_density_walk(
-            topo, cfg, rng::derive_seed(root_seed, trial));
-        out[trial] =
-            static_cast<double>(r.collision_counts[0]) / r.rounds;
-      },
-      threads);
-  return out;
+  return run_trials(trials, root_seed, SingleExec{}, threads,
+                    [&](std::uint64_t seed, const Exec& exec) {
+                      const DensityResult r =
+                          run_density_walk(topo, cfg, seed, exec);
+                      return std::vector<double>{
+                          static_cast<double>(r.collision_counts[0]) /
+                          r.rounds};
+                    });
 }
 
 }  // namespace antdense::sim

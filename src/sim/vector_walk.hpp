@@ -1,6 +1,6 @@
 // The vector walk engine — the third identity-bearing engine variant
 // (engine=vector beside single and sharded): the same synchronous round
-// structure as run_walk, driven by wide batched randomness and
+// structure as run_walk_single, driven by wide batched randomness and
 // vectorized kernels instead of per-agent scalar generator calls.
 //
 // What changes relative to engine=single, and why it re-goldens:
@@ -27,7 +27,7 @@
 //     separated.
 //
 // Observer hooks, pack order, and view semantics are exactly
-// run_walk's; the view's counter type is whichever counter the walk
+// run_walk_single's; the view's counter type is whichever counter the walk
 // selected, so observers templated on the view (all in-tree observers)
 // work unchanged.
 #pragma once
@@ -43,7 +43,6 @@
 #include "rng/xoshiro_wide.hpp"
 #include "sim/collision_counter.hpp"
 #include "sim/dense_counter.hpp"
-#include "sim/density_sim.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/check.hpp"
 
@@ -195,54 +194,6 @@ void run_walk_vector(
     detail::run_walk_vector_impl(topo, cfg, stream_seed, counter,
                                  initial_positions, observers...);
   }
-}
-
-/// run_density_walk on the vector engine: same 0x51 stream tag, same
-/// observer, same trailing `extra` observer support, vector movement
-/// stream.
-template <graph::Topology T, typename... Extra>
-DensityResult run_density_walk_vector(
-    const T& topo, const DensityConfig& cfg, std::uint64_t seed,
-    VectorExec exec = {},
-    const std::vector<typename T::node_type>* initial_positions = nullptr,
-    Extra&... extra) {
-  cfg.validate();
-  CollisionObserver observer(
-      cfg.num_agents, {.detection_miss = cfg.detection_miss_probability,
-                       .spurious = cfg.spurious_collision_probability,
-                       .dropout = cfg.observation_dropout_probability});
-  run_walk_vector(topo, cfg.walk_config(), rng::derive_seed(seed, 0x51u),
-                  exec, initial_positions, observer, extra...);
-
-  DensityResult result;
-  result.collision_counts = observer.take_counts();
-  result.rounds = cfg.rounds;
-  result.num_nodes = topo.num_nodes();
-  return result;
-}
-
-/// run_property_walk on the vector engine: same 0x52 stream tag.
-template <graph::Topology T>
-PropertyResult run_property_walk_vector(const T& topo,
-                                        const DensityConfig& cfg,
-                                        const std::vector<bool>& has_property,
-                                        std::uint64_t seed,
-                                        VectorExec exec = {}) {
-  cfg.validate();
-  ANTDENSE_CHECK(has_property.size() == cfg.num_agents,
-                 "property flags must match agent count");
-  PropertyObserver observer(has_property);
-  run_walk_vector(
-      topo, cfg.walk_config(), rng::derive_seed(seed, 0x52u), exec,
-      static_cast<const std::vector<typename T::node_type>*>(nullptr),
-      observer);
-
-  PropertyResult result;
-  result.total_counts = observer.take_total_counts();
-  result.property_counts = observer.take_property_counts();
-  result.rounds = cfg.rounds;
-  result.num_nodes = topo.num_nodes();
-  return result;
 }
 
 }  // namespace antdense::sim

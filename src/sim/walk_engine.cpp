@@ -11,9 +11,17 @@ void WalkConfig::validate() const {
                  "lazy probability must be in [0,1)");
 }
 
-CollisionObserver::CollisionObserver(std::uint32_t num_agents, Noise noise)
-    : noise_(noise), counts_(num_agents, 0) {
+CollisionObserver::CollisionObserver(std::uint32_t num_agents, Noise noise,
+                                     const WorldDynamics* dynamics)
+    : noise_(noise), dynamics_(dynamics), counts_(num_agents, 0) {
   ANTDENSE_CHECK(num_agents >= 1, "need at least one agent");
+  if (dynamics != nullptr && dynamics->count_mask() != nullptr) {
+    ANTDENSE_CHECK(dynamics->birth_rounds() != nullptr,
+                   "a dynamics model with an alive mask must report birth "
+                   "rounds");
+    observed_rounds_.assign(num_agents, 0);
+    seen_birth_.assign(num_agents, 1);
+  }
   // Resolved once at construction (on the caller thread, where ambient
   // telemetry is installed); the striped counter is then safe to add to
   // from any shard worker.  Counting happens on deterministic
@@ -30,6 +38,26 @@ CollisionObserver::CollisionObserver(std::uint32_t num_agents, Noise noise)
                  "spurious probability must be in [0,1]");
   ANTDENSE_CHECK(noise.dropout >= 0.0 && noise.dropout <= 1.0,
                  "dropout probability must be in [0,1]");
+}
+
+std::vector<double> CollisionObserver::estimates(std::uint32_t rounds) const {
+  std::vector<double> out;
+  out.reserve(counts_.size());
+  if (observed_rounds_.empty()) {
+    for (const std::uint64_t c : counts_) {
+      out.push_back(static_cast<double>(c) / rounds);
+    }
+    return out;
+  }
+  // Dead slots carry stale counts and are left out.
+  const std::uint8_t* const alive = dynamics_->count_mask();
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (alive[i] != 0 && observed_rounds_[i] > 0) {
+      out.push_back(static_cast<double>(counts_[i]) /
+                    static_cast<double>(observed_rounds_[i]));
+    }
+  }
+  return out;
 }
 
 PropertyObserver::PropertyObserver(std::vector<bool> has_property)

@@ -1,8 +1,9 @@
-// The unified synchronous round loop (Musco, Su & Lynch, PODC 2016,
-// arXiv:1603.02981, Algorithm 1), factored so that every workload —
-// density estimation, two-class property counting, trajectory recording,
-// local-density profiling, and anything future — shares ONE hot loop
-// instead of re-copying it.
+// The single-stream synchronous round loop (Musco, Su & Lynch, PODC
+// 2016, arXiv:1603.02981, Algorithm 1) and the observers every workload
+// plugs into it — density estimation, two-class property counting,
+// trajectory recording, local-density profiling.  The sharded and
+// vector engines (sim/sharded_walk.hpp, sim/vector_walk.hpp) run the
+// same observers; sim::run_walk (sim/density_sim.hpp) picks the engine.
 //
 // Structure of one round (identical to the original loops):
 //   0. when a dynamics model is attached (sim/dynamics.hpp) and r >= 2:
@@ -31,8 +32,8 @@
 // instead of a per-partner Bernoulli loop.
 //
 // The hooks work on a *view* that names an agent range [begin_agent,
-// end_agent): run_walk always passes the full population, while the
-// sharded engine (sim/sharded_walk.hpp) drives the same observers one
+// end_agent): run_walk_single always passes the full population, while
+// the sharded engine (sim/sharded_walk.hpp) drives the same observers one
 // shard at a time, against a concurrent counter and per-shard
 // generators.  Observer state indexed by agent id is therefore written
 // in disjoint slices, which is what makes the sharded merge free and
@@ -74,8 +75,8 @@ struct WalkConfig {
 /// What an observer sees at the end of each round.  Everything is a view
 /// into engine state; observers must not hold onto it past the call.
 /// `gen` is the generator whose draws are reproducible for this view's
-/// agent range — the engine's single stream in run_walk, the shard's
-/// private stream in run_walk_sharded.  Observers that draw from it
+/// agent range — the engine's single stream in run_walk_single, the
+/// shard's private stream in run_walk_sharded.  Observers that draw from it
 /// (noise models) become part of the reproducible stream, in pack order.
 /// Hooks must only write observer state belonging to agents in
 /// [begin_agent, end_agent); the sharded engine runs hooks for distinct
@@ -105,7 +106,8 @@ using ShardRoundView = BasicRoundView<ConcurrentCollisionCounter>;
 /// (auxiliary occupancy counting between stepping and after_round).
 ///
 /// The concept is checked against the *actual* view type each engine
-/// passes (RoundView for run_walk, ShardRoundView for run_walk_sharded):
+/// passes (RoundView for run_walk_single, ShardRoundView for
+/// run_walk_sharded):
 /// the notify helpers skip hooks a view type cannot call, so without
 /// this check an observer written against the wrong view would compile
 /// and silently record nothing.
@@ -123,7 +125,15 @@ concept WalkObserverFor = WalkObserverForView<O, Node, RoundView>;
 
 /// Per-agent cumulative collision counts — Algorithm 1's `c`, with the
 /// Section 6.1 sensing perturbations (detection misses, spurious
-/// detections) applied at observation time.
+/// detections, dropout) applied at observation time.
+///
+/// Given a dynamics model (sim/dynamics.hpp) it also keeps a dynamic
+/// world's books: dead slots neither count nor observe, a reborn slot
+/// restarts from zero at its birth round, and raw partner counts pass
+/// through the model's observation transform before the sensing noise.
+/// The model's alive mask and birth rounds are read once per round; a
+/// model with neither a mask nor a transform (churn) runs the static
+/// loop unchanged.
 class CollisionObserver {
  public:
   struct Noise {
@@ -142,13 +152,19 @@ class CollisionObserver {
 
   explicit CollisionObserver(std::uint32_t num_agents)
       : CollisionObserver(num_agents, Noise{}) {}
-  CollisionObserver(std::uint32_t num_agents, Noise noise);
+  /// `dynamics` is not owned and must outlive the observer.
+  CollisionObserver(std::uint32_t num_agents, Noise noise,
+                    const WorldDynamics* dynamics = nullptr);
 
   template <typename View>
   void after_round(const View& v) {
     ANTDENSE_ASSERT(v.num_agents == counts_.size(),
                     "observer sized for a different agent count");
-    if (!noise_.any()) {
+    const std::uint8_t* const alive =
+        dynamics_ != nullptr ? dynamics_->count_mask() : nullptr;
+    const bool transforms =
+        dynamics_ != nullptr && dynamics_->transforms_observations();
+    if (alive == nullptr && !transforms && !noise_.any()) {
       if (collisions_tap_ == nullptr) {
         for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
           counts_[i] += v.counter.occupancy(v.keys[i]) - 1;
@@ -167,12 +183,28 @@ class CollisionObserver {
       }
       return;
     }
+    const std::uint32_t* const born =
+        alive != nullptr ? dynamics_->birth_rounds() : nullptr;
     std::uint64_t observed = 0;
     for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
+      if (alive != nullptr) {
+        if (born[i] != seen_birth_[i]) {
+          seen_birth_[i] = born[i];
+          counts_[i] = 0;
+          observed_rounds_[i] = 0;
+        }
+        if (alive[i] == 0) {
+          continue;
+        }
+        ++observed_rounds_[i];
+      }
       if (noise_.dropout > 0.0 && rng::bernoulli(v.gen, noise_.dropout)) {
         continue;  // reading lost entirely; no further draws this agent
       }
       std::uint64_t others = v.counter.occupancy(v.keys[i]) - 1;
+      if (transforms) {
+        others = dynamics_->observe(i, others, v.gen);
+      }
       if (noise_.detection_miss > 0.0) {
         // Each partner is detected independently w.p. 1-p: one binomial
         // draw instead of the legacy per-partner Bernoulli loop.
@@ -192,9 +224,18 @@ class CollisionObserver {
   const std::vector<std::uint64_t>& counts() const { return counts_; }
   std::vector<std::uint64_t> take_counts() { return std::move(counts_); }
 
+  /// Algorithm 1's estimates c / t after a `rounds`-round walk: one per
+  /// agent — or, under a model with an alive mask, one per slot alive at
+  /// the end, over the rounds it observed since its birth.
+  std::vector<double> estimates(std::uint32_t rounds) const;
+
  private:
   Noise noise_;
+  const WorldDynamics* dynamics_ = nullptr;
   std::vector<std::uint64_t> counts_;
+  /// Per-slot bookkeeping, sized only under a model with an alive mask.
+  std::vector<std::uint32_t> observed_rounds_;
+  std::vector<std::uint32_t> seen_birth_;
   /// Resolved from ambient telemetry at construction; null when
   /// telemetry is disabled (see walk_engine.cpp).
   obs::Counter* collisions_tap_ = nullptr;
@@ -341,9 +382,10 @@ inline void notify_end_round(Obs& obs, std::uint32_t round) {
 /// run_density_walk).  Deterministic in `stream_seed`.
 template <graph::Topology T, class... Obs>
   requires(WalkObserverFor<Obs, typename T::node_type> && ...)
-void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
-              const std::vector<typename T::node_type>* initial_positions,
-              Obs&... observers) {
+void run_walk_single(
+    const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
+    const std::vector<typename T::node_type>* initial_positions,
+    Obs&... observers) {
   cfg.validate();
   using node = typename T::node_type;
   const std::uint32_t n_agents = cfg.num_agents;
@@ -365,7 +407,6 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
   CollisionCounter counter(n_agents);
   const bool lazy = cfg.lazy_probability > 0.0;
 
-#if ANTDENSE_DYNAMICS
   // Dynamics plumbing (sim/dynamics.hpp): dormant — null model, no
   // copies, per-round branches only — for static walks, whose stream
   // and output stay bit-identical to the historical goldens.  The
@@ -387,15 +428,10 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
           ? rng::derive_mutation_stream(stream_seed, dyn->model_seed())
           : 0);
   std::vector<node> prev;
-#else
-  ANTDENSE_CHECK(cfg.dynamics == nullptr,
-                 "this build was configured with ANTDENSE_DYNAMICS=OFF");
-#endif
 
   obs::EngineTap tap("single", {"step", "count", "observe", "mutate"});
   for (std::uint32_t r = 1; r <= cfg.rounds; ++r) {
     counter.begin_round();
-#if ANTDENSE_DYNAMICS
     if constexpr (kDynCapable) {
       if (dyn != nullptr) {
         // The world is pristine in round 1 (the mutation phase runs
@@ -411,7 +447,6 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
         }
       }
     }
-#endif
     {
       const obs::EngineTap::PhaseSpan phase(tap, 0);
       if (lazy) {
@@ -427,7 +462,6 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
                                 std::span<node>(pos), gen);
       }
     }
-#if ANTDENSE_DYNAMICS
     if constexpr (kDynCapable) {
       if (rewrites) {
         // Deterministic post-step veto/deflection of moves blocked by
@@ -436,12 +470,10 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
         dyn->rewrite_moves(prev, pos, 0, n_agents);
       }
     }
-#endif
     {
       const obs::EngineTap::PhaseSpan phase(tap, 1);
       graph::node_keys(topo, std::span<const node>(pos),
                        std::span<std::uint64_t>(keys));
-#if ANTDENSE_DYNAMICS
       if (count_mask != nullptr) {
         for (std::uint32_t i = 0; i < n_agents; ++i) {
           if (count_mask[i] != 0) {
@@ -453,11 +485,6 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
           counter.add(keys[i]);
         }
       }
-#else
-      for (std::uint32_t i = 0; i < n_agents; ++i) {
-        counter.add(keys[i]);
-      }
-#endif
     }
     const RoundView view{r,
                          0,

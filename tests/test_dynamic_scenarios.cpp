@@ -28,7 +28,6 @@
 #include "scenario/spec.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/dynamic_world.hpp"
-#include "sim/sharded_walk.hpp"
 #include "util/hash.hpp"
 #include "util/json.hpp"
 
@@ -207,8 +206,8 @@ TEST(DynamicScenarios, ShardedChurnIsBitIdenticalForAnyThreadCount) {
   const auto run_with = [&](unsigned threads) {
     sim::ChurnDynamics model(topo, /*p_edge=*/0.05, /*p_fail=*/0.02,
                              /*mean_down=*/6, /*seed=*/4);
-    return sim::run_dynamic_density_walk_sharded(
-        topo, cfg, model, /*seed=*/21, sim::ShardExec{.threads = threads});
+    return sim::run_dynamic_density_walk(topo, cfg, model, /*seed=*/21,
+                                         sim::ShardExec{.threads = threads});
   };
   const std::vector<double> one = run_with(1);
   EXPECT_EQ(one, run_with(2));
@@ -224,8 +223,8 @@ TEST(DynamicScenarios, ShardedDriftIsBitIdenticalForAnyThreadCount) {
   const auto run_with = [&](unsigned threads) {
     sim::DriftDynamics model(topo, cfg.num_agents, /*p_death=*/0.05,
                              /*p_birth=*/0.08, /*seed=*/2);
-    return sim::run_dynamic_density_walk_sharded(
-        topo, cfg, model, /*seed=*/5, sim::ShardExec{.threads = threads});
+    return sim::run_dynamic_density_walk(topo, cfg, model, /*seed=*/5,
+                                         sim::ShardExec{.threads = threads});
   };
   const std::vector<double> one = run_with(1);
   EXPECT_EQ(one, run_with(2));
@@ -250,13 +249,11 @@ TEST(DynamicScenarios, ZeroRateChurnEqualsTheStaticWalk) {
       << "a dynamic world that never mutates must reproduce the static "
          "stream bit for bit (single engine)";
 
+  const sim::ShardExec sharded{.threads = 2};
   const std::vector<double> expected_sharded =
-      sim::run_density_walk_sharded(topo, cfg, /*seed=*/13,
-                                    sim::ShardExec{.threads = 2})
-          .estimates();
+      sim::run_density_walk(topo, cfg, /*seed=*/13, sharded).estimates();
   sim::ChurnDynamics churn2(topo, 0.0, 0.0, 10, 0);
-  EXPECT_EQ(sim::run_dynamic_density_walk_sharded(
-                topo, cfg, churn2, 13, sim::ShardExec{.threads = 2}),
+  EXPECT_EQ(sim::run_dynamic_density_walk(topo, cfg, churn2, 13, sharded),
             expected_sharded)
       << "and on the sharded engine";
 

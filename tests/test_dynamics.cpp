@@ -157,7 +157,6 @@ TEST(DriftDynamics, KillsAndRevivesPopulationsAtExtremeRates) {
   rng::Xoshiro256pp mut_gen(4);
   model.mutate(2, mut_gen, std::span<std::uint64_t>(pos));
   for (std::uint32_t slot = 0; slot < 8; ++slot) {
-    EXPECT_FALSE(model.alive(slot));
     EXPECT_EQ(model.count_mask()[slot], 0);
   }
 
@@ -166,10 +165,68 @@ TEST(DriftDynamics, KillsAndRevivesPopulationsAtExtremeRates) {
   cycle.mutate(2, mut_gen, std::span<std::uint64_t>(pos4));  // all die
   cycle.mutate(3, mut_gen, std::span<std::uint64_t>(pos4));  // all reborn
   for (std::uint32_t slot = 0; slot < 4; ++slot) {
-    EXPECT_TRUE(cycle.alive(slot));
-    EXPECT_EQ(cycle.birth_round(slot), 3u)
+    EXPECT_EQ(cycle.count_mask()[slot], 1);
+    EXPECT_EQ(cycle.birth_rounds()[slot], 3u)
         << "a reborn slot restarts its estimate at its birth round";
   }
+}
+
+TEST(DriftDynamics, CollisionObserverDropsTheDeadAndRestartsTheReborn) {
+  // The observer driven by hand, round by round, with the engine's
+  // masked counting: only live slots occupy the counter.
+  const graph::AnyTopology topo = Registry::built_in().make("ring:32");
+  rng::Xoshiro256pp gen(9);
+  const auto observe_round = [&](sim::CollisionObserver& observer,
+                                 const sim::DriftDynamics& drift,
+                                 std::uint32_t round,
+                                 const std::vector<std::uint64_t>& keys) {
+    const auto n = static_cast<std::uint32_t>(keys.size());
+    sim::CollisionCounter counter(n);
+    counter.begin_round();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (drift.count_mask()[i] != 0) {
+        counter.add(keys[i]);
+      }
+    }
+    observer.after_round(sim::RoundView{round, 0, n, n, keys, counter, gen});
+  };
+
+  // Every slot dies after round 1 and is reborn at round 3.
+  sim::DriftDynamics cycle(topo, 3, /*p_death=*/1.0, /*p_birth=*/1.0, 1);
+  sim::CollisionObserver observer(3, {}, &cycle);
+  std::vector<std::uint64_t> pos(3, 0);
+  observe_round(observer, cycle, 1, {7, 7, 7});
+  EXPECT_EQ(observer.counts(), (std::vector<std::uint64_t>{2, 2, 2}));
+  cycle.mutate(2, gen, std::span<std::uint64_t>(pos));
+  observe_round(observer, cycle, 2, {7, 7, 7});
+  EXPECT_EQ(observer.counts(), (std::vector<std::uint64_t>{2, 2, 2}))
+      << "dead slots observe nothing";
+  EXPECT_TRUE(observer.estimates(2).empty()) << "dead slots are left out";
+  cycle.mutate(3, gen, std::span<std::uint64_t>(pos));
+  observe_round(observer, cycle, 3, {1, 2, 3});
+  EXPECT_EQ(observer.counts(), (std::vector<std::uint64_t>{0, 0, 0}))
+      << "a reborn slot's count restarts at its birth round";
+  observe_round(observer, cycle, 4, {5, 5, 6});
+  EXPECT_EQ(observer.estimates(4), (std::vector<double>{0.5, 0.5, 0.0}))
+      << "estimates divide by the rounds observed since birth";
+
+  // Some slots die, the rest keep observing: one estimate per live slot.
+  sim::DriftDynamics half(topo, 8, /*p_death=*/0.5, /*p_birth=*/0.0, 3);
+  sim::CollisionObserver partial(8, {}, &half);
+  const std::vector<std::uint64_t> together(8, 4);
+  std::vector<std::uint64_t> pos8(8, 0);
+  observe_round(partial, half, 1, together);
+  half.mutate(2, gen, std::span<std::uint64_t>(pos8));
+  observe_round(partial, half, 2, together);
+  std::uint64_t live = 0;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    live += half.count_mask()[i];
+  }
+  ASSERT_GT(live, 0u);
+  ASSERT_LT(live, 8u);
+  // Round 1: seven partners each; round 2: the other live slots.
+  const double expected = (7.0 + static_cast<double>(live - 1)) / 2.0;
+  EXPECT_EQ(partial.estimates(2), std::vector<double>(live, expected));
 }
 
 TEST(FadeDynamics, MissWalkStaysInUnitIntervalAndGatesObservations) {

@@ -92,7 +92,7 @@ TEST(VectorEngine, CounterChoiceIsUnobservable) {
   cfg.num_agents = 60;
   cfg.rounds = 100;
   const DensityResult dense = run_density_walk_vector(torus, cfg, kSeed);
-  const DensityResult hash = run_density_walk_vector(
+  const DensityResult hash = run_density_walk(
       torus, cfg, kSeed, VectorExec{.force_hash_counter = true});
   EXPECT_EQ(dense.collision_counts, hash.collision_counts);
 }
@@ -260,8 +260,8 @@ TEST(VectorStatistics, MatchesSingleEngineOnAllNineFamilies) {
     SCOPED_TRACE(fam.label);
     stats::Accumulator vec;
     for (const double m :
-         trial_means(collect_all_agent_estimates_vector(fam.topo, cfg, kSeed,
-                                                        kTrials, 2),
+         trial_means(collect_all_agent_estimates(fam.topo, cfg, kSeed,
+                                                 kTrials, 2, VectorExec{}),
                      cfg.num_agents)) {
       vec.add(m);
     }

@@ -101,7 +101,8 @@ TEST(EngineEquivalence, InitialPositionsMatchLegacy) {
   for (std::uint32_t i = 0; i < cfg.num_agents; ++i) {
     start.push_back(Torus2D::pack(i % 4, i / 16));
   }
-  const DensityResult engine = run_density_walk(torus, cfg, 41, &start);
+  const DensityResult engine =
+      run_density_walk(torus, cfg, 41, SingleExec{}, &start);
   const DensityResult reference =
       legacy::run_density_walk(torus, cfg, 41, &start);
   EXPECT_EQ(engine.collision_counts, reference.collision_counts);
@@ -267,20 +268,20 @@ TEST(WalkEngine, ComposedObserversMatchSeparateRuns) {
   CollisionObserver collisions(kAgents);
   PropertyObserver properties(has_property);
   constexpr std::uint64_t kStreamSeed = 0xABCDEFull;
-  run_walk(torus, cfg, kStreamSeed,
-           static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
-           collisions, properties);
+  run_walk_single(torus, cfg, kStreamSeed,
+                  static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
+                  collisions, properties);
 
   CollisionObserver collisions_only(kAgents);
-  run_walk(torus, cfg, kStreamSeed,
-           static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
-           collisions_only);
+  run_walk_single(torus, cfg, kStreamSeed,
+                  static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
+                  collisions_only);
   EXPECT_EQ(collisions.counts(), collisions_only.counts());
 
   PropertyObserver properties_only(has_property);
-  run_walk(torus, cfg, kStreamSeed,
-           static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
-           properties_only);
+  run_walk_single(torus, cfg, kStreamSeed,
+                  static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
+                  properties_only);
   EXPECT_EQ(properties.total_counts(), properties_only.total_counts());
   EXPECT_EQ(properties.property_counts(),
             properties_only.property_counts());
