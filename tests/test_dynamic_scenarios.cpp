@@ -161,6 +161,20 @@ TEST(DynamicScenarios, DynamicResultsMatchTheirGoldens) {
            "dynamics":"churn:p_edge=0.02,p_fail=0.01"})",
        {1, 3},
        "177109bc7acc0b53"},
+      // A larger overlay: thousands of failed nodes and down edges at
+      // steady state, so the overlay's indexes grow, erase and recover
+      // many times over (the 16x16 pins above never hold more than a
+      // handful of down elements).
+      {R"({"topology":"torus2d:128x128","workload":"density","agents":2000,
+           "rounds":150,"seed":6,"engine":"single",
+           "dynamics":"churn:p_edge=0.005,p_fail=0.0025,mean_down=30"})",
+       {0},
+       "449c768929b690a0"},
+      {R"({"topology":"torus2d:128x128","workload":"density","agents":2000,
+           "rounds":150,"seed":6,"engine":"sharded",
+           "dynamics":"churn:p_edge=0.005,p_fail=0.0025,mean_down=30"})",
+       {1, 3},
+       "f4c4997d50d00633"},
       {R"({"topology":"ring:256","workload":"density","agents":24,
            "rounds":24,"seed":8,"trials":3,"engine":"single",
            "dynamics":"drift:p_death=0.02,p_birth=0.05"})",
