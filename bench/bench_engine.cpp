@@ -23,7 +23,10 @@
 // the cost of observability is a trended number instead of folklore.
 // A sixth, "any+dyn0", re-times the AnyTopology path with a zero-rate
 // churn model attached: what the dynamics layer costs a walk whose
-// model never mutates anything.
+// model never mutates anything.  A seventh, "any+churn", attaches an
+// active churn model (kChurnSpec) whose steady state keeps about 2% of
+// the nodes failed and 4% of the edges down per node: what a walk pays
+// to consult the time-varying overlay on every move.
 //
 // CI's bench-smoke job runs this with --tiny and gates ratios between
 // rows of the same run, so runner speed cancels out:
@@ -32,7 +35,9 @@
 //     telemetry costs nothing);
 //   - engine/legacy <= 0.1 on the ba cell (batched sampling);
 //   - any+dyn0/anytopology: geometric mean over the ring/torus2d cells
-//     <= 1.05, each cell <= 1.30.
+//     <= 1.05, each cell <= 1.30;
+//   - any+churn/anytopology: geometric mean over the ring/torus2d
+//     cells <= 1.5.
 // engine+obs rows are trended, not gated.
 //
 // Flags:
@@ -74,6 +79,13 @@ namespace {
 
 using namespace antdense;
 
+// The any+churn model: each round Binomial(n, p) edge drops and node
+// failures, each recovering after kChurnMeanDown rounds on average, so
+// ~kChurnMeanDown * p * n of each are down at steady state.
+constexpr double kChurnPEdge = 0.0005;
+constexpr double kChurnPFail = 0.00025;
+constexpr std::uint32_t kChurnMeanDown = 10;
+
 struct Cell {
   std::string topology;
   std::uint64_t agents = 0;
@@ -84,6 +96,7 @@ struct Cell {
   double vector_ns = 0.0;  // engine=vector (sim/vector_walk.hpp)
   double any_ns = 0.0;  // engine driven through graph::AnyTopology
   double dyn_ns = 0.0;  // AnyTopology engine + attached zero-rate dynamics
+  double churn_ns = 0.0;  // AnyTopology engine + active churn model
   std::uint64_t peak_rss = 0;  // process high-water RSS after this cell
 };
 
@@ -168,6 +181,17 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
         sink = sink + static_cast<std::uint64_t>(est[0] * 1e9);
       },
       agents, cfg.rounds, reps);
+  // The active-churn row: a fresh model per rep, so every rep starts
+  // from a pristine world and walks into the same steady state.
+  cell.churn_ns = time_path(
+      [&](std::uint64_t rep) {
+        sim::ChurnDynamics churn(any, kChurnPEdge, kChurnPFail,
+                                 kChurnMeanDown, 0);
+        const std::vector<double> est =
+            sim::run_dynamic_density_walk(any, cfg, churn, 0xBE7C + rep);
+        sink = sink + static_cast<std::uint64_t>(est[0] * 1e9);
+      },
+      agents, cfg.rounds, reps);
   cell.peak_rss = bench::peak_rss_bytes();
   return cell;
 }
@@ -190,7 +214,8 @@ int main(int argc, char** argv) {
       "unified WalkEngine vs the frozen legacy round loop vs AnyTopology",
       "on ring/torus2d: vector <= 0.6x engine, engine <= 1.05x legacy "
       "(dormant telemetry), any+dyn0 <= 1.05x anytopology (geomean; "
-      "1.30x per cell); ba: engine <= 0.1x legacy; "
+      "1.30x per cell), any+churn <= 1.5x anytopology (geomean); "
+      "ba: engine <= 0.1x legacy; "
       "BENCH_engine.json parses");
 
   const std::vector<std::uint32_t> agent_counts =
@@ -247,9 +272,9 @@ int main(int argc, char** argv) {
 
   util::Table table({"topology", "agents", "rounds", "legacy ns/step",
                      "engine ns/step", "obs ns/step", "vector ns/step",
-                     "any ns/step", "dyn ns/step", "obs ratio",
-                     "vector ratio", "erasure overhead", "dyn overhead",
-                     "peak rss MiB"});
+                     "any ns/step", "dyn ns/step", "churn ns/step",
+                     "obs ratio", "vector ratio", "erasure overhead",
+                     "dyn overhead", "churn overhead", "peak rss MiB"});
   std::vector<bench::BenchRecord> records;
   for (const Cell& c : cells) {
     table.add_row({c.topology, util::format_count(c.agents),
@@ -260,10 +285,12 @@ int main(int argc, char** argv) {
                    util::format_fixed(c.vector_ns, 2),
                    util::format_fixed(c.any_ns, 2),
                    util::format_fixed(c.dyn_ns, 2),
+                   util::format_fixed(c.churn_ns, 2),
                    util::format_fixed(c.obs_ns / c.engine_ns, 3),
                    util::format_fixed(c.vector_ns / c.engine_ns, 3),
                    util::format_fixed(c.any_ns / c.engine_ns, 3),
                    util::format_fixed(c.dyn_ns / c.any_ns, 3),
+                   util::format_fixed(c.churn_ns / c.any_ns, 3),
                    util::format_fixed(
                        static_cast<double>(c.peak_rss) / (1024.0 * 1024.0),
                        1)});
@@ -292,6 +319,9 @@ int main(int argc, char** argv) {
     records.push_back(base);
     base.name = "any+dyn0";
     base.ns_per_agent_round = c.dyn_ns;
+    records.push_back(base);
+    base.name = "any+churn";
+    base.ns_per_agent_round = c.churn_ns;
     records.push_back(base);
   }
   table.print_markdown(std::cout);

@@ -5,26 +5,88 @@
 
 namespace antdense::graph {
 
+namespace {
+
+/// One recovery sweep over an insertion-ordered set: one Bernoulli per
+/// element in order, then swap-and-pop the recovered positions from the
+/// back so earlier removals never move an element that is still pending
+/// a decision.  Returns whether any element recovered.
+template <class Key, class Index>
+bool sweep(std::vector<Key>& items, Index& index, double p,
+           rng::Xoshiro256pp& gen, std::vector<std::size_t>& recovered) {
+  recovered.clear();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (rng::bernoulli(gen, p)) {
+      recovered.push_back(i);
+    }
+  }
+  for (std::size_t r = recovered.size(); r-- > 0;) {
+    const std::size_t i = recovered[r];
+    index.erase(items[i], items);
+    if (i + 1 != items.size()) {
+      // The back key's slot is found through items.back() before the
+      // pop, then pointed at its new position.
+      items[i] = items.back();
+      index.set(items[i], i, items);
+    }
+    items.pop_back();
+  }
+  return !recovered.empty();
+}
+
+}  // namespace
+
 TimeVaryingWorld::TimeVaryingWorld(const AnyTopology& topo) : topo_(&topo) {}
+
+void TimeVaryingWorld::rebuild_failed_filter() {
+  failed_filter_.reset(failed_.size());
+  for (const std::uint64_t key : failed_) {
+    failed_filter_.insert(key);
+  }
+}
+
+void TimeVaryingWorld::rebuild_blocked_filter() {
+  blocked_filter_.reset(blocked_keys());
+  for (const std::uint64_t key : failed_) {
+    blocked_filter_.insert(key);
+  }
+  for (const EdgeKey& e : down_) {
+    blocked_filter_.insert(e.first);
+    blocked_filter_.insert(e.second);
+  }
+}
 
 bool TimeVaryingWorld::fail_node(node_type u) {
   const std::uint64_t key = topo_->key(u);
   if (node_failed(key)) {
     return false;
   }
-  failed_index_.emplace(key, failed_.size());
   failed_.push_back(key);
+  failed_index_.set(key, failed_.size() - 1, failed_);
+  if (failed_filter_.outgrown_by(failed_.size())) {
+    rebuild_failed_filter();
+  }
+  if (blocked_filter_.outgrown_by(blocked_keys())) {
+    rebuild_blocked_filter();
+  }
+  failed_filter_.insert(key);
+  blocked_filter_.insert(key);
   return true;
 }
 
 bool TimeVaryingWorld::drop_edge(node_type u, node_type v) {
   ANTDENSE_CHECK(u != v, "an edge needs two distinct endpoints");
   const EdgeKey key = canonical_edge(topo_->key(u), topo_->key(v));
-  if (down_index_.find(key) != down_index_.end()) {
+  if (down_index_.contains(key, down_)) {
     return false;
   }
-  down_index_.emplace(key, down_.size());
   down_.push_back(key);
+  down_index_.set(key, down_.size() - 1, down_);
+  if (blocked_filter_.outgrown_by(blocked_keys())) {
+    rebuild_blocked_filter();
+  }
+  blocked_filter_.insert(key.first);
+  blocked_filter_.insert(key.second);
   return true;
 }
 
@@ -35,38 +97,17 @@ void TimeVaryingWorld::recover(double recover_probability,
   if (recover_probability == 0.0) {
     return;
   }
-  // One Bernoulli per element in insertion order, then swap-and-pop the
-  // recovered indices from the back so earlier removals never move an
-  // element that is still pending a decision.
-  std::vector<std::size_t> recovered;
-  for (std::size_t i = 0; i < failed_.size(); ++i) {
-    if (rng::bernoulli(gen, recover_probability)) {
-      recovered.push_back(i);
-    }
+  const bool nodes_recovered =
+      sweep(failed_, failed_index_, recover_probability, gen, recovered_);
+  const bool edges_recovered =
+      sweep(down_, down_index_, recover_probability, gen, recovered_);
+  // Prefilter bits cannot be cleared one key at a time: a filter that
+  // lost keys is rebuilt.
+  if (nodes_recovered) {
+    rebuild_failed_filter();
   }
-  for (std::size_t r = recovered.size(); r-- > 0;) {
-    const std::size_t i = recovered[r];
-    failed_index_.erase(failed_[i]);
-    if (i + 1 != failed_.size()) {
-      failed_[i] = failed_.back();
-      failed_index_[failed_[i]] = i;
-    }
-    failed_.pop_back();
-  }
-  recovered.clear();
-  for (std::size_t i = 0; i < down_.size(); ++i) {
-    if (rng::bernoulli(gen, recover_probability)) {
-      recovered.push_back(i);
-    }
-  }
-  for (std::size_t r = recovered.size(); r-- > 0;) {
-    const std::size_t i = recovered[r];
-    down_index_.erase(down_[i]);
-    if (i + 1 != down_.size()) {
-      down_[i] = down_.back();
-      down_index_[down_[i]] = i;
-    }
-    down_.pop_back();
+  if (nodes_recovered || edges_recovered) {
+    rebuild_blocked_filter();
   }
 }
 

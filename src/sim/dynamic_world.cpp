@@ -1,10 +1,33 @@
 #include "sim/dynamic_world.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/format.hpp"
 
 namespace antdense::sim {
+
+namespace {
+
+/// Calls f(i, key of nodes[i]) for i in [begin, end), fetching keys a
+/// block at a time: one type-erased call per block instead of one per
+/// node.  f may rewrite nodes[i] (its key is read first).
+template <class F>
+void for_each_key(const graph::AnyTopology& topo,
+                  std::span<const std::uint64_t> nodes, std::uint32_t begin,
+                  std::uint32_t end, F&& f) {
+  constexpr std::uint32_t kBlock = 256;
+  std::array<std::uint64_t, kBlock> keys;
+  for (std::uint32_t b = begin; b < end; b += kBlock) {
+    const std::uint32_t n = std::min(kBlock, end - b);
+    topo.keys(nodes.subspan(b, n), std::span<std::uint64_t>(keys).first(n));
+    for (std::uint32_t j = 0; j < n; ++j) {
+      f(b + j, keys[j]);
+    }
+  }
+}
+
+}  // namespace
 
 DynamicsInstruments::DynamicsInstruments(const char* model) {
   obs::Telemetry* tel = obs::ambient_telemetry();
@@ -95,11 +118,13 @@ void ChurnDynamics::mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
   // an earlier deflection could not escape).  Deterministic: consumes no
   // randomness.
   if (world_.num_failed_nodes() > 0) {
-    for (std::uint64_t& p : positions) {
-      if (world_.node_failed(base.key(p))) {
-        p = world_.deflect(p, scratch_);
+    const auto n = static_cast<std::uint32_t>(positions.size());
+    for_each_key(base, positions, 0, n, [&](std::uint32_t i,
+                                            std::uint64_t key) {
+      if (world_.node_failed(key)) {
+        positions[i] = world_.deflect(positions[i], scratch_);
       }
-    }
+    });
   }
 }
 
@@ -112,20 +137,22 @@ void ChurnDynamics::rewrite_moves(std::span<const std::uint64_t> prev,
   }
   const graph::AnyTopology& base = world_.base();
   std::vector<std::uint64_t> scratch;  // per call: rewrites run per shard
-  for (std::uint32_t i = begin; i < end; ++i) {
-    if (pos[i] == prev[i]) {
-      continue;  // lazy stay — always allowed
+  for_each_key(base, pos, begin, end, [&](std::uint32_t i,
+                                          std::uint64_t to_key) {
+    // A destination the prefilter clears is up and touches no down
+    // edge; a lazy stay is always allowed.
+    if (!world_.may_block(to_key) || pos[i] == prev[i]) {
+      return;
     }
     const std::uint64_t from_key = base.key(prev[i]);
-    const std::uint64_t to_key = base.key(pos[i]);
     if (world_.edge_down(from_key, to_key)) {
       pos[i] = prev[i];  // the traversed edge is down: the move fails
-      continue;
+      return;
     }
     if (world_.node_failed(to_key)) {
       pos[i] = world_.deflect(prev[i], scratch);
     }
-  }
+  });
 }
 
 DriftDynamics::DriftDynamics(const graph::AnyTopology& topo,

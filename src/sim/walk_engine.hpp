@@ -433,22 +433,24 @@ void run_walk_single(
   for (std::uint32_t r = 1; r <= cfg.rounds; ++r) {
     counter.begin_round();
     if constexpr (kDynCapable) {
-      if (dyn != nullptr) {
-        // The world is pristine in round 1 (the mutation phase runs
-        // *between* rounds); mutation may relocate evicted or reborn
-        // agents, so the pre-step snapshot for move rewriting is taken
-        // after it.
-        if (r > 1) {
-          const obs::EngineTap::PhaseSpan phase(tap, 3);
-          dyn->mutate(r, mut_gen, std::span<std::uint64_t>(pos));
-        }
+      // The world is pristine in round 1 (the mutation phase runs
+      // *between* rounds).
+      if (dyn != nullptr && r > 1) {
+        const obs::EngineTap::PhaseSpan phase(tap, 3);
+        dyn->mutate(r, mut_gen, std::span<std::uint64_t>(pos));
+      }
+    }
+    {
+      // The step phase books the move rewrite and its snapshot too, as
+      // the sharded engine's step_count does.
+      const obs::EngineTap::PhaseSpan phase(tap, 0);
+      if constexpr (kDynCapable) {
+        // Mutation may relocate evicted or reborn agents, so the
+        // pre-step snapshot is taken after it.
         if (rewrites) {
           prev = pos;
         }
       }
-    }
-    {
-      const obs::EngineTap::PhaseSpan phase(tap, 0);
       if (lazy) {
         // Interleaved stay/step draws — must match the legacy stream,
         // so no batching here.
@@ -461,13 +463,13 @@ void run_walk_single(
         graph::random_neighbors(topo, std::span<const node>(pos),
                                 std::span<node>(pos), gen);
       }
-    }
-    if constexpr (kDynCapable) {
-      if (rewrites) {
-        // Deterministic post-step veto/deflection of moves blocked by
-        // the mutated world: the walk stream drew the step exactly as
-        // the static engine would have.
-        dyn->rewrite_moves(prev, pos, 0, n_agents);
+      if constexpr (kDynCapable) {
+        if (rewrites) {
+          // Deterministic post-step veto/deflection of moves blocked by
+          // the mutated world: the walk stream drew the step exactly as
+          // the static engine would have.
+          dyn->rewrite_moves(prev, pos, 0, n_agents);
+        }
       }
     }
     {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -94,6 +95,174 @@ TEST(TimeVaryingWorld, RecoverSweepsWithProbabilityOne) {
   EXPECT_EQ(world.num_down_edges(), 0u);
 }
 
+/// The overlay's contract written with std::set membership: insertion-
+/// ordered vectors, swap-and-pop recovery, one Bernoulli per element.
+struct ReferenceWorld {
+  using EdgeKey = graph::TimeVaryingWorld::EdgeKey;
+
+  const graph::AnyTopology* topo;
+  std::vector<std::uint64_t> failed_order;
+  std::set<std::uint64_t> failed;
+  std::vector<EdgeKey> down_order;
+  std::set<EdgeKey> down;
+
+  static EdgeKey edge(std::uint64_t a, std::uint64_t b) {
+    return {std::min(a, b), std::max(a, b)};
+  }
+  bool fail_node(std::uint64_t u) {
+    const std::uint64_t key = topo->key(u);
+    if (!failed.insert(key).second) {
+      return false;
+    }
+    failed_order.push_back(key);
+    return true;
+  }
+  bool drop_edge(std::uint64_t u, std::uint64_t v) {
+    const EdgeKey key = edge(topo->key(u), topo->key(v));
+    if (!down.insert(key).second) {
+      return false;
+    }
+    down_order.push_back(key);
+    return true;
+  }
+  template <class T, class Set>
+  static void sweep(std::vector<T>& order, Set& members, double p,
+                    rng::Xoshiro256pp& gen) {
+    std::vector<std::size_t> recovered;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (rng::bernoulli(gen, p)) {
+        recovered.push_back(i);
+      }
+    }
+    for (std::size_t r = recovered.size(); r-- > 0;) {
+      members.erase(order[recovered[r]]);
+      order[recovered[r]] = order.back();
+      order.pop_back();
+    }
+  }
+  void recover(double p, rng::Xoshiro256pp& gen) {
+    if (p == 0.0) {
+      return;
+    }
+    sweep(failed_order, failed, p, gen);
+    sweep(down_order, down, p, gen);
+  }
+  bool node_failed(std::uint64_t key) const { return failed.count(key) != 0; }
+  bool edge_down(std::uint64_t a, std::uint64_t b) const {
+    return down.count(edge(a, b)) != 0;
+  }
+  std::uint64_t deflect(std::uint64_t from) const {
+    const std::uint64_t from_key = topo->key(from);
+    std::vector<std::uint64_t> nbrs;
+    topo->append_neighbors(from, nbrs);
+    std::uint64_t best = from;
+    std::uint64_t best_key = ~std::uint64_t{0};
+    for (const std::uint64_t w : nbrs) {
+      const std::uint64_t w_key = topo->key(w);
+      if (w_key != from_key && !node_failed(w_key) &&
+          !edge_down(from_key, w_key) && w_key < best_key) {
+        best = w;
+        best_key = w_key;
+      }
+    }
+    return best;
+  }
+};
+
+TEST(TimeVaryingWorld, MatchesASetReferenceThroughGrowthAndDrain) {
+  // 144 nodes and 288 edges: the state reaches hundreds of elements, so
+  // both indexes and the prefilter resize several times, then drains.
+  const graph::AnyTopology topo = Registry::built_in().make("torus2d:12x12");
+  graph::TimeVaryingWorld world(topo);
+  ReferenceWorld ref{&topo, {}, {}, {}, {}};
+  rng::Xoshiro256pp ops(2024);
+  rng::Xoshiro256pp gen(77);
+  rng::Xoshiro256pp ref_gen(77);
+  std::vector<std::uint64_t> scratch;
+  std::vector<std::uint64_t> nbrs;
+  std::size_t peak = 0;
+
+  // Every node handle (handles are packed encodings, not 0..n-1): a
+  // breadth-first sweep of the connected torus.
+  std::vector<std::uint64_t> nodes{topo.random_node(ops)};
+  std::set<std::uint64_t> seen{nodes[0]};
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    nbrs.clear();
+    topo.append_neighbors(nodes[i], nbrs);
+    for (const std::uint64_t v : nbrs) {
+      if (seen.insert(v).second) {
+        nodes.push_back(v);
+      }
+    }
+  }
+  ASSERT_EQ(nodes.size(), topo.num_nodes());
+  bool drained = false;
+
+  constexpr int kCalls = 12000;
+  constexpr int kGrowCalls = 7000;
+  for (int call = 0; call < kCalls; ++call) {
+    const bool growing = call < kGrowCalls;
+    const double roll = rng::uniform_unit(ops);
+    const double insert_share = growing ? 0.9 : 0.3;
+    std::string what;
+    if (roll < insert_share / 2) {
+      const std::uint64_t u = topo.random_node(ops);
+      what = "fail_node(" + std::to_string(u) + ")";
+      EXPECT_EQ(world.fail_node(u), ref.fail_node(u)) << what;
+    } else if (roll < insert_share) {
+      const std::uint64_t u = topo.random_node(ops);
+      nbrs.clear();
+      topo.append_neighbors(u, nbrs);
+      const std::uint64_t v = nbrs[rng::uniform_below(ops, nbrs.size())];
+      what = "drop_edge(" + std::to_string(u) + "," + std::to_string(v) + ")";
+      EXPECT_EQ(world.drop_edge(u, v), ref.drop_edge(u, v)) << what;
+    } else {
+      const double p = growing ? 0.005 : 0.15;
+      what = "recover(" + std::to_string(p) + ")";
+      world.recover(p, gen);
+      ref.recover(p, ref_gen);
+      ASSERT_EQ(gen(), ref_gen()) << what << " drew a different stream";
+    }
+    ASSERT_EQ(world.num_failed_nodes(), ref.failed.size()) << what;
+    ASSERT_EQ(world.num_down_edges(), ref.down.size()) << what;
+    const std::size_t state = ref.failed.size() + ref.down.size();
+    peak = std::max(peak, state);
+    drained = drained || (!growing && state == 0);
+
+    for (const std::uint64_t u : nodes) {
+      const std::uint64_t u_key = topo.key(u);
+      ASSERT_EQ(world.node_failed(u_key), ref.node_failed(u_key))
+          << "node " << u << " after call " << call << " " << what;
+      ASSERT_EQ(world.deflect(u, scratch), ref.deflect(u))
+          << "node " << u << " after call " << call << " " << what;
+      nbrs.clear();
+      topo.append_neighbors(u, nbrs);
+      for (const std::uint64_t v : nbrs) {
+        const std::uint64_t v_key = topo.key(v);
+        ASSERT_EQ(world.edge_down(u_key, v_key), ref.edge_down(u_key, v_key))
+            << "edge " << u << "-" << v << " after call " << call << " "
+            << what;
+        ASSERT_EQ(world.move_allowed(u_key, v_key),
+                  !ref.node_failed(v_key) && !ref.edge_down(u_key, v_key))
+            << "move " << u << "->" << v << " after call " << call << " "
+            << what;
+      }
+    }
+  }
+  EXPECT_GE(peak, 300u) << "the sequence must grow the state far enough "
+                           "to resize the indexes and the prefilter";
+  EXPECT_TRUE(drained) << "the sequence must drain the state to empty";
+
+  world.recover(1.0, gen);
+  EXPECT_EQ(world.num_failed_nodes(), 0u);
+  EXPECT_EQ(world.num_down_edges(), 0u);
+  for (const std::uint64_t u : nodes) {
+    EXPECT_FALSE(world.node_failed(topo.key(u)));
+    EXPECT_FALSE(world.may_block(topo.key(u)))
+        << "an empty overlay's prefilter must be clear";
+  }
+}
+
 // ---------------------------------------------------------------------
 // WorldDynamics models
 // ---------------------------------------------------------------------
@@ -132,18 +301,13 @@ TEST(ChurnDynamics, EvictsWalkersFromFailedNodes) {
 }
 
 TEST(ChurnDynamics, RewriteMovesBlocksDownEdgesAndDeflectsIntoFailures) {
+  // The rewrite contract on a hand-built world: a move across a down
+  // edge is vetoed, a move onto a failed node deflects.
   const graph::AnyTopology topo = Registry::built_in().make("ring:8");
-  sim::ChurnDynamics model(topo, 0.5, 0.5, 10, 1);
-  // Drive the world into a known state through its public surface: the
-  // model's overlay is reachable via world(), but rewrite_moves is what
-  // the engines call, so test through a hand-built sibling world.
   graph::TimeVaryingWorld world(topo);
   world.drop_edge(1, 2);
   world.fail_node(5);
 
-  // Mirror those mutations through a model by failing via mutate is
-  // nondeterministic; instead check the rewrite contract on the
-  // hand-built world directly.
   std::vector<std::uint64_t> scratch;
   EXPECT_FALSE(world.move_allowed(1, 2));
   EXPECT_FALSE(world.move_allowed(4, 5));

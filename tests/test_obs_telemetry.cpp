@@ -6,20 +6,28 @@
 //  2. Exactness — the striped counters lose nothing: sharded-engine
 //     totals are exact and invariant across thread counts, and the
 //     collision counter reconciles against the observer's own output.
+//  3. Coverage — every phase of a round is booked once per round, a
+//     dynamic world's move rewrite included.
 #include "obs/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <string>
+#include <thread>
 
+#include "graph/any_topology.hpp"
 #include "graph/ring.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/spec.hpp"
 #include "sim/density_sim.hpp"
+#include "sim/dynamic_world.hpp"
+#include "sim/dynamics.hpp"
 #include "sim/sharded_walk.hpp"
 #include "util/json.hpp"
 
@@ -135,6 +143,75 @@ TEST(ObsTelemetry, AmbientPropagatesThroughTrialFanOut) {
                 .value(),
             static_cast<std::uint64_t>(spec.agents) * spec.rounds *
                 spec.trials);
+}
+
+HistogramSnapshot phase(MetricsRegistry& metrics, const char* engine,
+                        const char* name) {
+  return metrics
+      .histogram("antdense_engine_phase_seconds", {},
+                 {{"engine", engine}, {"phase", name}})
+      .snapshot();
+}
+
+TEST(ObsTelemetry, ChurnRunBooksEachPhaseOncePerRound) {
+  scenario::ScenarioSpec spec = small_spec(scenario::EngineMode::kSingleStream);
+  spec.trials = 1;
+  spec.dynamics = "churn:p_edge=0.05,p_fail=0.02";
+  MetricsRegistry metrics;
+  Telemetry telemetry{&metrics, nullptr};
+  {
+    ScopedTelemetry ambient(&telemetry);
+    scenario::Experiment(spec).run();
+  }
+  for (const char* name : {"step", "count", "observe"}) {
+    EXPECT_EQ(phase(metrics, "single", name).count, spec.rounds) << name;
+  }
+  EXPECT_EQ(phase(metrics, "single", "mutate").count, spec.rounds - 1)
+      << "the world is pristine in round 1";
+}
+
+/// A model whose only cost is a fixed wait inside rewrite_moves.
+class SlowRewrite final : public sim::WorldDynamics {
+ public:
+  static constexpr std::chrono::milliseconds kWait{2};
+
+  std::string name() const override { return "slow-rewrite"; }
+  std::uint64_t model_seed() const override { return 0; }
+  void mutate(std::uint32_t, rng::Xoshiro256pp&,
+              std::span<std::uint64_t>) override {}
+  bool rewrites_moves() const override { return true; }
+  void rewrite_moves(std::span<const std::uint64_t>, std::span<std::uint64_t>,
+                     std::uint32_t, std::uint32_t) const override {
+    std::this_thread::sleep_for(kWait);
+  }
+};
+
+TEST(ObsTelemetry, MoveRewritesAreBookedToTheStepPhase) {
+  const graph::AnyTopology topo{graph::Ring(128)};
+  sim::DensityConfig cfg;
+  cfg.num_agents = 24;
+  cfg.rounds = 10;
+  const double wait_s =
+      std::chrono::duration<double>(SlowRewrite::kWait).count();
+  const struct {
+    const char* engine;
+    const char* step;
+    sim::Exec exec;
+  } engines[] = {{"single", "step", sim::SingleExec{}},
+                 {"sharded", "step_count", sim::ShardExec{.threads = 1}}};
+  for (const auto& e : engines) {
+    MetricsRegistry metrics;
+    Telemetry telemetry{&metrics, nullptr};
+    SlowRewrite model;
+    {
+      ScopedTelemetry ambient(&telemetry);
+      sim::run_dynamic_density_walk(topo, cfg, model, 5, e.exec);
+    }
+    const HistogramSnapshot step = phase(metrics, e.engine, e.step);
+    EXPECT_EQ(step.count, cfg.rounds) << e.engine;
+    EXPECT_GE(step.sum, cfg.rounds * wait_s)
+        << e.engine << ": the rewrite's time escaped the step phase";
+  }
 }
 
 TEST(ObsTelemetry, ScopedTelemetryInstallsMasksAndRestores) {
