@@ -1,33 +1,10 @@
 #include "sim/dynamic_world.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "util/format.hpp"
 
 namespace antdense::sim {
-
-namespace {
-
-/// Calls f(i, key of nodes[i]) for i in [begin, end), fetching keys a
-/// block at a time: one type-erased call per block instead of one per
-/// node.  f may rewrite nodes[i] (its key is read first).
-template <class F>
-void for_each_key(const graph::AnyTopology& topo,
-                  std::span<const std::uint64_t> nodes, std::uint32_t begin,
-                  std::uint32_t end, F&& f) {
-  constexpr std::uint32_t kBlock = 256;
-  std::array<std::uint64_t, kBlock> keys;
-  for (std::uint32_t b = begin; b < end; b += kBlock) {
-    const std::uint32_t n = std::min(kBlock, end - b);
-    topo.keys(nodes.subspan(b, n), std::span<std::uint64_t>(keys).first(n));
-    for (std::uint32_t j = 0; j < n; ++j) {
-      f(b + j, keys[j]);
-    }
-  }
-}
-
-}  // namespace
 
 DynamicsInstruments::DynamicsInstruments(const char* model) {
   obs::Telemetry* tel = obs::ambient_telemetry();
@@ -72,7 +49,8 @@ std::string ChurnDynamics::name() const {
 }
 
 void ChurnDynamics::mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
-                           std::span<std::uint64_t> positions) {
+                           std::span<std::uint64_t> positions,
+                           std::span<const std::uint64_t> keys) {
   (void)round;
   const graph::AnyTopology& base = world_.base();
 
@@ -115,44 +93,47 @@ void ChurnDynamics::mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
   }
 
   // Evict walkers standing on failed nodes (including long-failed nodes
-  // an earlier deflection could not escape).  Deterministic: consumes no
-  // randomness.
+  // an earlier deflection could not escape), found by the engine's keys.
+  // Deterministic: consumes no randomness.
   if (world_.num_failed_nodes() > 0) {
-    const auto n = static_cast<std::uint32_t>(positions.size());
-    for_each_key(base, positions, 0, n, [&](std::uint32_t i,
-                                            std::uint64_t key) {
-      if (world_.node_failed(key)) {
+    ANTDENSE_ASSERT(keys.size() == positions.size(),
+                    "churn eviction needs one key per agent");
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      if (world_.node_failed(keys[i])) {
         positions[i] = world_.deflect(positions[i], scratch_);
       }
-    });
+    }
   }
 }
 
 void ChurnDynamics::rewrite_moves(std::span<const std::uint64_t> prev,
                                   std::span<std::uint64_t> pos,
+                                  std::span<std::uint64_t> keys,
                                   std::uint32_t begin,
                                   std::uint32_t end) const {
+  const graph::AnyTopology& base = world_.base();
+  base.keys(pos.subspan(begin, end - begin),
+            keys.subspan(begin, end - begin));
   if (world_.num_failed_nodes() == 0 && world_.num_down_edges() == 0) {
     return;
   }
-  const graph::AnyTopology& base = world_.base();
   std::vector<std::uint64_t> scratch;  // per call: rewrites run per shard
-  for_each_key(base, pos, begin, end, [&](std::uint32_t i,
-                                          std::uint64_t to_key) {
+  for (std::uint32_t i = begin; i < end; ++i) {
     // A destination the prefilter clears is up and touches no down
     // edge; a lazy stay is always allowed.
+    const std::uint64_t to_key = keys[i];
     if (!world_.may_block(to_key) || pos[i] == prev[i]) {
-      return;
+      continue;
     }
     const std::uint64_t from_key = base.key(prev[i]);
     if (world_.edge_down(from_key, to_key)) {
       pos[i] = prev[i];  // the traversed edge is down: the move fails
-      return;
-    }
-    if (world_.node_failed(to_key)) {
+      keys[i] = from_key;
+    } else if (world_.node_failed(to_key)) {
       pos[i] = world_.deflect(prev[i], scratch);
+      keys[i] = base.key(pos[i]);
     }
-  });
+  }
 }
 
 DriftDynamics::DriftDynamics(const graph::AnyTopology& topo,
@@ -179,7 +160,9 @@ std::string DriftDynamics::name() const {
 }
 
 void DriftDynamics::mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
-                           std::span<std::uint64_t> positions) {
+                           std::span<std::uint64_t> positions,
+                           std::span<const std::uint64_t> keys) {
+  (void)keys;
   if (p_death_ == 0.0 && p_birth_ == 0.0) {
     return;
   }
@@ -219,9 +202,11 @@ std::string FadeDynamics::name() const {
 }
 
 void FadeDynamics::mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
-                          std::span<std::uint64_t> positions) {
+                          std::span<std::uint64_t> positions,
+                          std::span<const std::uint64_t> keys) {
   (void)round;
   (void)positions;
+  (void)keys;
   if (step_ == 0.0) {
     return;
   }

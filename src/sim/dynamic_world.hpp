@@ -78,12 +78,14 @@ class ChurnDynamics final : public WorldDynamics {
   std::string name() const override;
   std::uint64_t model_seed() const override { return seed_; }
   void mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
-              std::span<std::uint64_t> positions) override;
+              std::span<std::uint64_t> positions,
+              std::span<const std::uint64_t> keys) override;
   bool rewrites_moves() const override {
     return p_edge_ > 0.0 || p_fail_ > 0.0;
   }
   void rewrite_moves(std::span<const std::uint64_t> prev,
-                     std::span<std::uint64_t> pos, std::uint32_t begin,
+                     std::span<std::uint64_t> pos,
+                     std::span<std::uint64_t> keys, std::uint32_t begin,
                      std::uint32_t end) const override;
 
   const graph::TimeVaryingWorld& world() const { return world_; }
@@ -107,7 +109,8 @@ class DriftDynamics final : public WorldDynamics {
   std::string name() const override;
   std::uint64_t model_seed() const override { return seed_; }
   void mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
-              std::span<std::uint64_t> positions) override;
+              std::span<std::uint64_t> positions,
+              std::span<const std::uint64_t> keys) override;
   const std::uint8_t* count_mask() const override { return alive_.data(); }
   const std::uint32_t* birth_rounds() const override {
     return birth_round_.data();
@@ -132,7 +135,8 @@ class FadeDynamics final : public WorldDynamics {
   std::string name() const override;
   std::uint64_t model_seed() const override { return seed_; }
   void mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
-              std::span<std::uint64_t> positions) override;
+              std::span<std::uint64_t> positions,
+              std::span<const std::uint64_t> keys) override;
   bool transforms_observations() const override { return true; }
   std::uint64_t observe(std::uint32_t slot, std::uint64_t others,
                         rng::Xoshiro256pp& gen) const override {

@@ -7,11 +7,16 @@
 // Engine integration (run_walk_single / run_walk_sharded; the vector
 // engine rejects models):
 //
-//   round r (r >= 2):   mutate(r, mut_gen, positions)     [serial]
-//                       step agents from the WALK stream  [unchanged]
-//                       rewrite_moves(prev, pos, b, e)    [per shard]
-//                       count agents with count_mask()    [per shard]
-//                       observer hooks                    [unchanged]
+//   round r (r >= 2):   mutate(r, mut_gen, positions, keys)   [serial]
+//                       step agents from the WALK stream      [unchanged]
+//                       rewrite_moves(prev, pos, keys, b, e)  [per shard]
+//                       count agents with count_mask()        [per shard]
+//                       observer hooks                        [unchanged]
+//
+// `keys` is the engine's per-agent key array (keys[i] = topology key of
+// agent i's node).  mutate reads the keys the engine counted last round;
+// rewrite_moves writes the keys of the rewritten positions, and the
+// engine counts those instead of keying the positions again.
 //
 // CollisionObserver (sim/walk_engine.hpp) reads count_mask() and
 // birth_rounds() once per round, and routes partner counts through
@@ -64,9 +69,12 @@ class WorldDynamics {
   /// every round r >= 2 (the world is pristine in round 1, matching the
   /// static engine's first round).  May relocate agents in `positions`
   /// (evicting walkers from failed nodes, placing reborn agents); all
-  /// stochastic choices must come from `mut_gen`.
+  /// stochastic choices must come from `mut_gen`.  keys[i] is the key
+  /// of positions[i] on entry; a relocated agent's entry goes stale (the
+  /// engine rekeys every agent after stepping).
   virtual void mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
-                      std::span<std::uint64_t> positions) = 0;
+                      std::span<std::uint64_t> positions,
+                      std::span<const std::uint64_t> keys) = 0;
 
   /// True when the model constrains movement and the engine must call
   /// rewrite_moves after stepping (costs one position copy per round).
@@ -74,13 +82,17 @@ class WorldDynamics {
 
   /// Deterministically rewrites the moves of agents [begin, end): agent
   /// i attempted prev[i] -> pos[i] on the *static* topology; the model
-  /// may veto or deflect the move in place.  Const and data-race-free:
-  /// the sharded engine calls it concurrently for disjoint ranges.
+  /// may veto or deflect the move in place, and sets keys[i] to the key
+  /// of the final pos[i].  Called only when rewrites_moves().  Const and
+  /// data-race-free: the sharded engine calls it concurrently for
+  /// disjoint ranges.
   virtual void rewrite_moves(std::span<const std::uint64_t> prev,
                              std::span<std::uint64_t> pos,
+                             std::span<std::uint64_t> keys,
                              std::uint32_t begin, std::uint32_t end) const {
     (void)prev;
     (void)pos;
+    (void)keys;
     (void)begin;
     (void)end;
   }

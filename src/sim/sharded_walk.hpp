@@ -207,11 +207,13 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
     }
     if constexpr (kDynCapable) {
       if (rewrites) {
-        dyn->rewrite_moves(prev, pos, b, e);
+        dyn->rewrite_moves(prev, pos, keys, b, e);  // keys the slice too
       }
     }
-    graph::node_keys(topo, std::span<const node>(pos).subspan(b, e - b),
-                     std::span<std::uint64_t>(keys).subspan(b, e - b));
+    if (!rewrites) {
+      graph::node_keys(topo, std::span<const node>(pos).subspan(b, e - b),
+                       std::span<std::uint64_t>(keys).subspan(b, e - b));
+    }
     if (count_mask != nullptr) {
       if (concurrent) {
         for (std::uint32_t i = b; i < e; ++i) {
@@ -271,7 +273,8 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
         // Serial mutation tick between rounds, on the mutation stream —
         // identical for any thread count by construction.
         const obs::EngineTap::PhaseSpan phase(tap, 2);
-        dyn->mutate(round, mut_gen, std::span<std::uint64_t>(pos));
+        dyn->mutate(round, mut_gen, std::span<std::uint64_t>(pos),
+                    std::span<const std::uint64_t>(keys));
       }
     }
     (detail::notify_begin_round(observers, round), ...);

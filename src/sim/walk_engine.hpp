@@ -437,7 +437,8 @@ void run_walk_single(
       // *between* rounds).
       if (dyn != nullptr && r > 1) {
         const obs::EngineTap::PhaseSpan phase(tap, 3);
-        dyn->mutate(r, mut_gen, std::span<std::uint64_t>(pos));
+        dyn->mutate(r, mut_gen, std::span<std::uint64_t>(pos),
+                    std::span<const std::uint64_t>(keys));
       }
     }
     {
@@ -467,15 +468,18 @@ void run_walk_single(
         if (rewrites) {
           // Deterministic post-step veto/deflection of moves blocked by
           // the mutated world: the walk stream drew the step exactly as
-          // the static engine would have.
-          dyn->rewrite_moves(prev, pos, 0, n_agents);
+          // the static engine would have.  The rewrite keys the final
+          // positions for the count phase.
+          dyn->rewrite_moves(prev, pos, keys, 0, n_agents);
         }
       }
     }
     {
       const obs::EngineTap::PhaseSpan phase(tap, 1);
-      graph::node_keys(topo, std::span<const node>(pos),
-                       std::span<std::uint64_t>(keys));
+      if (!rewrites) {
+        graph::node_keys(topo, std::span<const node>(pos),
+                         std::span<std::uint64_t>(keys));
+      }
       if (count_mask != nullptr) {
         for (std::uint32_t i = 0; i < n_agents; ++i) {
           if (count_mask[i] != 0) {

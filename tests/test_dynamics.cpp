@@ -267,6 +267,15 @@ TEST(TimeVaryingWorld, MatchesASetReferenceThroughGrowthAndDrain) {
 // WorldDynamics models
 // ---------------------------------------------------------------------
 
+/// One mutation tick as the engines run it: with the keys of `pos`.
+void tick(sim::WorldDynamics& model, const graph::AnyTopology& topo,
+          std::uint32_t round, rng::Xoshiro256pp& gen,
+          std::vector<std::uint64_t>& pos) {
+  std::vector<std::uint64_t> keys(pos.size());
+  topo.keys(pos, keys);
+  model.mutate(round, gen, std::span<std::uint64_t>(pos), keys);
+}
+
 TEST(ChurnDynamics, ZeroRatesConsumeNoRandomnessAndRewriteNothing) {
   const graph::AnyTopology topo = Registry::built_in().make("torus2d:8x8");
   sim::ChurnDynamics model(topo, 0.0, 0.0, 10, 5);
@@ -274,7 +283,7 @@ TEST(ChurnDynamics, ZeroRatesConsumeNoRandomnessAndRewriteNothing) {
 
   std::vector<std::uint64_t> pos(6, 0);
   rng::Xoshiro256pp mut_gen(99);
-  model.mutate(2, mut_gen, std::span<std::uint64_t>(pos));
+  tick(model, topo, 2, mut_gen, pos);
   rng::Xoshiro256pp fresh(99);
   EXPECT_EQ(mut_gen(), fresh())
       << "a churn tick with p_edge=p_fail=0 and nothing down must not "
@@ -289,7 +298,7 @@ TEST(ChurnDynamics, EvictsWalkersFromFailedNodes) {
   sim::ChurnDynamics model(topo, 0.0, 1.0, 1000000, 3);
   std::vector<std::uint64_t> pos = {0, 1, 2, 3, 4, 5};
   rng::Xoshiro256pp mut_gen(rng::derive_mutation_stream(11, 3));
-  model.mutate(2, mut_gen, std::span<std::uint64_t>(pos));
+  tick(model, topo, 2, mut_gen, pos);
   EXPECT_GT(model.world().num_failed_nodes(), 0u);
   std::vector<std::uint64_t> scratch;
   for (const std::uint64_t p : pos) {
@@ -319,15 +328,15 @@ TEST(DriftDynamics, KillsAndRevivesPopulationsAtExtremeRates) {
   sim::DriftDynamics model(topo, 8, /*p_death=*/1.0, /*p_birth=*/0.0, 1);
   std::vector<std::uint64_t> pos(8, 0);
   rng::Xoshiro256pp mut_gen(4);
-  model.mutate(2, mut_gen, std::span<std::uint64_t>(pos));
+  tick(model, topo, 2, mut_gen, pos);
   for (std::uint32_t slot = 0; slot < 8; ++slot) {
     EXPECT_EQ(model.count_mask()[slot], 0);
   }
 
   sim::DriftDynamics cycle(topo, 4, /*p_death=*/1.0, /*p_birth=*/1.0, 1);
   std::vector<std::uint64_t> pos4(4, 0);
-  cycle.mutate(2, mut_gen, std::span<std::uint64_t>(pos4));  // all die
-  cycle.mutate(3, mut_gen, std::span<std::uint64_t>(pos4));  // all reborn
+  tick(cycle, topo, 2, mut_gen, pos4);  // all die
+  tick(cycle, topo, 3, mut_gen, pos4);  // all reborn
   for (std::uint32_t slot = 0; slot < 4; ++slot) {
     EXPECT_EQ(cycle.count_mask()[slot], 1);
     EXPECT_EQ(cycle.birth_rounds()[slot], 3u)
@@ -361,12 +370,12 @@ TEST(DriftDynamics, CollisionObserverDropsTheDeadAndRestartsTheReborn) {
   std::vector<std::uint64_t> pos(3, 0);
   observe_round(observer, cycle, 1, {7, 7, 7});
   EXPECT_EQ(observer.counts(), (std::vector<std::uint64_t>{2, 2, 2}));
-  cycle.mutate(2, gen, std::span<std::uint64_t>(pos));
+  tick(cycle, topo, 2, gen, pos);
   observe_round(observer, cycle, 2, {7, 7, 7});
   EXPECT_EQ(observer.counts(), (std::vector<std::uint64_t>{2, 2, 2}))
       << "dead slots observe nothing";
   EXPECT_TRUE(observer.estimates(2).empty()) << "dead slots are left out";
-  cycle.mutate(3, gen, std::span<std::uint64_t>(pos));
+  tick(cycle, topo, 3, gen, pos);
   observe_round(observer, cycle, 3, {1, 2, 3});
   EXPECT_EQ(observer.counts(), (std::vector<std::uint64_t>{0, 0, 0}))
       << "a reborn slot's count restarts at its birth round";
@@ -380,7 +389,7 @@ TEST(DriftDynamics, CollisionObserverDropsTheDeadAndRestartsTheReborn) {
   const std::vector<std::uint64_t> together(8, 4);
   std::vector<std::uint64_t> pos8(8, 0);
   observe_round(partial, half, 1, together);
-  half.mutate(2, gen, std::span<std::uint64_t>(pos8));
+  tick(half, topo, 2, gen, pos8);
   observe_round(partial, half, 2, together);
   std::uint64_t live = 0;
   for (std::uint32_t i = 0; i < 8; ++i) {
@@ -394,11 +403,12 @@ TEST(DriftDynamics, CollisionObserverDropsTheDeadAndRestartsTheReborn) {
 }
 
 TEST(FadeDynamics, MissWalkStaysInUnitIntervalAndGatesObservations) {
+  const graph::AnyTopology topo = Registry::built_in().make("ring:32");
   sim::FadeDynamics model(16, /*p0=*/0.9, /*step=*/0.3, 2);
   std::vector<std::uint64_t> pos(16, 0);
   rng::Xoshiro256pp mut_gen(8);
   for (std::uint32_t r = 2; r < 40; ++r) {
-    model.mutate(r, mut_gen, std::span<std::uint64_t>(pos));
+    tick(model, topo, r, mut_gen, pos);
     for (const double p : model.miss_probabilities()) {
       EXPECT_GE(p, 0.0);
       EXPECT_LE(p, 1.0);

@@ -170,20 +170,30 @@ TEST(ObsTelemetry, ChurnRunBooksEachPhaseOncePerRound) {
       << "the world is pristine in round 1";
 }
 
-/// A model whose only cost is a fixed wait inside rewrite_moves.
+/// A model whose only cost is a fixed wait inside rewrite_moves, which
+/// otherwise just keys the positions.
 class SlowRewrite final : public sim::WorldDynamics {
  public:
   static constexpr std::chrono::milliseconds kWait{2};
 
+  explicit SlowRewrite(const graph::AnyTopology& topo) : topo_(&topo) {}
+
   std::string name() const override { return "slow-rewrite"; }
   std::uint64_t model_seed() const override { return 0; }
-  void mutate(std::uint32_t, rng::Xoshiro256pp&,
-              std::span<std::uint64_t>) override {}
+  void mutate(std::uint32_t, rng::Xoshiro256pp&, std::span<std::uint64_t>,
+              std::span<const std::uint64_t>) override {}
   bool rewrites_moves() const override { return true; }
-  void rewrite_moves(std::span<const std::uint64_t>, std::span<std::uint64_t>,
-                     std::uint32_t, std::uint32_t) const override {
+  void rewrite_moves(std::span<const std::uint64_t>,
+                     std::span<std::uint64_t> pos,
+                     std::span<std::uint64_t> keys, std::uint32_t begin,
+                     std::uint32_t end) const override {
+    topo_->keys(pos.subspan(begin, end - begin),
+                keys.subspan(begin, end - begin));
     std::this_thread::sleep_for(kWait);
   }
+
+ private:
+  const graph::AnyTopology* topo_;
 };
 
 TEST(ObsTelemetry, MoveRewritesAreBookedToTheStepPhase) {
@@ -202,7 +212,7 @@ TEST(ObsTelemetry, MoveRewritesAreBookedToTheStepPhase) {
   for (const auto& e : engines) {
     MetricsRegistry metrics;
     Telemetry telemetry{&metrics, nullptr};
-    SlowRewrite model;
+    SlowRewrite model(topo);
     {
       ScopedTelemetry ambient(&telemetry);
       sim::run_dynamic_density_walk(topo, cfg, model, 5, e.exec);
