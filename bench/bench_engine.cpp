@@ -24,9 +24,10 @@
 // A sixth, "any+dyn0", re-times the AnyTopology path with a zero-rate
 // churn model attached: what the dynamics layer costs a walk whose
 // model never mutates anything.  A seventh, "any+churn", attaches an
-// active churn model (kChurnSpec) whose steady state keeps about 2% of
-// the nodes failed and 4% of the edges down per node: what a walk pays
-// to consult the time-varying overlay on every move.
+// active churn model at the perfbench lattice workload's rates (the
+// kChurn* constants; at steady state about 0.25% of the nodes are
+// failed and one edge per 200 nodes is down): what a walk pays to
+// consult the time-varying overlay on every move.
 //
 // CI's bench-smoke job runs this with --tiny and gates ratios between
 // rows of the same run, so runner speed cancels out:

@@ -38,22 +38,22 @@ bool sweep(std::vector<Key>& items, Index& index, double p,
 
 TimeVaryingWorld::TimeVaryingWorld(const AnyTopology& topo) : topo_(&topo) {}
 
-void TimeVaryingWorld::rebuild_failed_filter() {
+void TimeVaryingWorld::rebuild_filters() {
   failed_filter_.reset(failed_.size());
+  blocked_filter_.reset(failed_.size() + 2 * down_.size());
   for (const std::uint64_t key : failed_) {
     failed_filter_.insert(key);
-  }
-}
-
-void TimeVaryingWorld::rebuild_blocked_filter() {
-  blocked_filter_.reset(blocked_keys());
-  for (const std::uint64_t key : failed_) {
     blocked_filter_.insert(key);
   }
   for (const EdgeKey& e : down_) {
     blocked_filter_.insert(e.first);
     blocked_filter_.insert(e.second);
   }
+}
+
+bool TimeVaryingWorld::filters_outgrown() const {
+  return failed_filter_.outgrown_by(failed_.size()) ||
+         blocked_filter_.outgrown_by(failed_.size() + 2 * down_.size());
 }
 
 bool TimeVaryingWorld::fail_node(node_type u) {
@@ -63,14 +63,12 @@ bool TimeVaryingWorld::fail_node(node_type u) {
   }
   failed_.push_back(key);
   failed_index_.set(key, failed_.size() - 1, failed_);
-  if (failed_filter_.outgrown_by(failed_.size())) {
-    rebuild_failed_filter();
+  if (filters_outgrown()) {
+    rebuild_filters();
+  } else {
+    failed_filter_.insert(key);
+    blocked_filter_.insert(key);
   }
-  if (blocked_filter_.outgrown_by(blocked_keys())) {
-    rebuild_blocked_filter();
-  }
-  failed_filter_.insert(key);
-  blocked_filter_.insert(key);
   return true;
 }
 
@@ -82,11 +80,12 @@ bool TimeVaryingWorld::drop_edge(node_type u, node_type v) {
   }
   down_.push_back(key);
   down_index_.set(key, down_.size() - 1, down_);
-  if (blocked_filter_.outgrown_by(blocked_keys())) {
-    rebuild_blocked_filter();
+  if (filters_outgrown()) {
+    rebuild_filters();
+  } else {
+    blocked_filter_.insert(key.first);
+    blocked_filter_.insert(key.second);
   }
-  blocked_filter_.insert(key.first);
-  blocked_filter_.insert(key.second);
   return true;
 }
 
@@ -101,13 +100,8 @@ void TimeVaryingWorld::recover(double recover_probability,
       sweep(failed_, failed_index_, recover_probability, gen, recovered_);
   const bool edges_recovered =
       sweep(down_, down_index_, recover_probability, gen, recovered_);
-  // Prefilter bits cannot be cleared one key at a time: a filter that
-  // lost keys is rebuilt.
-  if (nodes_recovered) {
-    rebuild_failed_filter();
-  }
   if (nodes_recovered || edges_recovered) {
-    rebuild_blocked_filter();
+    rebuild_filters();  // bits cannot be cleared one key at a time
   }
 }
 

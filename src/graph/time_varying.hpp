@@ -23,7 +23,7 @@
 //     failed node and both ends of every down edge, `failed` only the
 //     failed nodes.  A clear bit answers "no" exactly, so a move to an
 //     untouched node costs one bit test.  fail_node / drop_edge set
-//     bits; recover() rebuilds a filter whose set lost keys.
+//     bits; recover() rebuilds the filters when anything recovered.
 //   - Behind them, flat open-addressing indexes (key -> vector
 //     position, linear probing, backward-shift erase) at most half
 //     full.  A slot is a 32-bit position; the key lives in the vector.
@@ -250,13 +250,10 @@ class TimeVaryingWorld {
     }
   };
 
-  /// Keys blocked_filter_ holds: failed nodes + two per down edge.
-  std::size_t blocked_keys() const {
-    return failed_.size() + 2 * down_.size();
-  }
-  /// Resize each prefilter to its keys and re-insert them.
-  void rebuild_failed_filter();
-  void rebuild_blocked_filter();
+  /// Whether the state outgrew either prefilter's size.
+  bool filters_outgrown() const;
+  /// Resizes both prefilters to the state and re-inserts its keys.
+  void rebuild_filters();
 
   const AnyTopology* topo_;
   std::vector<std::uint64_t> failed_;  // node keys, insertion order
