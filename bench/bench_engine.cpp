@@ -1,8 +1,8 @@
 // E-ENGINE — legacy-vs-engine-vs-type-erased stepping throughput.
 //
 // Times the frozen pre-engine round loop (sim/legacy_reference.hpp)
-// against the observer-based WalkEngine (sim/walk_engine.hpp, via the
-// run_density_walk wrapper), against the vector engine
+// against the observer-based engine=single walk (the shard loop in
+// sim/sharded_walk.hpp, via the run_density_walk wrapper), against the vector engine
 // (sim/vector_walk.hpp: wide-lane RNG, branchless word kernels, dense
 // collision counting), and against the scalar engine driven through a
 // type-erased graph::AnyTopology handle (the scenario layer's hot

@@ -25,8 +25,15 @@ ConcurrentCollisionCounter::ConcurrentCollisionCounter(
 }
 
 void ConcurrentCollisionCounter::begin_round() {
-  ANTDENSE_CHECK(epoch_ + 1 < kBusyBit,
-                 "round count exhausted the counter's epoch space");
+  if (epoch_ + 1 == kBusyBit) {
+    // Epoch space exhausted (after 2^31 - 1 rounds): hard-reset every
+    // slot so stale stamps cannot alias the restarted epochs.  No adds
+    // or reads run concurrently with begin_round.
+    for (Slot& slot : slots_) {
+      slot.state.store(0, std::memory_order_relaxed);
+    }
+    epoch_ = 0;
+  }
   ++epoch_;
 }
 

@@ -37,8 +37,9 @@ class ConcurrentCollisionCounter {
   /// (the number of agents).  Allocates 4x rounded to a power of two.
   explicit ConcurrentCollisionCounter(std::size_t max_occupancy);
 
-  /// Starts a new round; all previous counts become invisible (O(1)).
-  /// Must not run concurrently with add()/occupancy().
+  /// Starts a new round; all previous counts become invisible (O(1),
+  /// except for one O(capacity) reset every 2^31 - 1 rounds when the
+  /// epoch wraps).  Must not run concurrently with add()/occupancy().
   void begin_round();
 
   /// Records one agent at `key`.  Safe to call from any number of

@@ -3,12 +3,12 @@
 // round, collision counting through count(position) at the end of each
 // round.
 //
-// One engine seam: a sim::Exec value names the round loop that runs a
-// walk — the single stream (sim/walk_engine.hpp), the sharded
-// per-shard streams (sim/sharded_walk.hpp), or the wide-lane vector
-// engine (sim/vector_walk.hpp) — and sim::run_walk visits it once per
-// walk.  Every driver takes an Exec: run_density_walk is the seam plus
-// a CollisionObserver, run_property_walk the seam plus a
+// One engine seam: a sim::Exec value names the engine that runs a walk
+// — the single stream or the per-shard streams, both on the shard loop
+// (sim/sharded_walk.hpp), or the wide-lane vector engine
+// (sim/vector_walk.hpp) — and sim::run_walk visits it once per walk.
+// Every driver takes an Exec: run_density_walk is the seam plus a
+// CollisionObserver, run_property_walk the seam plus a
 // PropertyObserver.  Each engine has its own stream identity; within
 // one, results never depend on the execution knobs except
 // ShardExec::shard_size.
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "graph/topology.hpp"
+#include "obs/telemetry.hpp"
 #include "rng/random.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
@@ -50,7 +51,8 @@
 
 namespace antdense::sim {
 
-/// The historical single-stream engine (run_walk_single): no knobs.
+/// The historical single-stream engine: the shard loop over one shard
+/// on the stream seed itself, on the caller's thread.  No knobs.
 struct SingleExec {};
 
 /// Which round loop runs a walk, with that engine's execution knobs.
@@ -59,7 +61,7 @@ using Exec = std::variant<SingleExec, ShardExec, VectorExec>;
 /// The engine seam: runs the walk on `exec`'s round loop with the same
 /// observer pack.  `stream_seed` seeds the engine directly (drivers
 /// derive their own stream tag first).  Each engine is deterministic in
-/// its inputs; see the three loops for their stream contracts.
+/// its inputs; see the two loops for their stream contracts.
 template <graph::Topology T, class... Obs>
 void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
               const Exec& exec,
@@ -72,7 +74,13 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
     run_walk_vector(topo, cfg, stream_seed, *vec, initial_positions,
                     observers...);
   } else {
-    run_walk_single(topo, cfg, stream_seed, initial_positions, observers...);
+    cfg.validate();
+    obs::EngineTap tap("single", {"step", "count", "observe", "mutate"});
+    detail::run_shard_loop(topo, cfg, stream_seed,
+                           ShardPlan::make(cfg.num_agents, cfg.num_agents),
+                           {rng::Xoshiro256pp(stream_seed)}, /*threads=*/1,
+                           tap, detail::kSinglePhases, initial_positions,
+                           observers...);
   }
 }
 

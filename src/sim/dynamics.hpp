@@ -4,8 +4,8 @@
 // ants/robots live in a world that changes underfoot; see Hindes et al.
 // on stochastic sensing and dynamics).
 //
-// Engine integration (run_walk_single / run_walk_sharded; the vector
-// engine rejects models):
+// Engine integration (the shard loop in sim/sharded_walk.hpp, behind
+// engine=single and engine=sharded; the vector engine rejects models):
 //
 //   round r (r >= 2):   mutate(r, mut_gen, positions, keys)   [serial]
 //                       step agents from the WALK stream      [unchanged]

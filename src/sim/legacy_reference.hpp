@@ -7,7 +7,8 @@
 //     (differential testing), and
 //   - bench/bench_engine.cpp can report legacy-vs-engine ns/agent-round.
 // Do not "improve" these loops: their value is that they never change.
-// The live implementations are thin wrappers over sim/walk_engine.hpp.
+// The live implementations are thin wrappers over sim::run_walk
+// (sim/density_sim.hpp).
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,7 @@
 #include <cstdlib>
 
 #include "rng/splitmix64.hpp"
-#include "sim/walk_engine.hpp"
+#include "sim/density_sim.hpp"
 
 namespace antdense::sim {
 
@@ -71,16 +71,6 @@ LocalDensityObserver::LocalDensityObserver(
   densities_.reserve(checkpoints_.size());
 }
 
-void LocalDensityObserver::after_round(
-    const RoundView& v, std::span<const graph::Torus2D::node_type> positions) {
-  if (next_checkpoint_ >= checkpoints_.size() ||
-      v.round != checkpoints_[next_checkpoint_]) {
-    return;
-  }
-  densities_.push_back(per_agent_local_density(*torus_, positions, radius_));
-  ++next_checkpoint_;
-}
-
 LocalDensityProfile run_local_density_profile(
     const Torus2D& torus, std::uint32_t num_agents, std::uint32_t radius,
     const std::vector<std::uint32_t>& checkpoints, std::uint64_t seed,
@@ -91,8 +81,8 @@ LocalDensityProfile run_local_density_profile(
   WalkConfig cfg;
   cfg.num_agents = num_agents;
   cfg.rounds = checkpoints.back();
-  run_walk_single(torus, cfg, rng::derive_seed(seed, 0x10Du),
-                  initial_positions, obs);
+  run_walk(torus, cfg, rng::derive_seed(seed, 0x10Du), SingleExec{},
+           initial_positions, obs);
 
   LocalDensityProfile profile;
   profile.checkpoints = obs.checkpoints();

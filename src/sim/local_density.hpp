@@ -5,8 +5,8 @@
 // helpers compute the ground-truth local density inside an L1 ball so
 // the non-uniform-placement experiments can show what short-horizon
 // encounter rates really track.  Positions are passed as spans so the
-// WalkEngine's LocalDensityObserver can hand over its in-flight view
-// without copying; std::vector arguments convert implicitly.
+// LocalDensityObserver can hand over its in-flight view without
+// copying; std::vector arguments convert implicitly.
 //
 // run_local_density_profile is the engine-backed driver: it walks a
 // population and records every agent's local density at checkpoints,
@@ -61,8 +61,21 @@ class LocalDensityObserver {
   LocalDensityObserver(const graph::Torus2D& torus, std::uint32_t radius,
                        std::vector<std::uint32_t> checkpoints);
 
-  void after_round(const RoundView& v,
-                   std::span<const graph::Torus2D::node_type> positions);
+  /// Snapshots every agent, so the view must span the whole population
+  /// (engine=single or engine=vector, or one shard).
+  template <typename View>
+  void after_round(const View& v,
+                   std::span<const graph::Torus2D::node_type> positions) {
+    ANTDENSE_CHECK(v.begin_agent == 0 && v.end_agent == v.num_agents,
+                   "LocalDensityObserver needs the whole population in "
+                   "one view");
+    if (next_checkpoint_ >= checkpoints_.size() ||
+        v.round != checkpoints_[next_checkpoint_]) {
+      return;
+    }
+    densities_.push_back(per_agent_local_density(*torus_, positions, radius_));
+    ++next_checkpoint_;
+  }
 
   const std::vector<std::uint32_t>& checkpoints() const {
     return checkpoints_;

@@ -1,40 +1,61 @@
-// The sharded, multi-threaded execution model for Algorithm 1's round
-// loop — the within-experiment counterpart of the campaign scheduler's
-// experiment-level parallelism, built on the same principle: randomness
-// is keyed by the unit of work, never by the executing thread.
+// The shard round loop: the one scalar implementation of Algorithm 1's
+// synchronous round (Musco, Su & Lynch, PODC 2016, arXiv:1603.02981),
+// behind both engine=single and engine=sharded.  The vector engine
+// (sim/vector_walk.hpp) is the only other round loop.
 //
 // Agent state (positions, keys, observer accumulators) lives in shared
-// structure-of-arrays vectors split into contiguous shards of
-// `shard_size` agents.  Each shard owns a private generator seeded by
-// rng::derive_stream(stream_seed, shard), and every round runs as two
-// barrier-separated phases over the shards:
+// structure-of-arrays vectors split into contiguous shards (ShardPlan).
+// Each shard owns a private generator, and randomness is keyed by the
+// shard, never by the executing thread.  One round:
+//   0. when a dynamics model is attached (sim/dynamics.hpp) and r >= 2:
+//      the world mutates, serially, on its own domain-tagged stream —
+//      the shard streams never change, so static configs stay
+//      bit-identical to their goldens;
+//   1. counter.begin_round(), then the observers' begin_round hooks
+//      (serial setup);
+//   2. step: every shard's agents step from the shard stream — the
+//      batched topology API (graph::random_neighbors, same stream as
+//      sequential calls), or the per-agent Bernoulli/step loop for a
+//      lazy walk — and a dynamics model rewrites blocked moves;
+//   3. count: keys are recomputed and the shared lock-free
+//      ConcurrentCollisionCounter filled (masked by the model's alive
+//      slots), then the fill hooks run (auxiliary occupancy counting);
+//   4. observe: after_round hooks read the now-complete occupancy and
+//      write their own agents' slice — noise draws come from the shard
+//      stream, after the shard's step draws;
+//   5. end_round hooks (serial) take cross-shard snapshots.
+// With threads > 1, steps 2–3 run as one parallel pass over the shards
+// and step 4 as a second, barrier-separated one; the serial path runs
+// the same passes shard by shard, with steps 2 and 3 split into two
+// passes when the phase layout times them apart.
 //
-//   phase A (parallel): step the shard's agents from the shard stream,
-//     recompute their keys, count them into the shared lock-free
-//     ConcurrentCollisionCounter, and run observer fill hooks
-//     (auxiliary counters, e.g. property occupancy);
-//   phase B (parallel): observer after_round hooks read the now-
-//     complete global occupancy and write their own agents' slice —
-//     noise draws come from the shard stream, after the shard's phase-A
-//     draws;
-//   end of round (serial): end_round hooks take cross-shard snapshots
-//     (trajectory checkpoints).
+// Two entry points fix the streams, thread count and telemetry layout:
+//   - run_walk_sharded (engine=sharded): `shard_size`-agent shards on
+//     rng::derive_stream(stream_seed, shard) generators, on a worker
+//     pool; tap "sharded" books steps 2–3 as one step_count phase
+//     (fill hooks included) at every thread count.
+//   - sim::run_walk with SingleExec (engine=single, sim/density_sim.hpp):
+//     one shard holding every agent, on Xoshiro256pp(stream_seed)
+//     itself, on the caller's thread — the historical single-stream
+//     walk, draw for draw; tap "single" books step, count (fill hooks
+//     included) and observe apart.
+// Both book the dynamics tick as mutate, and neither books the
+// begin_round/end_round hooks.
 //
 // Determinism contract: the output is a pure function of (stream_seed,
-// WalkConfig, shard_size) — bit-identical for ANY thread count,
-// including 1, because the shard decomposition and each shard's draw
-// sequence never depend on scheduling.  Observer slices are laid out in
-// shard order within the shared arrays, so the "merge" is free.
+// WalkConfig, shard plan, shard streams) — bit-identical for ANY thread
+// count, including 1, because the shard decomposition and each shard's
+// draw sequence never depend on scheduling, and occupancy is exact for
+// any insertion order.  Observer slices are laid out in shard order
+// within the shared arrays, so the "merge" is free.
 // tests/test_sharded_walk.cpp pins threads ∈ {1, 2, 8} equality across
-// every topology family and workload.
+// every topology family and workload; tests/test_walk_engine.cpp pins
+// engine=single against the frozen pre-engine loops.
 //
-// The sharded stream is deliberately NOT the single-stream engine's:
-// run_walk_single at a fixed seed keeps its historical goldens, while
-// run_walk_sharded defines its own (equally valid, Theorem-1-conforming)
-// sample.  Pick per walk with sim::ShardExec in a sim::Exec
-// (sim/density_sim.hpp); per experiment via ScenarioSpec::engine.
-//
-// Paper: Musco, Su & Lynch (PODC 2016, arXiv:1603.02981).
+// The sharded stream is deliberately NOT the single engine's: even a
+// one-shard sharded walk is seeded through derive_stream.  Pick per walk
+// with a sim::Exec (sim/density_sim.hpp); per experiment via
+// ScenarioSpec::engine.
 #pragma once
 
 #include <algorithm>
@@ -42,9 +63,13 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/topology.hpp"
+#include "obs/telemetry.hpp"
+#include "rng/random.hpp"
 #include "rng/stream.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "sim/concurrent_counter.hpp"
@@ -91,38 +116,50 @@ struct ShardExec {
   std::uint32_t shard_size = ShardPlan::kDefaultShardSize;
 };
 
-/// Runs the sharded round loop.  Observers follow the same hook
-/// vocabulary as run_walk_single (walk_engine.hpp) against ShardRoundView;
-/// after_round/fill hooks fire once per shard per round, concurrently
-/// across shards, and must only write state for agents in the view's
-/// range.  Deterministic in (stream_seed, cfg, exec.shard_size) for any
-/// exec.threads.
+namespace detail {
+
+/// Which phase of the engine's tap each part of a round is booked to.
+/// The step and count passes share one span when their indices agree.
+struct PhaseLayout {
+  std::size_t step = 0;
+  std::size_t count = 0;
+  std::size_t observe = 0;
+  std::size_t mutate = 0;
+};
+
+/// engine=sharded's tap: {"step_count", "observe", "mutate"}.
+inline constexpr PhaseLayout kShardedPhases{
+    .step = 0, .count = 0, .observe = 1, .mutate = 2};
+/// engine=single's tap: {"step", "count", "observe", "mutate"}.
+inline constexpr PhaseLayout kSinglePhases{
+    .step = 0, .count = 1, .observe = 2, .mutate = 3};
+
+/// The shard round loop (see the header comment).  `gens[s]` is shard
+/// s's generator; `threads` > 1 runs each pass's shards on a worker
+/// pool, which needs a layout whose step and count share a span.  The
+/// entry points (run_walk_sharded here, the SingleExec branch of
+/// sim::run_walk) validate `cfg` and fix the plan, streams, thread
+/// count and phase layout.
 template <graph::Topology T, class... Obs>
   requires(WalkObserverForView<Obs, typename T::node_type, ShardRoundView> &&
            ...)
-void run_walk_sharded(const T& topo, const WalkConfig& cfg,
-                      std::uint64_t stream_seed, const ShardExec& exec,
-                      const std::vector<typename T::node_type>*
-                          initial_positions,
-                      Obs&... observers) {
-  cfg.validate();
+void run_shard_loop(const T& topo, const WalkConfig& cfg,
+                    std::uint64_t stream_seed, const ShardPlan& plan,
+                    std::vector<rng::Xoshiro256pp> gens, unsigned threads,
+                    obs::EngineTap& tap, const PhaseLayout& phases,
+                    const std::vector<typename T::node_type>*
+                        initial_positions,
+                    Obs&... observers) {
   using node = typename T::node_type;
   const std::uint32_t n_agents = cfg.num_agents;
+  const std::uint32_t n_shards = plan.num_shards();
   ANTDENSE_CHECK(initial_positions == nullptr ||
                      initial_positions->size() == n_agents,
                  "initial positions must match agent count");
-
-  const ShardPlan plan = ShardPlan::make(n_agents, exec.shard_size);
-  const std::uint32_t n_shards = plan.num_shards();
-  unsigned threads =
-      exec.threads == 0 ? util::default_thread_count() : exec.threads;
-  threads = std::min<unsigned>(threads, n_shards);
-
-  std::vector<rng::Xoshiro256pp> gens;
-  gens.reserve(n_shards);
-  for (std::uint32_t s = 0; s < n_shards; ++s) {
-    gens.emplace_back(rng::derive_stream(stream_seed, s));
-  }
+  const bool concurrent = threads > 1;
+  ANTDENSE_ASSERT(gens.size() == n_shards, "one generator per shard");
+  ANTDENSE_ASSERT(!concurrent || phases.step == phases.count,
+                  "the concurrent path books step and count as one phase");
 
   // Placement draws come from each shard's own stream, so placement is
   // as thread-count-invariant as the walk itself.
@@ -140,14 +177,15 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
   std::vector<std::uint64_t> keys(n_agents);
   ConcurrentCollisionCounter counter(n_agents);
   const bool lazy = cfg.lazy_probability > 0.0;
-  const bool concurrent = threads > 1;
 
-  // Dynamics plumbing (see run_walk_single): mutation is SERIAL, between
-  // rounds, on its own domain-tagged stream; move rewriting and masked
-  // counting run per shard (const, deterministic, disjoint ranges), so
-  // thread-count invariance holds with dynamics enabled.
-  constexpr bool kDynCapable =
-      std::is_same_v<typename T::node_type, std::uint64_t>;
+  // Dynamics plumbing (sim/dynamics.hpp): dormant — null model, no
+  // copies, per-round branches only — for static walks, whose streams
+  // stay bit-identical to their goldens.  Mutation is SERIAL, between
+  // rounds, on its own domain-tagged stream that never touches the
+  // shard streams; move rewriting and masked counting run per shard
+  // (const, deterministic, disjoint ranges), so thread-count invariance
+  // holds with dynamics enabled.
+  constexpr bool kDynCapable = std::is_same_v<node, std::uint64_t>;
   WorldDynamics* dyn = cfg.dynamics;
   if constexpr (!kDynCapable) {
     ANTDENSE_CHECK(dyn == nullptr,
@@ -164,11 +202,6 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
           : 0);
   std::vector<node> prev(rewrites ? n_agents : 0);
 
-  // Resolved on the caller thread; phase spans wrap the serial seams
-  // around the two parallel phases (no new barriers), while striped
-  // counter adds inside phase A come from the workers themselves.
-  obs::EngineTap tap("sharded", {"step_count", "observe", "mutate"});
-
   std::uint32_t round = 0;
   const auto make_view = [&](std::uint32_t s) {
     return ShardRoundView{round,
@@ -181,20 +214,21 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
                           concurrent};
   };
 
-  // Phase A: step, key, count, fill — everything that writes this
-  // round's occupancy.
-  const auto phase_a = [&](std::size_t shard) {
-    const auto s = static_cast<std::uint32_t>(shard);
+  // Step: the shard's draws, then the dynamics rewrite of blocked moves.
+  const auto step_shard = [&](std::uint32_t s) {
     const std::uint32_t b = plan.begin(s);
     const std::uint32_t e = plan.end(s);
     rng::Xoshiro256pp& gen = gens[s];
     if constexpr (kDynCapable) {
       if (rewrites) {
-        // Disjoint slice per shard: the pre-step snapshot is race-free.
+        // Taken after the mutation tick, which may relocate evicted or
+        // reborn agents.  Disjoint slice per shard: race-free.
         std::copy(pos.begin() + b, pos.begin() + e, prev.begin() + b);
       }
     }
     if (lazy) {
+      // Interleaved stay/step draws — must match the legacy stream, so
+      // no batching here.
       for (std::uint32_t i = b; i < e; ++i) {
         if (!rng::bernoulli(gen, cfg.lazy_probability)) {
           pos[i] = topo.random_neighbor(pos[i], gen);
@@ -207,9 +241,19 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
     }
     if constexpr (kDynCapable) {
       if (rewrites) {
-        dyn->rewrite_moves(prev, pos, keys, b, e);  // keys the slice too
+        // Deterministic post-step veto/deflection of moves blocked by
+        // the mutated world: the shard stream drew the step exactly as
+        // the static walk would have.  Keys the slice for the count.
+        dyn->rewrite_moves(prev, pos, keys, b, e);
       }
     }
+  };
+
+  // Count: key, count and fill — everything that writes this round's
+  // occupancy.
+  const auto count_shard = [&](std::uint32_t s) {
+    const std::uint32_t b = plan.begin(s);
+    const std::uint32_t e = plan.end(s);
     if (!rewrites) {
       graph::node_keys(topo, std::span<const node>(pos).subspan(b, e - b),
                        std::span<std::uint64_t>(keys).subspan(b, e - b));
@@ -241,66 +285,114 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
     // and the total is Σ shard sizes — exact for any thread count.
     tap.add_agent_steps(e - b);
     const ShardRoundView view = make_view(s);
-    (detail::notify_fill(observers, view, std::span<const node>(pos)), ...);
+    (notify_fill(observers, view, std::span<const node>(pos)), ...);
   };
 
-  // Phase B: observer reads of the completed round.
-  const auto phase_b = [&](std::size_t shard) {
-    const auto s = static_cast<std::uint32_t>(shard);
+  // Observe: observer reads of the completed round.
+  const auto observe_shard = [&](std::uint32_t s) {
     const ShardRoundView view = make_view(s);
-    (detail::notify_after_round(observers, view, std::span<const node>(pos)),
-     ...);
+    (notify_after_round(observers, view, std::span<const node>(pos)), ...);
   };
 
   // The pool outlives the round loop: each phase is a condvar wake, not
-  // a thread spawn.  The single-thread path allocates no pool and runs
-  // the same shards in the same order, so its output is identical.
-  // The phase lambdas are wrapped in std::function once, here — doing
-  // it per run() call would heap-allocate twice per round.
+  // a thread spawn.  The phase lambdas are wrapped in std::function
+  // once, here — doing it per run() call would heap-allocate twice per
+  // round.
   std::unique_ptr<util::WorkerPool> pool;
-  std::function<void(std::size_t)> phase_a_fn;
-  std::function<void(std::size_t)> phase_b_fn;
+  std::function<void(std::size_t)> step_count_fn;
+  std::function<void(std::size_t)> observe_fn;
   if (concurrent) {
     pool = std::make_unique<util::WorkerPool>(threads);
-    phase_a_fn = phase_a;
-    phase_b_fn = phase_b;
+    step_count_fn = [&](std::size_t s) {
+      step_shard(static_cast<std::uint32_t>(s));
+      count_shard(static_cast<std::uint32_t>(s));
+    };
+    observe_fn = [&](std::size_t s) {
+      observe_shard(static_cast<std::uint32_t>(s));
+    };
   }
 
   for (round = 1; round <= cfg.rounds; ++round) {
     counter.begin_round();
     if constexpr (kDynCapable) {
+      // The world is pristine in round 1 (the tick runs *between*
+      // rounds), and identical for any thread count by construction.
       if (dyn != nullptr && round > 1) {
-        // Serial mutation tick between rounds, on the mutation stream —
-        // identical for any thread count by construction.
-        const obs::EngineTap::PhaseSpan phase(tap, 2);
+        const obs::EngineTap::PhaseSpan phase(tap, phases.mutate);
         dyn->mutate(round, mut_gen, std::span<std::uint64_t>(pos),
                     std::span<const std::uint64_t>(keys));
       }
     }
-    (detail::notify_begin_round(observers, round), ...);
-    {
-      const obs::EngineTap::PhaseSpan phase(tap, 0);
-      if (concurrent) {
-        pool->run(n_shards, phase_a_fn);
-      } else {
+    (notify_begin_round(observers, round), ...);
+    if (concurrent) {
+      const obs::EngineTap::PhaseSpan phase(tap, phases.step);
+      pool->run(n_shards, step_count_fn);
+    } else if (phases.step == phases.count) {
+      const obs::EngineTap::PhaseSpan phase(tap, phases.step);
+      for (std::uint32_t s = 0; s < n_shards; ++s) {
+        step_shard(s);
+        count_shard(s);
+      }
+    } else {
+      // Step every shard, then count every shard, so the count phase is
+      // timed apart; each shard still makes the same draws in the same
+      // order.
+      {
+        const obs::EngineTap::PhaseSpan phase(tap, phases.step);
         for (std::uint32_t s = 0; s < n_shards; ++s) {
-          phase_a(s);
+          step_shard(s);
         }
+      }
+      const obs::EngineTap::PhaseSpan phase(tap, phases.count);
+      for (std::uint32_t s = 0; s < n_shards; ++s) {
+        count_shard(s);
       }
     }
     {
-      const obs::EngineTap::PhaseSpan phase(tap, 1);
+      const obs::EngineTap::PhaseSpan phase(tap, phases.observe);
       if (concurrent) {
-        pool->run(n_shards, phase_b_fn);
+        pool->run(n_shards, observe_fn);
       } else {
         for (std::uint32_t s = 0; s < n_shards; ++s) {
-          phase_b(s);
+          observe_shard(s);
         }
       }
     }
-    (detail::notify_end_round(observers, round), ...);
+    (notify_end_round(observers, round), ...);
   }
   tap.add_rounds(cfg.rounds);
+}
+
+}  // namespace detail
+
+/// Runs the sharded engine: the shard loop over `exec.shard_size`-agent
+/// shards on derive_stream(stream_seed, s) generators.  after_round/fill
+/// hooks fire once per shard per round, concurrently across shards, and
+/// must only write state for agents in the view's range.  Deterministic
+/// in (stream_seed, cfg, exec.shard_size) for any exec.threads.
+template <graph::Topology T, class... Obs>
+void run_walk_sharded(const T& topo, const WalkConfig& cfg,
+                      std::uint64_t stream_seed, const ShardExec& exec,
+                      const std::vector<typename T::node_type>*
+                          initial_positions,
+                      Obs&... observers) {
+  cfg.validate();
+  const ShardPlan plan = ShardPlan::make(cfg.num_agents, exec.shard_size);
+  std::vector<rng::Xoshiro256pp> gens;
+  gens.reserve(plan.num_shards());
+  for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
+    gens.emplace_back(rng::derive_stream(stream_seed, s));
+  }
+  const unsigned threads = std::min<unsigned>(
+      exec.threads == 0 ? util::default_thread_count() : exec.threads,
+      plan.num_shards());
+  // Resolved on the caller thread; phase spans wrap the serial seams
+  // around the parallel phases (no new barriers), while striped counter
+  // adds inside them come from the workers themselves.
+  obs::EngineTap tap("sharded", {"step_count", "observe", "mutate"});
+  detail::run_shard_loop(topo, cfg, stream_seed, plan, std::move(gens),
+                         threads, tap, detail::kShardedPhases,
+                         initial_positions, observers...);
 }
 
 }  // namespace antdense::sim

@@ -1,6 +1,6 @@
 // Running-estimate trajectories: Algorithm 1 is an *anytime* algorithm —
 // the estimate c/r is valid after every round r.  This driver composes
-// the shared walk engine with a CollisionObserver (accumulates counts)
+// the single engine with a CollisionObserver (accumulates counts)
 // and a TrajectoryObserver (snapshots running estimates at checkpoints),
 // powering the convergence-profile experiments and the quorum-sensing
 // example's decision-latency analysis.
@@ -11,6 +11,7 @@
 
 #include "graph/topology.hpp"
 #include "rng/splitmix64.hpp"
+#include "sim/density_sim.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/check.hpp"
 
@@ -43,10 +44,9 @@ TrajectoryResult run_trajectory(const T& topo, std::uint32_t num_agents,
   cfg.num_agents = num_agents;
   cfg.rounds = checkpoints.back();
   // Pack order matters: counts must update before trajectory reads them.
-  run_walk_single(
-      topo, cfg, rng::derive_seed(seed, 0x7124u),
-      static_cast<const std::vector<typename T::node_type>*>(nullptr), counts,
-      trajectory);
+  run_walk(topo, cfg, rng::derive_seed(seed, 0x7124u), SingleExec{},
+           static_cast<const std::vector<typename T::node_type>*>(nullptr),
+           counts, trajectory);
 
   TrajectoryResult result;
   result.checkpoints = trajectory.checkpoints();

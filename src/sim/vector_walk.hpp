@@ -1,7 +1,8 @@
 // The vector walk engine — the third identity-bearing engine variant
-// (engine=vector beside single and sharded): the same synchronous round
-// structure as run_walk_single, driven by wide batched randomness and
-// vectorized kernels instead of per-agent scalar generator calls.
+// (engine=vector beside single and sharded) and the second round loop
+// beside the shard loop (sim/sharded_walk.hpp): the same synchronous
+// round structure as engine=single, driven by wide batched randomness
+// and vectorized kernels instead of per-agent scalar generator calls.
 //
 // What changes relative to engine=single, and why it re-goldens:
 //   - The draw source is a rng::WideStream — kWideLanes xoshiro256++
@@ -27,9 +28,11 @@
 //     separated.
 //
 // Observer hooks, pack order, and view semantics are exactly
-// run_walk_single's; the view's counter type is whichever counter the walk
-// selected, so observers templated on the view (all in-tree observers)
-// work unchanged.
+// engine=single's (one view of the whole population per round), except
+// that begin_round hooks run after the step, with the other hooks; the
+// view's counter type is whichever counter the walk selected, so
+// observers templated on the view (all in-tree observers) work
+// unchanged.
 #pragma once
 
 #include <cstdint>

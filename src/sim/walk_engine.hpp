@@ -1,56 +1,38 @@
-// The single-stream synchronous round loop (Musco, Su & Lynch, PODC
-// 2016, arXiv:1603.02981, Algorithm 1) and the observers every workload
-// plugs into it — density estimation, two-class property counting,
-// trajectory recording, local-density profiling.  The sharded and
-// vector engines (sim/sharded_walk.hpp, sim/vector_walk.hpp) run the
-// same observers; sim::run_walk (sim/density_sim.hpp) picks the engine.
+// What every round loop plugs into (Musco, Su & Lynch, PODC 2016,
+// arXiv:1603.02981, Algorithm 1): the movement config, the per-round
+// view, and the observers every workload is built from — density
+// estimation, two-class property counting, trajectory recording,
+// local-density profiling.  Two round loops drive them: the shard loop
+// (sim/sharded_walk.hpp), behind engine=single and engine=sharded, and
+// the vector loop (sim/vector_walk.hpp); sim::run_walk
+// (sim/density_sim.hpp) picks one.
 //
-// Structure of one round (identical to the original loops):
-//   0. when a dynamics model is attached (sim/dynamics.hpp) and r >= 2:
-//      the world mutates on its own domain-tagged RNG stream — the
-//      walk stream below never changes, so static configs stay
-//      bit-identical to their goldens;
-//   1. counter.begin_round()
-//   2. every agent steps: the batched topology API when the walk is not
-//      lazy (graph::random_neighbors — same generator stream as
-//      sequential calls), the legacy per-agent Bernoulli/step loop when
-//      it is;
-//   3. keys are recomputed and the occupancy counter filled;
-//   4. observer hooks fire, in pack order: begin_round (serial setup),
-//      fill (auxiliary occupancy counting), after_round (per-agent
-//      reads, seeing the round's keys, the occupancy counter, the
-//      positions if asked for, and the generator for noise draws), and
-//      end_round (cross-agent snapshots).
-//
-// Observers are a compile-time pack, so the round loop inlines their
-// hooks with zero dispatch cost — the engine with a single
-// CollisionObserver compiles to the same code shape as the original
-// run_density_walk.  Generator-stream compatibility with the legacy
-// loops is part of the contract (tests/test_walk_engine.cpp pins it
-// bit-for-bit); the one deliberate re-golden is the detection-miss path,
-// which now uses a single binomial draw per agent (rng::binomial)
-// instead of a per-partner Bernoulli loop.
+// Observers are a compile-time pack, so a loop inlines their hooks with
+// zero dispatch cost.  Hooks fire in pack order each round: begin_round
+// (serial setup), fill (auxiliary occupancy counting), after_round
+// (per-agent reads, seeing the round's keys, the occupancy counter, the
+// positions if asked for, and the generator for noise draws), and
+// end_round (cross-agent snapshots).  Generator-stream compatibility of
+// engine=single with the pre-engine loops is part of the contract
+// (tests/test_walk_engine.cpp pins it bit-for-bit); the one deliberate
+// re-golden is the detection-miss path, which now uses a single
+// binomial draw per agent (rng::binomial) instead of a per-partner
+// Bernoulli loop.
 //
 // The hooks work on a *view* that names an agent range [begin_agent,
-// end_agent): run_walk_single always passes the full population, while
-// the sharded engine (sim/sharded_walk.hpp) drives the same observers one
-// shard at a time, against a concurrent counter and per-shard
-// generators.  Observer state indexed by agent id is therefore written
-// in disjoint slices, which is what makes the sharded merge free and
-// thread-count-invariant.
+// end_agent): one shard of the population, which is all of it under
+// engine=single and the vector engine.  Observer state indexed by agent
+// id is therefore written in disjoint slices, which is what makes the
+// sharded merge free and thread-count-invariant.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
-#include "graph/topology.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/random.hpp"
-#include "rng/stream.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "sim/collision_counter.hpp"
 #include "sim/concurrent_counter.hpp"
 #include "sim/dynamics.hpp"
 #include "util/check.hpp"
@@ -75,9 +57,10 @@ struct WalkConfig {
 /// What an observer sees at the end of each round.  Everything is a view
 /// into engine state; observers must not hold onto it past the call.
 /// `gen` is the generator whose draws are reproducible for this view's
-/// agent range — the engine's single stream in run_walk_single, the
-/// shard's private stream in run_walk_sharded.  Observers that draw from it
-/// (noise models) become part of the reproducible stream, in pack order.
+/// agent range — the shard's stream in the shard loop (the stream seed
+/// itself under engine=single), the observer stream in the vector loop.
+/// Observers that draw from it (noise models) become part of the
+/// reproducible stream, in pack order.
 /// Hooks must only write observer state belonging to agents in
 /// [begin_agent, end_agent); the sharded engine runs hooks for distinct
 /// ranges concurrently.
@@ -95,8 +78,7 @@ struct BasicRoundView {
   bool concurrent_fill = false;
 };
 
-using RoundView = BasicRoundView<CollisionCounter>;
-/// The sharded engine's view: same shape, lock-free counter.
+/// The shard loop's view (engine=single and engine=sharded).
 using ShardRoundView = BasicRoundView<ConcurrentCollisionCounter>;
 
 /// An observer is any type with at least one per-round hook:
@@ -105,12 +87,11 @@ using ShardRoundView = BasicRoundView<ConcurrentCollisionCounter>;
 /// (round)` (serial, before the round's fills) and `fill(view)`
 /// (auxiliary occupancy counting between stepping and after_round).
 ///
-/// The concept is checked against the *actual* view type each engine
-/// passes (RoundView for run_walk_single, ShardRoundView for
-/// run_walk_sharded):
-/// the notify helpers skip hooks a view type cannot call, so without
-/// this check an observer written against the wrong view would compile
-/// and silently record nothing.
+/// The concept is checked against the *actual* view type each loop
+/// passes (ShardRoundView in the shard loop, both vector views in the
+/// vector loop): the notify helpers skip hooks a view type cannot call,
+/// so without this check an observer written against the wrong view
+/// would compile and silently record nothing.
 template <typename O, typename Node, typename View>
 concept WalkObserverForView =
     requires(O& o, const View& v, std::span<const Node> pos,
@@ -119,9 +100,6 @@ concept WalkObserverForView =
                    requires { o.after_round(v, pos); } ||
                    requires { o.end_round(round); };
     };
-
-template <typename O, typename Node>
-concept WalkObserverFor = WalkObserverForView<O, Node, RoundView>;
 
 /// Per-agent cumulative collision counts — Algorithm 1's `c`, with the
 /// Section 6.1 sensing perturbations (detection misses, spurious
@@ -373,144 +351,5 @@ inline void notify_end_round(Obs& obs, std::uint32_t round) {
 }
 
 }  // namespace detail
-
-/// Runs the synchronous round loop: place agents (uniform i.i.d., or the
-/// caller's `initial_positions`), step them `cfg.rounds` times, fill the
-/// occupancy counter, and fire every observer hook after each round.
-/// `stream_seed` seeds the generator directly — callers that expose a
-/// user-facing seed derive their own stream tag first (see
-/// run_density_walk).  Deterministic in `stream_seed`.
-template <graph::Topology T, class... Obs>
-  requires(WalkObserverFor<Obs, typename T::node_type> && ...)
-void run_walk_single(
-    const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
-    const std::vector<typename T::node_type>* initial_positions,
-    Obs&... observers) {
-  cfg.validate();
-  using node = typename T::node_type;
-  const std::uint32_t n_agents = cfg.num_agents;
-  ANTDENSE_CHECK(initial_positions == nullptr ||
-                     initial_positions->size() == n_agents,
-                 "initial positions must match agent count");
-
-  rng::Xoshiro256pp gen(stream_seed);
-  std::vector<node> pos(n_agents);
-  if (initial_positions != nullptr) {
-    pos = *initial_positions;
-  } else {
-    for (auto& p : pos) {
-      p = topo.random_node(gen);
-    }
-  }
-
-  std::vector<std::uint64_t> keys(n_agents);
-  CollisionCounter counter(n_agents);
-  const bool lazy = cfg.lazy_probability > 0.0;
-
-  // Dynamics plumbing (sim/dynamics.hpp): dormant — null model, no
-  // copies, per-round branches only — for static walks, whose stream
-  // and output stay bit-identical to the historical goldens.  The
-  // mutation generator is its own domain-tagged stream; the walk
-  // stream `gen` is never touched by dynamics.
-  constexpr bool kDynCapable = std::is_same_v<node, std::uint64_t>;
-  WorldDynamics* dyn = cfg.dynamics;
-  if constexpr (!kDynCapable) {
-    ANTDENSE_CHECK(dyn == nullptr,
-                   "dynamics models require a uint64-node topology "
-                   "(run via graph::AnyTopology)");
-    dyn = nullptr;
-  }
-  const bool rewrites = dyn != nullptr && dyn->rewrites_moves();
-  const std::uint8_t* const count_mask =
-      dyn != nullptr ? dyn->count_mask() : nullptr;
-  rng::Xoshiro256pp mut_gen(
-      dyn != nullptr
-          ? rng::derive_mutation_stream(stream_seed, dyn->model_seed())
-          : 0);
-  std::vector<node> prev;
-
-  obs::EngineTap tap("single", {"step", "count", "observe", "mutate"});
-  for (std::uint32_t r = 1; r <= cfg.rounds; ++r) {
-    counter.begin_round();
-    if constexpr (kDynCapable) {
-      // The world is pristine in round 1 (the mutation phase runs
-      // *between* rounds).
-      if (dyn != nullptr && r > 1) {
-        const obs::EngineTap::PhaseSpan phase(tap, 3);
-        dyn->mutate(r, mut_gen, std::span<std::uint64_t>(pos),
-                    std::span<const std::uint64_t>(keys));
-      }
-    }
-    {
-      // The step phase books the move rewrite and its snapshot too, as
-      // the sharded engine's step_count does.
-      const obs::EngineTap::PhaseSpan phase(tap, 0);
-      if constexpr (kDynCapable) {
-        // Mutation may relocate evicted or reborn agents, so the
-        // pre-step snapshot is taken after it.
-        if (rewrites) {
-          prev = pos;
-        }
-      }
-      if (lazy) {
-        // Interleaved stay/step draws — must match the legacy stream,
-        // so no batching here.
-        for (std::uint32_t i = 0; i < n_agents; ++i) {
-          if (!rng::bernoulli(gen, cfg.lazy_probability)) {
-            pos[i] = topo.random_neighbor(pos[i], gen);
-          }
-        }
-      } else {
-        graph::random_neighbors(topo, std::span<const node>(pos),
-                                std::span<node>(pos), gen);
-      }
-      if constexpr (kDynCapable) {
-        if (rewrites) {
-          // Deterministic post-step veto/deflection of moves blocked by
-          // the mutated world: the walk stream drew the step exactly as
-          // the static engine would have.  The rewrite keys the final
-          // positions for the count phase.
-          dyn->rewrite_moves(prev, pos, keys, 0, n_agents);
-        }
-      }
-    }
-    {
-      const obs::EngineTap::PhaseSpan phase(tap, 1);
-      if (!rewrites) {
-        graph::node_keys(topo, std::span<const node>(pos),
-                         std::span<std::uint64_t>(keys));
-      }
-      if (count_mask != nullptr) {
-        for (std::uint32_t i = 0; i < n_agents; ++i) {
-          if (count_mask[i] != 0) {
-            counter.add(keys[i]);
-          }
-        }
-      } else {
-        for (std::uint32_t i = 0; i < n_agents; ++i) {
-          counter.add(keys[i]);
-        }
-      }
-    }
-    const RoundView view{r,
-                         0,
-                         n_agents,
-                         n_agents,
-                         std::span<const std::uint64_t>(keys),
-                         counter,
-                         gen,
-                         /*concurrent_fill=*/false};
-    const std::span<const node> positions(pos);
-    {
-      const obs::EngineTap::PhaseSpan phase(tap, 2);
-      (detail::notify_begin_round(observers, r), ...);
-      (detail::notify_fill(observers, view, positions), ...);
-      (detail::notify_after_round(observers, view, positions), ...);
-      (detail::notify_end_round(observers, r), ...);
-    }
-  }
-  tap.add_rounds(cfg.rounds);
-  tap.add_agent_steps(static_cast<std::uint64_t>(cfg.rounds) * n_agents);
-}
 
 }  // namespace antdense::sim

@@ -354,14 +354,15 @@ TEST(DriftDynamics, CollisionObserverDropsTheDeadAndRestartsTheReborn) {
                                  std::uint32_t round,
                                  const std::vector<std::uint64_t>& keys) {
     const auto n = static_cast<std::uint32_t>(keys.size());
-    sim::CollisionCounter counter(n);
+    sim::ConcurrentCollisionCounter counter(n);
     counter.begin_round();
     for (std::uint32_t i = 0; i < n; ++i) {
       if (drift.count_mask()[i] != 0) {
         counter.add(keys[i]);
       }
     }
-    observer.after_round(sim::RoundView{round, 0, n, n, keys, counter, gen});
+    observer.after_round(
+        sim::ShardRoundView{round, 0, n, n, keys, counter, gen});
   };
 
   // Every slot dies after round 1 and is reborn at round 3.

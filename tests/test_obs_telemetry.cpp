@@ -6,8 +6,9 @@
 //  2. Exactness — the striped counters lose nothing: sharded-engine
 //     totals are exact and invariant across thread counts, and the
 //     collision counter reconciles against the observer's own output.
-//  3. Coverage — every phase of a round is booked once per round, a
-//     dynamic world's move rewrite included.
+//  3. Coverage — every phase of a round is booked once per round, in
+//     its engine's own phase layout, a dynamic world's move rewrite
+//     included.
 #include "obs/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "graph/any_topology.hpp"
 #include "graph/ring.hpp"
@@ -153,21 +155,68 @@ HistogramSnapshot phase(MetricsRegistry& metrics, const char* engine,
       .snapshot();
 }
 
-TEST(ObsTelemetry, ChurnRunBooksEachPhaseOncePerRound) {
-  scenario::ScenarioSpec spec = small_spec(scenario::EngineMode::kSingleStream);
-  spec.trials = 1;
-  spec.dynamics = "churn:p_edge=0.05,p_fail=0.02";
-  MetricsRegistry metrics;
-  Telemetry telemetry{&metrics, nullptr};
-  {
-    ScopedTelemetry ambient(&telemetry);
-    scenario::Experiment(spec).run();
+TEST(ObsTelemetry, EachEngineBooksItsPhaseLayoutOncePerRound) {
+  // engine=single books step, count and observe apart; engine=sharded
+  // books step and count as one step_count phase at every thread count,
+  // on the serial path (threads 1) and the pool (threads 2 over three
+  // shards) alike.  Neither layout's names may appear under the other
+  // engine.  Churn exercises the mutate phase and the move rewrite,
+  // property a fill hook.
+  const graph::AnyTopology topo{graph::Ring(128)};
+  sim::DensityConfig cfg;
+  cfg.num_agents = 24;
+  cfg.rounds = 30;
+  const std::vector<bool> carriers =
+      sim::draw_property_carriers(cfg.num_agents, 8, 3);
+  const struct {
+    const char* label;
+    const char* engine;
+    std::vector<const char*> phases;
+    std::vector<const char*> foreign;
+    sim::Exec exec;
+  } engines[] = {
+      {"single", "single", {"step", "count", "observe"}, {"step_count"},
+       sim::SingleExec{}},
+      {"sharded/t1", "sharded", {"step_count", "observe"}, {"step", "count"},
+       sim::ShardExec{.threads = 1, .shard_size = 8}},
+      {"sharded/t2", "sharded", {"step_count", "observe"}, {"step", "count"},
+       sim::ShardExec{.threads = 2, .shard_size = 8}},
+  };
+  for (const auto& e : engines) {
+    for (const bool churn : {true, false}) {
+      const std::string cell =
+          std::string(e.label) + (churn ? " churn" : " property");
+      MetricsRegistry metrics;
+      Telemetry telemetry{&metrics, nullptr};
+      {
+        ScopedTelemetry ambient(&telemetry);
+        if (churn) {
+          sim::ChurnDynamics model(topo, /*p_edge=*/0.05, /*p_fail=*/0.02,
+                                   /*mean_down=*/8, /*seed=*/1);
+          sim::run_dynamic_density_walk(topo, cfg, model, 5, e.exec);
+        } else {
+          sim::run_property_walk(topo, cfg, carriers, 5, e.exec);
+        }
+      }
+      const util::JsonValue snapshot = metrics.to_json();
+      const auto registered = [&](const char* name) {
+        return snapshot.find("antdense_engine_phase_seconds" +
+                             format_labels({{"engine", e.engine},
+                                            {"phase", name}})) != nullptr;
+      };
+      for (const char* name : e.foreign) {
+        EXPECT_FALSE(registered(name)) << cell << ": " << name;
+      }
+      for (const char* name : e.phases) {
+        EXPECT_TRUE(registered(name)) << cell << ": " << name;
+        EXPECT_EQ(phase(metrics, e.engine, name).count, cfg.rounds)
+            << cell << ": " << name;
+      }
+      EXPECT_EQ(phase(metrics, e.engine, "mutate").count,
+                churn ? cfg.rounds - 1 : 0)
+          << cell << ": the world is pristine in round 1";
+    }
   }
-  for (const char* name : {"step", "count", "observe"}) {
-    EXPECT_EQ(phase(metrics, "single", name).count, spec.rounds) << name;
-  }
-  EXPECT_EQ(phase(metrics, "single", "mutate").count, spec.rounds - 1)
-      << "the world is pristine in round 1";
 }
 
 /// A model whose only cost is a fixed wait inside rewrite_moves, which

@@ -118,6 +118,33 @@ TEST(ConcurrentCounter, EpochInvalidatesPreviousRound) {
   EXPECT_EQ(counter.occupancy(5), 1u);
 }
 
+TEST(ConcurrentCounter, EpochWrapResetsStaleSlots) {
+  // The epoch space holds 2^31 - 1 rounds.  Key 3 is stamped with
+  // epoch 1, the epoch the counter restarts at after the wrap, so a
+  // wrap without a reset would count it twice.
+  ConcurrentCollisionCounter counter(8);
+  counter.begin_round();
+  counter.add_serial(3);
+  constexpr std::uint32_t kLastEpoch = 0x7FFFFFFFu;
+  for (std::uint32_t round = 2; round <= kLastEpoch; ++round) {
+    counter.begin_round();
+  }
+  counter.add_serial(9);
+  counter.add(9);
+  EXPECT_EQ(counter.occupancy(9), 2u);
+
+  counter.begin_round();  // wraps
+  EXPECT_EQ(counter.occupancy(9), 0u) << "a key from before the wrap";
+  EXPECT_EQ(counter.occupancy(3), 0u) << "a key stamped with epoch 1";
+  counter.add_serial(3);
+  counter.add(3);
+  counter.add_serial(9);
+  EXPECT_EQ(counter.occupancy(3), 2u);
+  EXPECT_EQ(counter.occupancy(9), 1u);
+  counter.begin_round();
+  EXPECT_EQ(counter.occupancy(3), 0u);
+}
+
 // --- Thread-count invariance, all topology families -------------------
 
 template <graph::Topology T>

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/biased_torus2d.hpp"
@@ -268,20 +269,20 @@ TEST(WalkEngine, ComposedObserversMatchSeparateRuns) {
   CollisionObserver collisions(kAgents);
   PropertyObserver properties(has_property);
   constexpr std::uint64_t kStreamSeed = 0xABCDEFull;
-  run_walk_single(torus, cfg, kStreamSeed,
-                  static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
-                  collisions, properties);
+  run_walk(torus, cfg, kStreamSeed, SingleExec{},
+           static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
+           collisions, properties);
 
   CollisionObserver collisions_only(kAgents);
-  run_walk_single(torus, cfg, kStreamSeed,
-                  static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
-                  collisions_only);
+  run_walk(torus, cfg, kStreamSeed, SingleExec{},
+           static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
+           collisions_only);
   EXPECT_EQ(collisions.counts(), collisions_only.counts());
 
   PropertyObserver properties_only(has_property);
-  run_walk_single(torus, cfg, kStreamSeed,
-                  static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
-                  properties_only);
+  run_walk(torus, cfg, kStreamSeed, SingleExec{},
+           static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
+           properties_only);
   EXPECT_EQ(properties.total_counts(), properties_only.total_counts());
   EXPECT_EQ(properties.property_counts(),
             properties_only.property_counts());
@@ -338,6 +339,26 @@ TEST(LocalDensityProfile, DeterministicInSeed) {
   const LocalDensityProfile b =
       run_local_density_profile(torus, 20, 3, {4, 16}, 5);
   EXPECT_EQ(a.densities, b.densities);
+}
+
+TEST(LocalDensityProfile, ObserverNeedsTheWholePopulationInOneView) {
+  // The observer snapshots every agent per call, so a multi-shard walk
+  // is rejected instead of recording one row per shard.
+  const Torus2D torus(32, 32);
+  WalkConfig cfg;
+  cfg.num_agents = 20;
+  cfg.rounds = 4;
+  LocalDensityObserver one_shard(torus, 3, {2, 4});
+  run_walk(torus, cfg, 5, ShardExec{.threads = 1, .shard_size = 20},
+           static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
+           one_shard);
+  EXPECT_EQ(one_shard.densities().size(), 2u);
+  LocalDensityObserver sharded(torus, 3, {2, 4});
+  EXPECT_THROW(
+      run_walk(torus, cfg, 5, ShardExec{.threads = 1, .shard_size = 8},
+               static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
+               sharded),
+      std::invalid_argument);
 }
 
 }  // namespace
