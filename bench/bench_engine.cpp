@@ -2,14 +2,19 @@
 //
 // Times the frozen pre-engine round loop (sim/legacy_reference.hpp)
 // against the observer-based engine=single walk (the shard loop in
-// sim/sharded_walk.hpp, via the run_density_walk wrapper), against the vector engine
+// sim/sharded_walk.hpp, via the run_density_walk wrapper), against the
+// same walk with its occupancy counter pinned to the hash table
+// ("engine/hash": the shard loop instantiated on CollisionCounter, a
+// bench-only row, where engine=single counts in whichever counter
+// with_occupancy_counter picks — the dense array on every cell here),
+// against the vector engine
 // (sim/vector_walk.hpp: wide-lane RNG, branchless word kernels, dense
 // collision counting), and against the scalar engine driven through a
 // type-erased graph::AnyTopology handle (the scenario layer's hot
 // path), across agent counts and topologies, printing a ns/agent-round
 // table and writing the same records to a JSON artifact (default
 // BENCH_engine.json) for CI trending.  Every record stamps the host's
-// hardware_threads so perf numbers carry their context.
+// hardware_threads and avx2 so perf numbers carry their context.
 //
 // Besides the four explicit families, one cell per implicit family
 // (rgg2d / gnp / ba) rides along with a step budget scaled to its
@@ -30,15 +35,21 @@
 // consult the time-varying overlay on every move.
 //
 // CI's bench-smoke job runs this with --tiny and gates ratios between
-// rows of the same run, so runner speed cancels out:
-//   - vector/engine <= 0.6 on every ring/torus2d cell;
-//   - engine/legacy <= 1.05 on every ring/torus2d cell (dormant
+// rows of the same run, so runner speed cancels out.  The vector and
+// dormant-telemetry gates divide by engine/hash, which counts in a hash
+// table as the legacy loop does, so the counter choice cannot move
+// them:
+//   - vector/(engine/hash) <= 0.6 on every ring/torus2d cell;
+//   - (engine/hash)/legacy <= 1.05 on every ring/torus2d cell (dormant
 //     telemetry costs nothing);
+//   - engine/(engine/hash) <= 0.85 on every ring/torus2d cell (dense
+//     counting pays);
 //   - engine/legacy <= 0.1 on the ba cell (batched sampling);
 //   - any+dyn0/anytopology: geometric mean over the ring/torus2d cells
 //     <= 1.05, each cell <= 1.30;
 //   - any+churn/anytopology: geometric mean over the ring/torus2d
-//     cells <= 1.5.
+//     cells <= 1.85 (the overlay's ~9 ns/agent-round over a
+//     dense-counting walk).
 // engine+obs rows are trended, not gated.
 //
 // Flags:
@@ -52,6 +63,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -70,9 +82,13 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "rng/splitmix64.hpp"
+#include "rng/xoshiro256pp.hpp"
+#include "sim/collision_counter.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/dynamic_world.hpp"
 #include "sim/legacy_reference.hpp"
+#include "sim/sharded_walk.hpp"
 #include "sim/vector_walk.hpp"
 #include "util/table.hpp"
 
@@ -93,6 +109,7 @@ struct Cell {
   std::uint64_t rounds = 0;
   double legacy_ns = 0.0;
   double engine_ns = 0.0;
+  double engine_hash_ns = 0.0;  // engine on the hash counter
   double obs_ns = 0.0;  // engine with metrics + tracing ambient installed
   double vector_ns = 0.0;  // engine=vector (sim/vector_walk.hpp)
   double any_ns = 0.0;  // engine driven through graph::AnyTopology
@@ -100,6 +117,27 @@ struct Cell {
   double churn_ns = 0.0;  // AnyTopology engine + active churn model
   std::uint64_t peak_rss = 0;  // process high-water RSS after this cell
 };
+
+/// engine=single's density walk (sim::run_density_walk) with the shard
+/// loop instantiated on the hash CollisionCounter instead of the counter
+/// with_occupancy_counter picks: the same stream, hence the same counts.
+template <graph::Topology T>
+std::vector<std::uint64_t> run_single_on_hash(const T& topo,
+                                              const sim::DensityConfig& cfg,
+                                              std::uint64_t seed) {
+  sim::CollisionObserver observer(cfg.num_agents, cfg.noise());
+  const std::uint64_t stream_seed = rng::derive_seed(seed, 0x51u);
+  sim::CollisionCounter counter(cfg.num_agents);
+  obs::EngineTap tap("single", {"step", "count", "observe", "mutate"});
+  sim::detail::run_shard_loop(
+      topo, cfg.walk_config(), stream_seed,
+      sim::ShardPlan::make(cfg.num_agents, cfg.num_agents),
+      {rng::Xoshiro256pp(stream_seed)}, /*threads=*/1, tap,
+      sim::detail::kSinglePhases,
+      static_cast<const std::vector<typename T::node_type>*>(nullptr),
+      counter, observer);
+  return observer.take_counts();
+}
 
 /// Best-of-`reps` ns/agent-round for one stepping path.
 template <typename RunFn>
@@ -124,6 +162,19 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
   cfg.rounds = static_cast<std::uint32_t>(
       std::max<std::uint64_t>(1, budget / agents));
 
+  // The engine/hash row must time the engine's own walk: cross-check
+  // the counts at a reduced round count before timing.
+  {
+    sim::DensityConfig check_cfg = cfg;
+    check_cfg.rounds = std::max<std::uint32_t>(1, cfg.rounds / 16);
+    if (run_single_on_hash(topo, check_cfg, 0x5EED) !=
+        sim::run_density_walk(topo, check_cfg, 0x5EED).collision_counts) {
+      std::cerr << "FATAL: engine/hash counts diverged from engine ("
+                << topo.name() << ", " << agents << " agents)\n";
+      std::exit(1);
+    }
+  }
+
   Cell cell;
   cell.topology = topo.name();
   cell.agents = agents;
@@ -140,6 +191,11 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
       [&](std::uint64_t rep) {
         sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep)
                           .collision_counts[0];
+      },
+      agents, cfg.rounds, reps);
+  cell.engine_hash_ns = time_path(
+      [&](std::uint64_t rep) {
+        sink = sink + run_single_on_hash(topo, cfg, 0xBE7C + rep)[0];
       },
       agents, cfg.rounds, reps);
   // Same engine, full telemetry ambient: counters, phase histograms,
@@ -213,9 +269,10 @@ int main(int argc, char** argv) {
   bench::print_banner(
       "E-ENGINE",
       "unified WalkEngine vs the frozen legacy round loop vs AnyTopology",
-      "on ring/torus2d: vector <= 0.6x engine, engine <= 1.05x legacy "
-      "(dormant telemetry), any+dyn0 <= 1.05x anytopology (geomean; "
-      "1.30x per cell), any+churn <= 1.5x anytopology (geomean); "
+      "on ring/torus2d: vector <= 0.6x engine/hash, engine/hash <= 1.05x "
+      "legacy (dormant telemetry), engine <= 0.85x engine/hash, "
+      "any+dyn0 <= 1.05x anytopology (geomean; 1.30x per cell), "
+      "any+churn <= 1.85x anytopology (geomean); "
       "ba: engine <= 0.1x legacy; "
       "BENCH_engine.json parses");
 
@@ -272,23 +329,26 @@ int main(int argc, char** argv) {
   }
 
   util::Table table({"topology", "agents", "rounds", "legacy ns/step",
-                     "engine ns/step", "obs ns/step", "vector ns/step",
-                     "any ns/step", "dyn ns/step", "churn ns/step",
-                     "obs ratio", "vector ratio", "erasure overhead",
-                     "dyn overhead", "churn overhead", "peak rss MiB"});
+                     "engine ns/step", "hash ns/step", "obs ns/step",
+                     "vector ns/step", "any ns/step", "dyn ns/step",
+                     "churn ns/step", "counter gain", "obs ratio",
+                     "vector ratio", "erasure overhead", "dyn overhead",
+                     "churn overhead", "peak rss MiB"});
   std::vector<bench::BenchRecord> records;
   for (const Cell& c : cells) {
     table.add_row({c.topology, util::format_count(c.agents),
                    util::format_count(c.rounds),
                    util::format_fixed(c.legacy_ns, 2),
                    util::format_fixed(c.engine_ns, 2),
+                   util::format_fixed(c.engine_hash_ns, 2),
                    util::format_fixed(c.obs_ns, 2),
                    util::format_fixed(c.vector_ns, 2),
                    util::format_fixed(c.any_ns, 2),
                    util::format_fixed(c.dyn_ns, 2),
                    util::format_fixed(c.churn_ns, 2),
+                   util::format_fixed(c.engine_ns / c.engine_hash_ns, 3),
                    util::format_fixed(c.obs_ns / c.engine_ns, 3),
-                   util::format_fixed(c.vector_ns / c.engine_ns, 3),
+                   util::format_fixed(c.vector_ns / c.engine_hash_ns, 3),
                    util::format_fixed(c.any_ns / c.engine_ns, 3),
                    util::format_fixed(c.dyn_ns / c.any_ns, 3),
                    util::format_fixed(c.churn_ns / c.any_ns, 3),
@@ -308,6 +368,9 @@ int main(int argc, char** argv) {
     records.push_back(base);
     base.name = "engine";
     base.ns_per_agent_round = c.engine_ns;
+    records.push_back(base);
+    base.name = "engine/hash";
+    base.ns_per_agent_round = c.engine_hash_ns;
     records.push_back(base);
     base.name = "engine+obs";
     base.ns_per_agent_round = c.obs_ns;

@@ -5,7 +5,9 @@
 // regularity is what keeps uniformly-placed random walkers uniformly
 // distributed in every round (Lemma 2 relies on it).  Topologies are
 // value types; nodes are cheap handles with a packed 64-bit key used by
-// the collision counter.
+// the collision counter.  Keys are unique per node and lie in
+// [0, num_nodes()): the direct-addressed counter
+// (sim/dense_counter.hpp) indexes an array by them.
 //
 // Implemented models:
 //   Torus2D      — the paper's main model (Section 2)

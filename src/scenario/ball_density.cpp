@@ -1,8 +1,5 @@
 #include "scenario/ball_density.hpp"
 
-#include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "util/check.hpp"
@@ -17,71 +14,6 @@ BallDensityObserver::BallDensityObserver(
   ANTDENSE_CHECK(num_agents >= 1, "need at least one agent");
   densities_.assign(checkpoints_.size(),
                     std::vector<double>(num_agents, 0.0));
-}
-
-void BallDensityObserver::record(
-    std::uint32_t round, std::uint32_t begin_agent, std::uint32_t end_agent,
-    std::span<const std::uint64_t> positions,
-    const std::function<std::uint32_t(std::uint64_t)>& occupancy) {
-  const auto it =
-      std::lower_bound(checkpoints_.begin(), checkpoints_.end(), round);
-  if (it == checkpoints_.end() || *it != round) {
-    return;
-  }
-  std::vector<double>& row =
-      densities_[static_cast<std::size_t>(it - checkpoints_.begin())];
-  ANTDENSE_ASSERT(positions.size() == row.size(),
-                  "observer sized for a different agent count");
-
-  // Hook-local BFS scratch: nodes are deduplicated by key, which is
-  // unique per node for every Topology.  Co-located agents see the same
-  // ball, so density is memoized per occupied node (per hook call — one
-  // shard's slice under the sharded engine).
-  std::unordered_set<std::uint64_t> visited;
-  std::vector<std::uint64_t> frontier;
-  std::vector<std::uint64_t> next;
-  std::unordered_map<std::uint64_t, double> by_start_key;
-  for (std::uint32_t a = begin_agent; a < end_agent; ++a) {
-    const std::uint64_t start = positions[a];
-    const auto memo = by_start_key.find(topo_->key(start));
-    if (memo != by_start_key.end()) {
-      row[a] = memo->second;
-      continue;
-    }
-    visited.clear();
-    frontier.clear();
-    frontier.push_back(start);
-    visited.insert(topo_->key(start));
-    std::uint64_t occupants = occupancy(topo_->key(start));
-    for (std::uint32_t depth = 0; depth < radius_; ++depth) {
-      // Saturated: the ball already covers the graph (e.g. the complete
-      // graph at radius >= 1), so further expansion finds nothing new.
-      if (frontier.empty() || visited.size() == topo_->num_nodes()) {
-        break;
-      }
-      next.clear();
-      for (const std::uint64_t u : frontier) {
-        const std::size_t before = next.size();
-        topo_->append_neighbors(u, next);
-        // Keep only first-visited nodes in the next frontier.
-        std::size_t kept = before;
-        for (std::size_t i = before; i < next.size(); ++i) {
-          const std::uint64_t k = topo_->key(next[i]);
-          if (visited.insert(k).second) {
-            occupants += occupancy(k);
-            next[kept++] = next[i];
-          }
-        }
-        next.resize(kept);
-      }
-      frontier.swap(next);
-    }
-    // `occupants` counts the agent itself exactly once.
-    const double density = static_cast<double>(occupants - 1) /
-                           static_cast<double>(visited.size());
-    by_start_key.emplace(topo_->key(start), density);
-    row[a] = density;
-  }
 }
 
 }  // namespace antdense::scenario

@@ -63,6 +63,7 @@ using Exec = std::variant<SingleExec, ShardExec, VectorExec>;
 /// derive their own stream tag first).  Each engine is deterministic in
 /// its inputs; see the two loops for their stream contracts.
 template <graph::Topology T, class... Obs>
+  requires(WalkObserver<Obs, typename T::node_type> && ...)
 void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
               const Exec& exec,
               const std::vector<typename T::node_type>* initial_positions,
@@ -70,17 +71,20 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
   if (const auto* shard = std::get_if<ShardExec>(&exec)) {
     run_walk_sharded(topo, cfg, stream_seed, *shard, initial_positions,
                      observers...);
-  } else if (const auto* vec = std::get_if<VectorExec>(&exec)) {
-    run_walk_vector(topo, cfg, stream_seed, *vec, initial_positions,
-                    observers...);
+  } else if (std::holds_alternative<VectorExec>(exec)) {
+    run_walk_vector(topo, cfg, stream_seed, initial_positions, observers...);
   } else {
     cfg.validate();
     obs::EngineTap tap("single", {"step", "count", "observe", "mutate"});
-    detail::run_shard_loop(topo, cfg, stream_seed,
-                           ShardPlan::make(cfg.num_agents, cfg.num_agents),
-                           {rng::Xoshiro256pp(stream_seed)}, /*threads=*/1,
-                           tap, detail::kSinglePhases, initial_positions,
-                           observers...);
+    with_occupancy_counter(
+        topo.num_nodes(), cfg.num_agents, /*threads=*/1, [&](auto& counter) {
+          detail::run_shard_loop(
+              topo, cfg, stream_seed,
+              ShardPlan::make(cfg.num_agents, cfg.num_agents),
+              {rng::Xoshiro256pp(stream_seed)}, /*threads=*/1, tap,
+              detail::kSinglePhases, initial_positions, counter,
+              observers...);
+        });
   }
 }
 

@@ -17,9 +17,13 @@
 //      batched topology API (graph::random_neighbors, same stream as
 //      sequential calls), or the per-agent Bernoulli/step loop for a
 //      lazy walk — and a dynamics model rewrites blocked moves;
-//   3. count: keys are recomputed and the shared lock-free
-//      ConcurrentCollisionCounter filled (masked by the model's alive
-//      slots), then the fill hooks run (auxiliary occupancy counting);
+//   3. count: keys are recomputed and the round's occupancy counter
+//      filled (masked by the model's alive slots), then the fill hooks
+//      run (auxiliary occupancy counting).  The counter is the one
+//      with_occupancy_counter (sim/dense_counter.hpp) picks: the
+//      lock-free ConcurrentCollisionCounter when a worker pool fills it,
+//      otherwise the direct-addressed DenseCollisionCounter, or the hash
+//      CollisionCounter on sparse or huge substrates;
 //   4. observe: after_round hooks read the now-complete occupancy and
 //      write their own agents' slice — noise draws come from the shard
 //      stream, after the shard's step draws;
@@ -46,8 +50,8 @@
 // WalkConfig, shard plan, shard streams) — bit-identical for ANY thread
 // count, including 1, because the shard decomposition and each shard's
 // draw sequence never depend on scheduling, and occupancy is exact for
-// any insertion order.  Observer slices are laid out in shard order
-// within the shared arrays, so the "merge" is free.
+// any insertion order and in every counter.  Observer slices are laid
+// out in shard order within the shared arrays, so the "merge" is free.
 // tests/test_sharded_walk.cpp pins threads ∈ {1, 2, 8} equality across
 // every topology family and workload; tests/test_walk_engine.cpp pins
 // engine=single against the frozen pre-engine loops.
@@ -72,7 +76,7 @@
 #include "rng/random.hpp"
 #include "rng/stream.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "sim/concurrent_counter.hpp"
+#include "sim/dense_counter.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -136,12 +140,14 @@ inline constexpr PhaseLayout kSinglePhases{
 
 /// The shard round loop (see the header comment).  `gens[s]` is shard
 /// s's generator; `threads` > 1 runs each pass's shards on a worker
-/// pool, which needs a layout whose step and count share a span.  The
-/// entry points (run_walk_sharded here, the SingleExec branch of
-/// sim::run_walk) validate `cfg` and fix the plan, streams, thread
-/// count and phase layout.
-template <graph::Topology T, class... Obs>
-  requires(WalkObserverForView<Obs, typename T::node_type, ShardRoundView> &&
+/// pool, which needs a layout whose step and count share a span and the
+/// concurrent counter.  `counter` is fresh and holds the round's
+/// occupancy.  The entry points (run_walk_sharded here, the SingleExec
+/// branch of sim::run_walk) validate `cfg` and fix the plan, streams,
+/// thread count, phase layout and counter.
+template <graph::Topology T, typename Counter, class... Obs>
+  requires(WalkObserverForView<Obs, typename T::node_type,
+                               BasicRoundView<Counter>> &&
            ...)
 void run_shard_loop(const T& topo, const WalkConfig& cfg,
                     std::uint64_t stream_seed, const ShardPlan& plan,
@@ -149,7 +155,7 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
                     obs::EngineTap& tap, const PhaseLayout& phases,
                     const std::vector<typename T::node_type>*
                         initial_positions,
-                    Obs&... observers) {
+                    Counter& counter, Obs&... observers) {
   using node = typename T::node_type;
   const std::uint32_t n_agents = cfg.num_agents;
   const std::uint32_t n_shards = plan.num_shards();
@@ -160,6 +166,9 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
   ANTDENSE_ASSERT(gens.size() == n_shards, "one generator per shard");
   ANTDENSE_ASSERT(!concurrent || phases.step == phases.count,
                   "the concurrent path books step and count as one phase");
+  ANTDENSE_CHECK(
+      !concurrent || (std::is_same_v<Counter, ConcurrentCollisionCounter>),
+      "a worker pool needs the concurrent counter");
 
   // Placement draws come from each shard's own stream, so placement is
   // as thread-count-invariant as the walk itself.
@@ -175,7 +184,6 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
   }
 
   std::vector<std::uint64_t> keys(n_agents);
-  ConcurrentCollisionCounter counter(n_agents);
   const bool lazy = cfg.lazy_probability > 0.0;
 
   // Dynamics plumbing (sim/dynamics.hpp): dormant — null model, no
@@ -204,14 +212,14 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
 
   std::uint32_t round = 0;
   const auto make_view = [&](std::uint32_t s) {
-    return ShardRoundView{round,
-                          plan.begin(s),
-                          plan.end(s),
-                          n_agents,
-                          std::span<const std::uint64_t>(keys),
-                          counter,
-                          gens[s],
-                          concurrent};
+    return BasicRoundView<Counter>{round,
+                                   plan.begin(s),
+                                   plan.end(s),
+                                   n_agents,
+                                   std::span<const std::uint64_t>(keys),
+                                   counter,
+                                   gens[s],
+                                   concurrent};
   };
 
   // Step: the shard's draws, then the dynamics rewrite of blocked moves.
@@ -259,38 +267,25 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
                        std::span<std::uint64_t>(keys).subspan(b, e - b));
     }
     if (count_mask != nullptr) {
-      if (concurrent) {
-        for (std::uint32_t i = b; i < e; ++i) {
-          if (count_mask[i] != 0) {
-            counter.add(keys[i]);
-          }
-        }
-      } else {
-        for (std::uint32_t i = b; i < e; ++i) {
-          if (count_mask[i] != 0) {
-            counter.add_serial(keys[i]);
-          }
-        }
-      }
-    } else if (concurrent) {
       for (std::uint32_t i = b; i < e; ++i) {
-        counter.add(keys[i]);
+        if (count_mask[i] != 0) {
+          counter.add(keys[i]);
+        }
       }
     } else {
-      for (std::uint32_t i = b; i < e; ++i) {
-        counter.add_serial(keys[i]);
-      }
+      fill_counter(counter,
+                   std::span<const std::uint64_t>(keys).subspan(b, e - b));
     }
     // Per-worker sink: each pool worker lands on its own striped slot,
     // and the total is Σ shard sizes — exact for any thread count.
     tap.add_agent_steps(e - b);
-    const ShardRoundView view = make_view(s);
+    const auto view = make_view(s);
     (notify_fill(observers, view, std::span<const node>(pos)), ...);
   };
 
   // Observe: observer reads of the completed round.
   const auto observe_shard = [&](std::uint32_t s) {
-    const ShardRoundView view = make_view(s);
+    const auto view = make_view(s);
     (notify_after_round(observers, view, std::span<const node>(pos)), ...);
   };
 
@@ -371,6 +366,7 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
 /// must only write state for agents in the view's range.  Deterministic
 /// in (stream_seed, cfg, exec.shard_size) for any exec.threads.
 template <graph::Topology T, class... Obs>
+  requires(WalkObserver<Obs, typename T::node_type> && ...)
 void run_walk_sharded(const T& topo, const WalkConfig& cfg,
                       std::uint64_t stream_seed, const ShardExec& exec,
                       const std::vector<typename T::node_type>*
@@ -390,9 +386,13 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
   // around the parallel phases (no new barriers), while striped counter
   // adds inside them come from the workers themselves.
   obs::EngineTap tap("sharded", {"step_count", "observe", "mutate"});
-  detail::run_shard_loop(topo, cfg, stream_seed, plan, std::move(gens),
-                         threads, tap, detail::kShardedPhases,
-                         initial_positions, observers...);
+  with_occupancy_counter(topo.num_nodes(), cfg.num_agents, threads,
+                         [&](auto& counter) {
+                           detail::run_shard_loop(
+                               topo, cfg, stream_seed, plan, std::move(gens),
+                               threads, tap, detail::kShardedPhases,
+                               initial_positions, counter, observers...);
+                         });
 }
 
 }  // namespace antdense::sim

@@ -18,10 +18,12 @@
 //     All of it is sequential-equivalent over the WideStream, so the
 //     vector stream is *defined* by "per-agent draws from the wide
 //     stream" and every acceleration path is unobservable.
-//   - Occupancy counting uses the direct-addressed DenseCollisionCounter
-//     when the substrate's key space is small enough (one indexed load
-//     instead of mix+probe), falling back to the hash CollisionCounter
-//     beyond the cap; counts are identical either way.
+//   - Nothing changes in occupancy counting: the loop runs on the serial
+//     counter with_occupancy_counter (sim/dense_counter.hpp) picks, like
+//     the shard loop on one thread — the direct-addressed
+//     DenseCollisionCounter on substrates small next to the population,
+//     the hash CollisionCounter otherwise; counts are identical either
+//     way.
 //   - Observer noise draws come from a dedicated scalar generator at a
 //     domain-tagged seed (kVectorObserverTag), keeping the
 //     Xoshiro256pp-typed view contract and the movement stream cleanly
@@ -44,7 +46,6 @@
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "rng/xoshiro_wide.hpp"
-#include "sim/collision_counter.hpp"
 #include "sim/dense_counter.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/check.hpp"
@@ -55,41 +56,13 @@ namespace antdense::sim {
 /// noise generator, disjoint from the movement lanes (kVectorLaneTag).
 inline constexpr std::uint64_t kVectorObserverTag = 0x5645434F42535256ULL;
 
-/// The vector engine's view when the dense counter is selected.
-using VectorRoundView = BasicRoundView<DenseCollisionCounter>;
-
-/// Execution knobs for the vector engine.  Unlike `engine` itself these
-/// are not identity-bearing — results are independent of them.
-struct VectorExec {
-  /// Forces the hash CollisionCounter even when the dense counter would
-  /// apply; the dense/hash equality tests run both sides through this.
-  bool force_hash_counter = false;
-};
+/// The vector engine's entry in sim::Exec.  It has no knobs: nothing
+/// but `engine` itself selects the vector stream.
+struct VectorExec {};
 
 namespace detail {
 
-/// Counter fill with a prefetch lookahead: the keys are random draws, so
-/// each add is a dependent random access the hardware prefetcher cannot
-/// predict.
-inline void fill_counter(DenseCollisionCounter& counter,
-                         std::span<const std::uint64_t> keys) {
-  constexpr std::size_t kAhead = 8;
-  const std::size_t n = keys.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + kAhead < n) {
-      counter.prefetch(keys[i + kAhead]);
-    }
-    counter.add(keys[i]);
-  }
-}
-
-inline void fill_counter(CollisionCounter& counter,
-                         std::span<const std::uint64_t> keys) {
-  for (const std::uint64_t key : keys) {
-    counter.add(key);
-  }
-}
-
+/// The vector round loop on a fresh `counter`.
 template <typename Counter, graph::Topology T, class... Obs>
 void run_walk_vector_impl(
     const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
@@ -169,34 +142,25 @@ void run_walk_vector_impl(
 
 /// Runs the vector engine's round loop: uniform i.i.d. placement (or the
 /// caller's positions), cfg.rounds vectorized steps, occupancy counting
-/// through the per-substrate counter choice, observer hooks in pack
-/// order.  Deterministic in `stream_seed` and independent of VectorExec,
-/// AVX2 availability, and kernel specialization.
+/// on the serial counter with_occupancy_counter picks, observer hooks in
+/// pack order.  Deterministic in `stream_seed` and independent of the
+/// counter, AVX2 availability, and kernel specialization.
 template <graph::Topology T, class... Obs>
-  requires(WalkObserverForView<Obs, typename T::node_type,
-                               BasicRoundView<CollisionCounter>> &&
-           ...) &&
-          (WalkObserverForView<Obs, typename T::node_type,
-                               BasicRoundView<DenseCollisionCounter>> &&
-           ...)
+  requires(WalkObserver<Obs, typename T::node_type> && ...)
 void run_walk_vector(
     const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
-    VectorExec exec,
     const std::vector<typename T::node_type>* initial_positions,
     Obs&... observers) {
   cfg.validate();
   ANTDENSE_CHECK(initial_positions == nullptr ||
                      initial_positions->size() == cfg.num_agents,
                  "initial positions must match agent count");
-  if (!exec.force_hash_counter && use_dense_counter(topo.num_nodes())) {
-    DenseCollisionCounter counter(topo.num_nodes());
-    detail::run_walk_vector_impl(topo, cfg, stream_seed, counter,
-                                 initial_positions, observers...);
-  } else {
-    CollisionCounter counter(cfg.num_agents);
-    detail::run_walk_vector_impl(topo, cfg, stream_seed, counter,
-                                 initial_positions, observers...);
-  }
+  with_occupancy_counter(topo.num_nodes(), cfg.num_agents, /*threads=*/1,
+                         [&](auto& counter) {
+                           detail::run_walk_vector_impl(
+                               topo, cfg, stream_seed, counter,
+                               initial_positions, observers...);
+                         });
 }
 
 }  // namespace antdense::sim

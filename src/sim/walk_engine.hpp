@@ -33,7 +33,7 @@
 #include "obs/telemetry.hpp"
 #include "rng/random.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "sim/concurrent_counter.hpp"
+#include "sim/dense_counter.hpp"
 #include "sim/dynamics.hpp"
 #include "util/check.hpp"
 
@@ -56,6 +56,10 @@ struct WalkConfig {
 
 /// What an observer sees at the end of each round.  Everything is a view
 /// into engine state; observers must not hold onto it past the call.
+/// `Counter` is whichever occupancy counter the loop runs on
+/// (with_occupancy_counter, sim/dense_counter.hpp): dense, hash or
+/// concurrent, all exact, so observers templated on the view read the
+/// same counts from each.
 /// `gen` is the generator whose draws are reproducible for this view's
 /// agent range — the shard's stream in the shard loop (the stream seed
 /// itself under engine=single), the observer stream in the vector loop.
@@ -78,20 +82,17 @@ struct BasicRoundView {
   bool concurrent_fill = false;
 };
 
-/// The shard loop's view (engine=single and engine=sharded).
-using ShardRoundView = BasicRoundView<ConcurrentCollisionCounter>;
-
 /// An observer is any type with at least one per-round hook:
 /// `after_round(view)`, `after_round(view, positions)` (node handles,
 /// not keys), or `end_round(round)`.  Optional hooks: `begin_round
 /// (round)` (serial, before the round's fills) and `fill(view)`
 /// (auxiliary occupancy counting between stepping and after_round).
 ///
-/// The concept is checked against the *actual* view type each loop
-/// passes (ShardRoundView in the shard loop, both vector views in the
-/// vector loop): the notify helpers skip hooks a view type cannot call,
-/// so without this check an observer written against the wrong view
-/// would compile and silently record nothing.
+/// The concept is checked against the *actual* view type a loop passes,
+/// and WalkObserver against every view an entry point can pick: the
+/// notify helpers skip hooks a view type cannot call, so without this
+/// check an observer written against the wrong view would compile and
+/// silently record nothing.
 template <typename O, typename Node, typename View>
 concept WalkObserverForView =
     requires(O& o, const View& v, std::span<const Node> pos,
@@ -100,6 +101,13 @@ concept WalkObserverForView =
                    requires { o.after_round(v, pos); } ||
                    requires { o.end_round(round); };
     };
+
+/// An observer for every counter with_occupancy_counter can pick.
+template <typename O, typename Node>
+concept WalkObserver =
+    WalkObserverForView<O, Node, BasicRoundView<DenseCollisionCounter>> &&
+    WalkObserverForView<O, Node, BasicRoundView<CollisionCounter>> &&
+    WalkObserverForView<O, Node, BasicRoundView<ConcurrentCollisionCounter>>;
 
 /// Per-agent cumulative collision counts — Algorithm 1's `c`, with the
 /// Section 6.1 sensing perturbations (detection misses, spurious

@@ -362,7 +362,8 @@ TEST(DriftDynamics, CollisionObserverDropsTheDeadAndRestartsTheReborn) {
       }
     }
     observer.after_round(
-        sim::ShardRoundView{round, 0, n, n, keys, counter, gen});
+        sim::BasicRoundView<sim::ConcurrentCollisionCounter>{
+            round, 0, n, n, keys, counter, gen});
   };
 
   // Every slot dies after round 1 and is reborn at round 3.
@@ -629,8 +630,7 @@ TEST(Validation, VectorWalkRejectsDynamicsAsDefenseInDepth) {
   sim::WalkConfig wcfg = cfg.walk_config();
   wcfg.dynamics = &model;
   sim::CollisionObserver observer(8);
-  EXPECT_THROW(sim::run_walk_vector(topo, wcfg, 1, sim::VectorExec{},
-                                    nullptr, observer),
+  EXPECT_THROW(sim::run_walk_vector(topo, wcfg, 1, nullptr, observer),
                std::invalid_argument);
 }
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -539,9 +540,12 @@ TEST(Experiment, ProgressHooksCountTrialsForFanOutWorkloads) {
   spec.threads = 2;
   const ScenarioResult plain = Experiment(spec).run();
 
+  // Trial ticks arrive from the workers, so the recorder locks.
+  std::mutex ticks_mutex;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ticks;
   scenario::ProgressHooks hooks;
   hooks.on_progress = [&](std::uint64_t done, std::uint64_t total) {
+    const std::lock_guard<std::mutex> lock(ticks_mutex);
     ticks.emplace_back(done, total);
   };
   const ScenarioResult tapped = Experiment(spec).run(hooks);

@@ -4,7 +4,9 @@
 // {1, 2, 8} here — across every topology family and every workload
 // observer, including the noise paths that draw from per-shard streams.
 // Also covers the ShardPlan layout, the lock-free collision counter's
-// serial/concurrent parity, statistical sanity of the sharded stream
+// serial/concurrent parity, the occupancy-counter choice (dense, hash
+// and concurrent counters give the shard loop byte-equal results, and
+// with_occupancy_counter's picks), statistical sanity of the sharded stream
 // (Algorithm 1 stays unbiased), and thread-count invariance at the
 // scenario::Experiment level for engine=sharded specs.
 #include "sim/sharded_walk.hpp"
@@ -12,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "graph/any_topology.hpp"
@@ -25,8 +29,11 @@
 #include "graph/torus_kd.hpp"
 #include "scenario/ball_density.hpp"
 #include "scenario/experiment.hpp"
+#include "scenario/registry.hpp"
 #include "sim/concurrent_counter.hpp"
+#include "sim/dense_counter.hpp"
 #include "sim/density_sim.hpp"
+#include "sim/dynamic_world.hpp"
 #include "stats/accumulator.hpp"
 #include "util/worker_pool.hpp"
 
@@ -283,6 +290,187 @@ TEST(ShardedEquivalence, BallDensityThreadsAgree) {
   ASSERT_EQ(reference.size(), 3u);
   EXPECT_EQ(run_at(2), reference);
   EXPECT_EQ(run_at(8), reference);
+}
+
+// --- Occupancy counters ----------------------------------------------
+
+/// A fresh counter of type Counter for a walk of `agents` on `topo`.
+template <typename Counter>
+Counter make_counter(const graph::AnyTopology& topo, std::uint32_t agents) {
+  if constexpr (std::is_same_v<Counter, DenseCollisionCounter>) {
+    return Counter(topo.num_nodes());
+  } else {
+    return Counter(agents);
+  }
+}
+
+/// One shard-loop walk on a Counter: 16-agent shards on derive_stream
+/// generators; the concurrent counter is filled by a two-thread pool,
+/// the serial counters on the caller's thread.
+template <typename Counter, class... Obs>
+void run_loop_on(const graph::AnyTopology& topo, WalkConfig cfg,
+                 WorldDynamics* dynamics, Obs&... observers) {
+  constexpr std::uint64_t kSeed = 0xC0DE;
+  constexpr unsigned kThreads =
+      std::is_same_v<Counter, ConcurrentCollisionCounter> ? 2 : 1;
+  cfg.dynamics = dynamics;
+  const ShardPlan plan = ShardPlan::make(cfg.num_agents, kTestShardSize);
+  std::vector<rng::Xoshiro256pp> gens;
+  for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
+    gens.emplace_back(rng::derive_stream(kSeed, s));
+  }
+  Counter counter = make_counter<Counter>(topo, cfg.num_agents);
+  obs::EngineTap tap("sharded", {"step_count", "observe", "mutate"});
+  detail::run_shard_loop(
+      topo, cfg, kSeed, plan, std::move(gens), kThreads, tap,
+      detail::kShardedPhases,
+      static_cast<const std::vector<std::uint64_t>*>(nullptr), counter,
+      observers...);
+}
+
+/// Every observer's output from one counter's walks on a family.
+struct LoopOutputs {
+  std::vector<std::uint64_t> noisy_counts;
+  std::vector<std::vector<double>> trajectory;
+  std::vector<std::uint64_t> total_counts;
+  std::vector<std::uint64_t> property_counts;
+  std::vector<std::vector<double>> ball_densities;
+  std::vector<double> churn_estimates;
+  std::vector<double> drift_estimates;
+};
+
+template <typename Counter>
+LoopOutputs run_every_observer(const graph::AnyTopology& topo) {
+  WalkConfig cfg;
+  cfg.num_agents = 40;
+  cfg.rounds = 30;
+  LoopOutputs out;
+  {
+    CollisionObserver counts(
+        cfg.num_agents,
+        {.detection_miss = 0.3, .spurious = 0.1, .dropout = 0.1});
+    TrajectoryObserver trajectory(counts, 5, {5, 15, 30});
+    run_loop_on<Counter>(topo, cfg, nullptr, counts, trajectory);
+    out.noisy_counts = counts.take_counts();
+    out.trajectory = trajectory.take_estimates();
+  }
+  {
+    std::vector<bool> has_property(cfg.num_agents, false);
+    for (std::uint32_t i = 0; i < cfg.num_agents; i += 3) {
+      has_property[i] = true;
+    }
+    PropertyObserver property(has_property);
+    run_loop_on<Counter>(topo, cfg, nullptr, property);
+    out.total_counts = property.take_total_counts();
+    out.property_counts = property.take_property_counts();
+  }
+  {
+    scenario::BallDensityObserver balls(topo, 2, {1, 10, 30}, cfg.num_agents);
+    run_loop_on<Counter>(topo, cfg, nullptr, balls);
+    out.ball_densities = balls.take_densities();
+  }
+  {
+    // About five edge drops and two node failures per round, on any
+    // substrate size.
+    const double per_node = 1.0 / static_cast<double>(topo.num_nodes());
+    ChurnDynamics churn(topo, 5.0 * per_node, 2.0 * per_node, 5, 1);
+    CollisionObserver counts(cfg.num_agents, {}, &churn);
+    run_loop_on<Counter>(topo, cfg, &churn, counts);
+    out.churn_estimates = counts.estimates(cfg.rounds);
+  }
+  {
+    DriftDynamics drift(topo, cfg.num_agents, 0.05, 0.2, 1);
+    CollisionObserver counts(cfg.num_agents, {}, &drift);
+    run_loop_on<Counter>(topo, cfg, &drift, counts);
+    out.drift_estimates = counts.estimates(cfg.rounds);
+  }
+  return out;
+}
+
+void expect_same_outputs(const LoopOutputs& got, const LoopOutputs& want) {
+  EXPECT_EQ(got.noisy_counts, want.noisy_counts);
+  EXPECT_EQ(got.trajectory, want.trajectory);
+  EXPECT_EQ(got.total_counts, want.total_counts);
+  EXPECT_EQ(got.property_counts, want.property_counts);
+  EXPECT_EQ(got.ball_densities, want.ball_densities);
+  EXPECT_EQ(got.churn_estimates, want.churn_estimates);
+  EXPECT_EQ(got.drift_estimates, want.drift_estimates);
+}
+
+TEST(OccupancyCounters, EveryCounterGivesTheShardLoopTheSameBytes) {
+  // Occupancy is exact in all three counters, so which one the loop ran
+  // on must not show in any observer's output: noise draws, property
+  // counts, trajectories, ball densities, and churn/drift masking.
+  const auto& registry = scenario::Registry::built_in();
+  for (const char* family :
+       {"ring:97", "torus2d:12x10", "toruskd:3x5", "hypercube:7",
+        "complete:60", "expander:d=4,n=64,seed=3"}) {
+    SCOPED_TRACE(family);
+    const graph::AnyTopology topo = registry.make(family);
+    const LoopOutputs hash = run_every_observer<CollisionCounter>(topo);
+    ASSERT_EQ(hash.noisy_counts.size(), 40u);
+    std::uint64_t collisions = 0;
+    for (const std::uint64_t c : hash.total_counts) {
+      collisions += c;
+    }
+    EXPECT_GT(collisions, 0u) << "the walk must collide to test anything";
+    SCOPED_TRACE("dense vs hash");
+    expect_same_outputs(run_every_observer<DenseCollisionCounter>(topo),
+                        hash);
+    SCOPED_TRACE("concurrent vs hash");
+    expect_same_outputs(run_every_observer<ConcurrentCollisionCounter>(topo),
+                        hash);
+  }
+  // Above the dense cap the policy never picks the dense counter (its
+  // slots would take 256 MiB here); the other two must still agree.
+  const graph::AnyTopology huge = registry.make("hypercube:25");
+  ASSERT_GT(huge.num_nodes(), std::uint64_t{1} << 24);
+  expect_same_outputs(run_every_observer<ConcurrentCollisionCounter>(huge),
+                      run_every_observer<CollisionCounter>(huge));
+}
+
+/// The counter with_occupancy_counter builds for these inputs.
+std::string picked_counter(std::uint64_t nodes, std::uint32_t agents,
+                           unsigned threads) {
+  std::string picked;
+  with_occupancy_counter(nodes, agents, threads,
+                         [&]<typename Counter>(Counter&) {
+                           if constexpr (std::is_same_v<
+                                             Counter, DenseCollisionCounter>) {
+                             picked = "dense";
+                           } else if constexpr (std::is_same_v<
+                                                    Counter,
+                                                    CollisionCounter>) {
+                             picked = "hash";
+                           } else {
+                             picked = "concurrent";
+                           }
+                         });
+  return picked;
+}
+
+TEST(OccupancyCounters, SelectionTable) {
+  struct Row {
+    const char* what;
+    std::uint64_t nodes;
+    std::uint32_t agents;
+    unsigned threads;
+    const char* counter;
+  };
+  const Row rows[] = {
+      {"lattice: torus2d 1000^2, 1e5 agents", 1'000'000, 100'000, 1, "dense"},
+      {"daemon: torus2d 64^2, 300 agents", 4096, 300, 1, "dense"},
+      {"gnp 2000, 1e3 agents", 2000, 1000, 1, "dense"},
+      {"rgg2d 1e6, 1e4 agents", 1'000'000, 10'000, 1, "hash"},
+      {"hypercube:24, 1e3 agents", std::uint64_t{1} << 24, 1000, 1, "hash"},
+      {"lattice on a 4-thread pool", 1'000'000, 100'000, 4, "concurrent"},
+      {"hypercube:24 on a 2-thread pool", std::uint64_t{1} << 24, 1000, 2,
+       "concurrent"},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(picked_counter(row.nodes, row.agents, row.threads), row.counter)
+        << row.what;
+  }
 }
 
 // --- Contract edges ---------------------------------------------------

@@ -78,23 +78,36 @@ TEST(DenseCounter, StaleEpochReadsAsEmpty) {
 }
 
 TEST(DenseCounter, SelectionPolicy) {
-  EXPECT_TRUE(use_dense_counter(1));
-  EXPECT_TRUE(use_dense_counter(std::uint64_t{1} << 24));
-  EXPECT_FALSE(use_dense_counter((std::uint64_t{1} << 24) + 1));
-  EXPECT_FALSE(use_dense_counter(0));
+  constexpr std::uint64_t kCap = std::uint64_t{1} << 24;
+  EXPECT_TRUE(use_dense_counter(1, 1));
+  EXPECT_TRUE(use_dense_counter(kCap, kCap / kDenseNodesPerAgent));
+  EXPECT_FALSE(use_dense_counter(kCap + 1, kCap));
+  EXPECT_FALSE(use_dense_counter(0, 1));
+  // The nodes-per-agent ratio: sparse populations count in the hash
+  // table, whatever the substrate's size.
+  EXPECT_TRUE(use_dense_counter(64, 1));
+  EXPECT_FALSE(use_dense_counter(65, 1));
+  EXPECT_FALSE(use_dense_counter(kCap, 1000));
+  EXPECT_FALSE(use_dense_counter(1000, 0));
 }
 
 TEST(VectorEngine, CounterChoiceIsUnobservable) {
-  // Same walk through the dense counter (default on this substrate) and
-  // the hash counter (forced): identical counts.
+  // Same walk through the dense counter (the policy's pick on this
+  // substrate) and the hash counter: identical counts.
   const graph::Torus2D torus(24, 24);
   DensityConfig cfg;
   cfg.num_agents = 60;
   cfg.rounds = 100;
+  ASSERT_TRUE(use_dense_counter(torus.num_nodes(), cfg.num_agents));
   const DensityResult dense = run_density_walk_vector(torus, cfg, kSeed);
-  const DensityResult hash = run_density_walk(
-      torus, cfg, kSeed, VectorExec{.force_hash_counter = true});
-  EXPECT_EQ(dense.collision_counts, hash.collision_counts);
+  CollisionObserver observer(cfg.num_agents);
+  CollisionCounter hash(cfg.num_agents);
+  detail::run_walk_vector_impl(torus, cfg.walk_config(),
+                               rng::derive_seed(kSeed, 0x51u), hash,
+                               static_cast<const std::vector<
+                                   graph::Torus2D::node_type>*>(nullptr),
+                               observer);
+  EXPECT_EQ(dense.collision_counts, observer.counts());
 }
 
 // --- Sequential equivalence of vector_step ----------------------------
