@@ -8,8 +8,8 @@
 // bench-only row, where engine=single counts in whichever counter
 // with_occupancy_counter picks — the dense array on every cell here),
 // against the vector engine
-// (sim/vector_walk.hpp: wide-lane RNG, branchless word kernels, dense
-// collision counting), and against the scalar engine driven through a
+// (sim/vector_walk.hpp: the same one-shard loop on a wide-lane RNG,
+// stepped by branchless word kernels), and against the scalar engine driven through a
 // type-erased graph::AnyTopology handle (the scenario layer's hot
 // path), across agent counts and topologies, printing a ns/agent-round
 // table and writing the same records to a JSON artifact (default
@@ -132,7 +132,8 @@ std::vector<std::uint64_t> run_single_on_hash(const T& topo,
   sim::detail::run_shard_loop(
       topo, cfg.walk_config(), stream_seed,
       sim::ShardPlan::make(cfg.num_agents, cfg.num_agents),
-      {rng::Xoshiro256pp(stream_seed)}, /*threads=*/1, tap,
+      std::vector<rng::Xoshiro256pp>{rng::Xoshiro256pp(stream_seed)},
+      /*view_gen=*/nullptr, /*threads=*/1, tap,
       sim::detail::kSinglePhases,
       static_cast<const std::vector<typename T::node_type>*>(nullptr),
       counter, observer);

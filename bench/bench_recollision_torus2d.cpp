@@ -6,6 +6,8 @@
 // should have slope near -1.
 #include "bench_common.hpp"
 
+#include <string>
+
 #include "core/bounds.hpp"
 #include "graph/torus2d.hpp"
 #include "stats/bootstrap.hpp"
@@ -38,8 +40,11 @@ void run(const util::Args& args) {
     table.row()
         .cell(m)
         .cell(util::format_sci(p, 3))
-        .cell("[" + util::format_sci(ci.lower, 2) + ", " +
-              util::format_sci(ci.upper, 2) + "]")
+        .cell(std::string("[")
+                  .append(util::format_sci(ci.lower, 2))
+                  .append(", ")
+                  .append(util::format_sci(ci.upper, 2))
+                  .append("]"))
         .cell(util::format_sci(theory, 3))
         .cell(util::format_fixed(p / theory, 3))
         .commit();

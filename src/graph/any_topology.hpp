@@ -70,7 +70,8 @@ class AnyTopology {
     return impl_->random_neighbor(u, gen);
   }
 
-  /// Wide-stream overloads for the vector engine (sim/vector_walk.hpp).
+  /// Wide-stream overloads for the vector engine (sim/vector_walk.hpp),
+  /// which the shard loop (sim/sharded_walk.hpp) steps and places with.
   /// The virtual interface is typed on the concrete scalar generator, so
   /// the wide word source needs its own entry points; they obey the same
   /// sequential-equivalence contract as graph::vector_step.

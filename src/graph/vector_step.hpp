@@ -1,6 +1,7 @@
 // Vectorized stepping for the vector walk engine (sim/vector_walk.hpp):
-// advances a whole position array one round, drawing from a
-// rng::WideStream.
+// advances a position array one round, drawing from a rng::WideStream.
+// The shard loop (sim/sharded_walk.hpp) steps through it whenever a
+// shard's stream is a WideStream.
 //
 // The semantics are fully specified by the sequential contract:
 //

@@ -243,7 +243,7 @@ ScenarioResult Experiment::run(const ProgressHooks& hooks) const {
     case Workload::kDensity:
       // Algorithm 1 (tag 0x51).  A dynamic world builds a fresh model
       // per trial from the canonical spec, so trials stay independent
-      // and order-free; validate() already rejected engine=vector here.
+      // and order-free.
       result.estimates = fan_out([&](std::uint64_t seed,
                                      const sim::Exec& exec) {
         const std::unique_ptr<sim::WorldDynamics> model =

@@ -108,13 +108,6 @@ void ScenarioSpec::validate() const {
   probability("sensing.miss", sensing.detection_miss, false);
   probability("sensing.spurious", sensing.spurious, false);
   probability("sensing.dropout", sensing.dropout, false);
-  // Fail fast at spec-validation time (the campaign planner and the
-  // serve daemon validate every spec before running): the wide-lane
-  // engine has no mutation phase.
-  ANTDENSE_CHECK(dynamics.empty() || engine != EngineMode::kVector,
-                 "engine=vector does not support dynamic scenarios "
-                 "(dynamics='" + dynamics +
-                     "'); use engine=single or engine=sharded");
   ANTDENSE_CHECK(trials >= 1, "need at least one trial");
   // Specs round-trip through JSON, whose numbers are doubles: a seed at
   // or above 2^53 would be silently rounded in the emitted artifact and

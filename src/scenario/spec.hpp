@@ -45,7 +45,8 @@ enum class EngineMode {
   kSharded,       // sim/sharded_walk.hpp: per-shard streams, threads
                   // parallelize within one walk too
   kVector,        // sim/vector_walk.hpp: wide-lane stream, vectorized
-                  // stepping; threads fan out trials as with single
+                  // stepping on the shard loop, dynamics included;
+                  // threads fan out trials as with single
 };
 
 std::string engine_mode_name(EngineMode mode);
@@ -107,7 +108,7 @@ struct ScenarioSpec {
   /// World-dynamics model spec ("model:k=v,..." parsed by
   /// scenario::DynamicsRegistry — churn / drift / fade), or "" for the
   /// historical static world.  Identity-bearing when present; density
-  /// workload, single/sharded engines only.
+  /// workload only, on any engine.
   std::string dynamics;
 
   // --- execution -----------------------------------------------------

@@ -4,9 +4,9 @@
 // round.
 //
 // One engine seam: a sim::Exec value names the engine that runs a walk
-// — the single stream or the per-shard streams, both on the shard loop
-// (sim/sharded_walk.hpp), or the wide-lane vector engine
-// (sim/vector_walk.hpp) — and sim::run_walk visits it once per walk.
+// — the single stream, the per-shard streams or the wide-lane vector
+// stream (sim/vector_walk.hpp), all on the shard loop
+// (sim/sharded_walk.hpp) — and sim::run_walk visits it once per walk.
 // Every driver takes an Exec: run_density_walk is the seam plus a
 // CollisionObserver, run_property_walk the seam plus a
 // PropertyObserver.  Each engine has its own stream identity; within
@@ -44,6 +44,7 @@
 #include "rng/random.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
+#include "rng/xoshiro_wide.hpp"
 #include "sim/sharded_walk.hpp"
 #include "sim/vector_walk.hpp"
 #include "sim/walk_engine.hpp"
@@ -55,13 +56,14 @@ namespace antdense::sim {
 /// on the stream seed itself, on the caller's thread.  No knobs.
 struct SingleExec {};
 
-/// Which round loop runs a walk, with that engine's execution knobs.
+/// Which engine runs a walk, with that engine's execution knobs.
 using Exec = std::variant<SingleExec, ShardExec, VectorExec>;
 
-/// The engine seam: runs the walk on `exec`'s round loop with the same
-/// observer pack.  `stream_seed` seeds the engine directly (drivers
-/// derive their own stream tag first).  Each engine is deterministic in
-/// its inputs; see the two loops for their stream contracts.
+/// The engine seam: runs the walk on the shard loop with `exec`'s
+/// streams and the same observer pack.  `stream_seed` seeds the engine
+/// directly (drivers derive their own stream tag first).  Each engine is
+/// deterministic in its inputs; see sim/sharded_walk.hpp for the stream
+/// contracts.
 template <graph::Topology T, class... Obs>
   requires(WalkObserver<Obs, typename T::node_type> && ...)
 void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
@@ -71,20 +73,30 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
   if (const auto* shard = std::get_if<ShardExec>(&exec)) {
     run_walk_sharded(topo, cfg, stream_seed, *shard, initial_positions,
                      observers...);
-  } else if (std::holds_alternative<VectorExec>(exec)) {
-    run_walk_vector(topo, cfg, stream_seed, initial_positions, observers...);
-  } else {
-    cfg.validate();
-    obs::EngineTap tap("single", {"step", "count", "observe", "mutate"});
+    return;
+  }
+  // engine=single and engine=vector: one shard holding every agent, on
+  // the caller's thread.
+  cfg.validate();
+  const auto run_one_shard = [&]<typename Gen>(const char* engine, Gen gen,
+                                               rng::Xoshiro256pp* view_gen) {
+    obs::EngineTap tap(engine, {"step", "count", "observe", "mutate"});
     with_occupancy_counter(
         topo.num_nodes(), cfg.num_agents, /*threads=*/1, [&](auto& counter) {
           detail::run_shard_loop(
               topo, cfg, stream_seed,
               ShardPlan::make(cfg.num_agents, cfg.num_agents),
-              {rng::Xoshiro256pp(stream_seed)}, /*threads=*/1, tap,
+              std::vector<Gen>{gen}, view_gen, /*threads=*/1, tap,
               detail::kSinglePhases, initial_positions, counter,
               observers...);
         });
+  };
+  if (std::holds_alternative<VectorExec>(exec)) {
+    rng::Xoshiro256pp obs_gen(
+        rng::derive_seed(stream_seed, kVectorObserverTag));
+    run_one_shard("vector", rng::WideStream(stream_seed), &obs_gen);
+  } else {
+    run_one_shard("single", rng::Xoshiro256pp(stream_seed), nullptr);
   }
 }
 

@@ -159,7 +159,7 @@ class FadeDynamics final : public WorldDynamics {
 /// Algorithm 1 with a dynamic world: run_density_walk's stream (tag
 /// 0x51) on `exec`'s engine, the model mutating between rounds from its
 /// own derived stream.  Returns the living population's estimates
-/// (CollisionObserver::estimates).  The vector engine rejects models.
+/// (CollisionObserver::estimates).
 inline std::vector<double> run_dynamic_density_walk(
     const graph::AnyTopology& topo, const DensityConfig& cfg,
     WorldDynamics& model, std::uint64_t seed,

@@ -5,7 +5,7 @@
 // on stochastic sensing and dynamics).
 //
 // Engine integration (the shard loop in sim/sharded_walk.hpp, behind
-// engine=single and engine=sharded; the vector engine rejects models):
+// every engine — single, sharded and vector):
 //
 //   round r (r >= 2):   mutate(r, mut_gen, positions, keys)   [serial]
 //                       step agents from the WALK stream      [unchanged]

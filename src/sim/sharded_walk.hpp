@@ -1,7 +1,6 @@
-// The shard round loop: the one scalar implementation of Algorithm 1's
+// The shard round loop: the one implementation of Algorithm 1's
 // synchronous round (Musco, Su & Lynch, PODC 2016, arXiv:1603.02981),
-// behind both engine=single and engine=sharded.  The vector engine
-// (sim/vector_walk.hpp) is the only other round loop.
+// behind all three engines — single, sharded and vector.
 //
 // Agent state (positions, keys, observer accumulators) lives in shared
 // structure-of-arrays vectors split into contiguous shards (ShardPlan).
@@ -15,8 +14,9 @@
 //      (serial setup);
 //   2. step: every shard's agents step from the shard stream — the
 //      batched topology API (graph::random_neighbors, same stream as
-//      sequential calls), or the per-agent Bernoulli/step loop for a
-//      lazy walk — and a dynamics model rewrites blocked moves;
+//      sequential calls), graph::vector_step when the shard stream is a
+//      rng::WideStream, or the per-agent Bernoulli/step loop for a lazy
+//      walk — and a dynamics model rewrites blocked moves;
 //   3. count: keys are recomputed and the round's occupancy counter
 //      filled (masked by the model's alive slots), then the fill hooks
 //      run (auxiliary occupancy counting).  The counter is the one
@@ -25,15 +25,16 @@
 //      otherwise the direct-addressed DenseCollisionCounter, or the hash
 //      CollisionCounter on sparse or huge substrates;
 //   4. observe: after_round hooks read the now-complete occupancy and
-//      write their own agents' slice — noise draws come from the shard
-//      stream, after the shard's step draws;
+//      write their own agents' slice — noise draws come from the view
+//      generator: the shard stream, after the shard's step draws, unless
+//      the entry point names a separate one;
 //   5. end_round hooks (serial) take cross-shard snapshots.
 // With threads > 1, steps 2–3 run as one parallel pass over the shards
 // and step 4 as a second, barrier-separated one; the serial path runs
 // the same passes shard by shard, with steps 2 and 3 split into two
 // passes when the phase layout times them apart.
 //
-// Two entry points fix the streams, thread count and telemetry layout:
+// Three entry points fix the streams, thread count and telemetry layout:
 //   - run_walk_sharded (engine=sharded): `shard_size`-agent shards on
 //     rng::derive_stream(stream_seed, shard) generators, on a worker
 //     pool; tap "sharded" books steps 2–3 as one step_count phase
@@ -43,7 +44,10 @@
 //     itself, on the caller's thread — the historical single-stream
 //     walk, draw for draw; tap "single" books step, count (fill hooks
 //     included) and observe apart.
-// Both book the dynamics tick as mutate, and neither books the
+//   - sim::run_walk with VectorExec (engine=vector, sim/vector_walk.hpp):
+//     the same single shard on WideStream(stream_seed), with observer
+//     noise on a generator of its own; tap "vector", laid out as single.
+// All book the dynamics tick as mutate, and none books the
 // begin_round/end_round hooks.
 //
 // Determinism contract: the output is a pure function of (stream_seed,
@@ -54,7 +58,8 @@
 // out in shard order within the shared arrays, so the "merge" is free.
 // tests/test_sharded_walk.cpp pins threads ∈ {1, 2, 8} equality across
 // every topology family and workload; tests/test_walk_engine.cpp pins
-// engine=single against the frozen pre-engine loops.
+// engine=single against the frozen pre-engine loops, and
+// tests/test_vector_walk.cpp pins the vector streams.
 //
 // The sharded stream is deliberately NOT the single engine's: even a
 // one-shard sharded walk is seeded through derive_stream.  Pick per walk
@@ -72,10 +77,12 @@
 #include <vector>
 
 #include "graph/topology.hpp"
+#include "graph/vector_step.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/random.hpp"
 #include "rng/stream.hpp"
 #include "rng/xoshiro256pp.hpp"
+#include "rng/xoshiro_wide.hpp"
 #include "sim/dense_counter.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/check.hpp"
@@ -139,24 +146,32 @@ inline constexpr PhaseLayout kSinglePhases{
     .step = 0, .count = 1, .observe = 2, .mutate = 3};
 
 /// The shard round loop (see the header comment).  `gens[s]` is shard
-/// s's generator; `threads` > 1 runs each pass's shards on a worker
-/// pool, which needs a layout whose step and count share a span and the
-/// concurrent counter.  `counter` is fresh and holds the round's
-/// occupancy.  The entry points (run_walk_sharded here, the SingleExec
-/// branch of sim::run_walk) validate `cfg` and fix the plan, streams,
-/// thread count, phase layout and counter.
-template <graph::Topology T, typename Counter, class... Obs>
+/// s's generator: a Xoshiro256pp steps through graph::random_neighbors,
+/// a rng::WideStream through graph::vector_step.  `view_gen` is the
+/// generator every view hands the observers; null means each shard's
+/// own, which only a Xoshiro256pp shard stream can be.  `threads` > 1
+/// runs each pass's shards on a worker pool, which needs a layout whose
+/// step and count share a span and the concurrent counter.  `counter` is
+/// fresh and holds the round's occupancy.  The entry points
+/// (run_walk_sharded here, the SingleExec and VectorExec branches of
+/// sim::run_walk) validate `cfg` and fix the plan, streams, thread
+/// count, phase layout and counter.
+template <graph::Topology T, typename Gen, typename Counter, class... Obs>
   requires(WalkObserverForView<Obs, typename T::node_type,
                                BasicRoundView<Counter>> &&
            ...)
 void run_shard_loop(const T& topo, const WalkConfig& cfg,
                     std::uint64_t stream_seed, const ShardPlan& plan,
-                    std::vector<rng::Xoshiro256pp> gens, unsigned threads,
-                    obs::EngineTap& tap, const PhaseLayout& phases,
+                    std::vector<Gen> gens, rng::Xoshiro256pp* view_gen,
+                    unsigned threads, obs::EngineTap& tap,
+                    const PhaseLayout& phases,
                     const std::vector<typename T::node_type>*
                         initial_positions,
                     Counter& counter, Obs&... observers) {
   using node = typename T::node_type;
+  constexpr bool kScalarGens = std::is_same_v<Gen, rng::Xoshiro256pp>;
+  static_assert(kScalarGens || std::is_same_v<Gen, rng::WideStream>,
+                "shard streams are Xoshiro256pp or WideStream");
   const std::uint32_t n_agents = cfg.num_agents;
   const std::uint32_t n_shards = plan.num_shards();
   ANTDENSE_CHECK(initial_positions == nullptr ||
@@ -164,6 +179,8 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
                  "initial positions must match agent count");
   const bool concurrent = threads > 1;
   ANTDENSE_ASSERT(gens.size() == n_shards, "one generator per shard");
+  ANTDENSE_ASSERT(kScalarGens || view_gen != nullptr,
+                  "wide shard streams need a separate view generator");
   ANTDENSE_ASSERT(!concurrent || phases.step == phases.count,
                   "the concurrent path books step and count as one phase");
   ANTDENSE_CHECK(
@@ -212,13 +229,19 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
 
   std::uint32_t round = 0;
   const auto make_view = [&](std::uint32_t s) {
+    rng::Xoshiro256pp* gen = view_gen;
+    if constexpr (kScalarGens) {
+      if (gen == nullptr) {
+        gen = &gens[s];
+      }
+    }
     return BasicRoundView<Counter>{round,
                                    plan.begin(s),
                                    plan.end(s),
                                    n_agents,
                                    std::span<const std::uint64_t>(keys),
                                    counter,
-                                   gens[s],
+                                   *gen,
                                    concurrent};
   };
 
@@ -226,7 +249,7 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
   const auto step_shard = [&](std::uint32_t s) {
     const std::uint32_t b = plan.begin(s);
     const std::uint32_t e = plan.end(s);
-    rng::Xoshiro256pp& gen = gens[s];
+    Gen& gen = gens[s];
     if constexpr (kDynCapable) {
       if (rewrites) {
         // Taken after the mutation tick, which may relocate evicted or
@@ -242,10 +265,12 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
           pos[i] = topo.random_neighbor(pos[i], gen);
         }
       }
-    } else {
+    } else if constexpr (kScalarGens) {
       graph::random_neighbors(
           topo, std::span<const node>(pos).subspan(b, e - b),
           std::span<node>(pos).subspan(b, e - b), gen);
+    } else {
+      graph::vector_step(topo, std::span<node>(pos).subspan(b, e - b), gen);
     }
     if constexpr (kDynCapable) {
       if (rewrites) {
@@ -390,7 +415,8 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
                          [&](auto& counter) {
                            detail::run_shard_loop(
                                topo, cfg, stream_seed, plan, std::move(gens),
-                               threads, tap, detail::kShardedPhases,
+                               /*view_gen=*/nullptr, threads, tap,
+                               detail::kShardedPhases,
                                initial_positions, counter, observers...);
                          });
 }

@@ -2,10 +2,9 @@
 // arXiv:1603.02981, Algorithm 1): the movement config, the per-round
 // view, and the observers every workload is built from — density
 // estimation, two-class property counting, trajectory recording,
-// local-density profiling.  Two round loops drive them: the shard loop
-// (sim/sharded_walk.hpp), behind engine=single and engine=sharded, and
-// the vector loop (sim/vector_walk.hpp); sim::run_walk
-// (sim/density_sim.hpp) picks one.
+// local-density profiling.  One round loop drives them: the shard loop
+// (sim/sharded_walk.hpp), behind engine=single, engine=sharded and
+// engine=vector; sim::run_walk (sim/density_sim.hpp) fixes its streams.
 //
 // Observers are a compile-time pack, so a loop inlines their hooks with
 // zero dispatch cost.  Hooks fire in pack order each round: begin_round
@@ -47,8 +46,8 @@ struct WalkConfig {
   double lazy_probability = 0.0;
   /// Optional world-mutation model (sim/dynamics.hpp), not owned; null
   /// means the historical static walk, bit for bit.  Requires a
-  /// uint64-node topology (the scenario layer's AnyTopology) and the
-  /// single or sharded engine.
+  /// uint64-node topology (the scenario layer's AnyTopology); every
+  /// engine runs it.
   WorldDynamics* dynamics = nullptr;
 
   void validate() const;
@@ -61,8 +60,8 @@ struct WalkConfig {
 /// concurrent, all exact, so observers templated on the view read the
 /// same counts from each.
 /// `gen` is the generator whose draws are reproducible for this view's
-/// agent range — the shard's stream in the shard loop (the stream seed
-/// itself under engine=single), the observer stream in the vector loop.
+/// agent range — the shard's stream (the stream seed itself under
+/// engine=single), or the vector engine's observer stream.
 /// Observers that draw from it (noise models) become part of the
 /// reproducible stream, in pack order.
 /// Hooks must only write observer state belonging to agents in

@@ -5,13 +5,14 @@
 //     captured before the layer landed — the "static worlds are
 //     untouched" contract, which also pins the sensing-spec redesign),
 //     now for every workload x engine cell; dynamic scenarios (churn,
-//     drift, fade) likewise, one hash across thread counts.
+//     drift, fade) likewise on every engine, one hash across thread
+//     counts.
 //   - Invariance: a churned sharded walk is bit-identical for 1, 2, and
 //     8 threads (mutation is serial; rewrites are per-range
 //     deterministic).
 //   - Degeneracy: churn with both rates 0 equals the static walk
 //     estimate for estimate, and a drift model with no deaths/births
-//     likewise.
+//     likewise, on the vector engine as on the scalar ones.
 //   - Statistics: relative error grows monotone-ish with churn
 //     aggressiveness on a torus (fixed seeds, so deterministic).
 #include "scenario/experiment.hpp"
@@ -142,7 +143,7 @@ TEST(DynamicScenarios, StaticResultsAreByteIdenticalToPreDynamicsBuild) {
 }
 
 // ---------------------------------------------------------------------
-// Dynamic worlds: result-document goldens, single and sharded engines
+// Dynamic worlds: result-document goldens, all 3 engines
 // ---------------------------------------------------------------------
 
 TEST(DynamicScenarios, DynamicResultsMatchTheirGoldens) {
@@ -161,6 +162,11 @@ TEST(DynamicScenarios, DynamicResultsMatchTheirGoldens) {
            "dynamics":"churn:p_edge=0.02,p_fail=0.01"})",
        {1, 3},
        "177109bc7acc0b53"},
+      {R"({"topology":"torus2d:16x16","workload":"density","agents":32,
+           "rounds":20,"seed":3,"engine":"vector",
+           "dynamics":"churn:p_edge=0.02,p_fail=0.01"})",
+       {0},
+       "9a7f2d4a03423113"},
       // A larger overlay: thousands of failed nodes and down edges at
       // steady state, so the overlay's indexes grow, erase and recover
       // many times over (the 16x16 pins above never hold more than a
@@ -175,6 +181,11 @@ TEST(DynamicScenarios, DynamicResultsMatchTheirGoldens) {
            "dynamics":"churn:p_edge=0.005,p_fail=0.0025,mean_down=30"})",
        {1, 3},
        "f4c4997d50d00633"},
+      {R"({"topology":"torus2d:128x128","workload":"density","agents":2000,
+           "rounds":150,"seed":6,"engine":"vector",
+           "dynamics":"churn:p_edge=0.005,p_fail=0.0025,mean_down=30"})",
+       {0},
+       "c1b835b2e418a9b1"},
       {R"({"topology":"ring:256","workload":"density","agents":24,
            "rounds":24,"seed":8,"trials":3,"engine":"single",
            "dynamics":"drift:p_death=0.02,p_birth=0.05"})",
@@ -185,11 +196,21 @@ TEST(DynamicScenarios, DynamicResultsMatchTheirGoldens) {
            "dynamics":"drift:p_death=0.02,p_birth=0.05"})",
        {1, 3},
        "8603f6918a5e2f19"},
+      {R"({"topology":"ring:256","workload":"density","agents":24,
+           "rounds":24,"seed":8,"trials":3,"engine":"vector",
+           "dynamics":"drift:p_death=0.02,p_birth=0.05"})",
+       {1, 3},
+       "5bacf3826fc1cd0c"},
       {R"({"topology":"torus2d:16x16","workload":"density","agents":32,
            "rounds":20,"seed":5,"engine":"single","miss":0.2,
            "dropout":0.1,"dynamics":"fade:p0=0.1,step=0.05"})",
        {0},
        "cbb059ac1ce8ab69"},
+      {R"({"topology":"torus2d:16x16","workload":"density","agents":32,
+           "rounds":20,"seed":5,"engine":"vector","miss":0.2,
+           "dropout":0.1,"dynamics":"fade:p0=0.1,step=0.05"})",
+       {0},
+       "6051af86a45d7e51"},
   };
   for (const auto& g : goldens) {
     const ScenarioSpec pinned = spec_of(g.json);
@@ -271,17 +292,30 @@ TEST(DynamicScenarios, ZeroRateChurnEqualsTheStaticWalk) {
             expected_sharded)
       << "and on the sharded engine";
 
+  const sim::VectorExec vector;
+  const std::vector<double> expected_vector =
+      sim::run_density_walk(topo, cfg, /*seed=*/13, vector).estimates();
+  sim::ChurnDynamics churn3(topo, 0.0, 0.0, 10, 0);
+  EXPECT_EQ(sim::run_dynamic_density_walk(topo, cfg, churn3, 13, vector),
+            expected_vector)
+      << "and on the vector engine";
+
   sim::DriftDynamics still(topo, cfg.num_agents, 0.0, 0.0, 0);
   EXPECT_EQ(sim::run_dynamic_density_walk(topo, cfg, still, 13), expected)
       << "a drift model with no deaths or births is the static walk";
+  sim::DriftDynamics still_vector(topo, cfg.num_agents, 0.0, 0.0, 0);
+  EXPECT_EQ(
+      sim::run_dynamic_density_walk(topo, cfg, still_vector, 13, vector),
+      expected_vector)
+      << "on the vector engine too";
 }
 
 // ---------------------------------------------------------------------
 // Through the Experiment layer
 // ---------------------------------------------------------------------
 
-TEST(DynamicScenarios, ExperimentRunsDynamicDensityOnBothEngines) {
-  for (const char* engine : {"single", "sharded"}) {
+TEST(DynamicScenarios, ExperimentRunsDynamicDensityOnEveryEngine) {
+  for (const char* engine : {"single", "sharded", "vector"}) {
     const ScenarioSpec spec = spec_of(
         std::string(R"({"topology":"torus2d:16x16","workload":"density",)") +
         R"("agents":32,"rounds":20,"seed":3,)" +

@@ -25,7 +25,6 @@
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
 #include "sim/density_sim.hpp"
-#include "sim/vector_walk.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/json.hpp"
 
@@ -33,7 +32,6 @@ namespace antdense {
 namespace {
 
 using scenario::DynamicsRegistry;
-using scenario::EngineMode;
 using scenario::Registry;
 using scenario::ScenarioSpec;
 using scenario::SensingSpec;
@@ -601,38 +599,8 @@ TEST(Identity, DynamicSpellingVariantsCollapseToOneHash) {
 }
 
 // ---------------------------------------------------------------------
-// Fail-fast: the vector engine has no mutation phase
+// Validation
 // ---------------------------------------------------------------------
-
-TEST(Validation, VectorEngineRejectsDynamicsAtSpecValidationTime) {
-  ScenarioSpec spec;
-  spec.engine = EngineMode::kVector;
-  spec.dynamics = "churn:p_edge=0.01,p_fail=0";
-  try {
-    spec.validate();
-    FAIL() << "expected validate() to reject engine=vector + dynamics";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("engine=vector"), std::string::npos);
-    EXPECT_NE(what.find("engine=single or engine=sharded"),
-              std::string::npos);
-  }
-  spec.engine = EngineMode::kSharded;
-  EXPECT_NO_THROW(spec.validate());
-}
-
-TEST(Validation, VectorWalkRejectsDynamicsAsDefenseInDepth) {
-  const graph::AnyTopology topo = Registry::built_in().make("ring:64");
-  sim::ChurnDynamics model(topo, 0.1, 0.0, 10, 1);
-  sim::DensityConfig cfg;
-  cfg.num_agents = 8;
-  cfg.rounds = 4;
-  sim::WalkConfig wcfg = cfg.walk_config();
-  wcfg.dynamics = &model;
-  sim::CollisionObserver observer(8);
-  EXPECT_THROW(sim::run_walk_vector(topo, wcfg, 1, nullptr, observer),
-               std::invalid_argument);
-}
 
 TEST(Validation, DynamicsRestrictedToDensityWorkload) {
   ScenarioSpec spec;

@@ -156,12 +156,12 @@ HistogramSnapshot phase(MetricsRegistry& metrics, const char* engine,
 }
 
 TEST(ObsTelemetry, EachEngineBooksItsPhaseLayoutOncePerRound) {
-  // engine=single books step, count and observe apart; engine=sharded
-  // books step and count as one step_count phase at every thread count,
-  // on the serial path (threads 1) and the pool (threads 2 over three
-  // shards) alike.  Neither layout's names may appear under the other
-  // engine.  Churn exercises the mutate phase and the move rewrite,
-  // property a fill hook.
+  // engine=single and engine=vector book step, count and observe apart;
+  // engine=sharded books step and count as one step_count phase at
+  // every thread count, on the serial path (threads 1) and the pool
+  // (threads 2 over three shards) alike.  Neither layout's names may
+  // appear under the other engine.  Churn exercises the mutate phase
+  // and the move rewrite, property a fill hook.
   const graph::AnyTopology topo{graph::Ring(128)};
   sim::DensityConfig cfg;
   cfg.num_agents = 24;
@@ -181,6 +181,8 @@ TEST(ObsTelemetry, EachEngineBooksItsPhaseLayoutOncePerRound) {
        sim::ShardExec{.threads = 1, .shard_size = 8}},
       {"sharded/t2", "sharded", {"step_count", "observe"}, {"step", "count"},
        sim::ShardExec{.threads = 2, .shard_size = 8}},
+      {"vector", "vector", {"step", "count", "observe"}, {"step_count"},
+       sim::VectorExec{}},
   };
   for (const auto& e : engines) {
     for (const bool churn : {true, false}) {
@@ -257,7 +259,8 @@ TEST(ObsTelemetry, MoveRewritesAreBookedToTheStepPhase) {
     const char* step;
     sim::Exec exec;
   } engines[] = {{"single", "step", sim::SingleExec{}},
-                 {"sharded", "step_count", sim::ShardExec{.threads = 1}}};
+                 {"sharded", "step_count", sim::ShardExec{.threads = 1}},
+                 {"vector", "step", sim::VectorExec{}}};
   for (const auto& e : engines) {
     MetricsRegistry metrics;
     Telemetry telemetry{&metrics, nullptr};

@@ -322,7 +322,8 @@ void run_loop_on(const graph::AnyTopology& topo, WalkConfig cfg,
   Counter counter = make_counter<Counter>(topo, cfg.num_agents);
   obs::EngineTap tap("sharded", {"step_count", "observe", "mutate"});
   detail::run_shard_loop(
-      topo, cfg, kSeed, plan, std::move(gens), kThreads, tap,
+      topo, cfg, kSeed, plan, std::move(gens), /*view_gen=*/nullptr,
+      kThreads, tap,
       detail::kShardedPhases,
       static_cast<const std::vector<std::uint64_t>*>(nullptr), counter,
       observers...);

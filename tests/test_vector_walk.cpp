@@ -1,4 +1,5 @@
-// The vector engine's contract suite (sim/vector_walk.hpp):
+// The vector engine's contract suite (sim/vector_walk.hpp, run on the
+// shard loop):
 //   - sequential equivalence: graph::vector_step (word kernels, batched
 //     Lemire, bulk fallback) == per-agent random_neighbor draws from an
 //     equal-seeded WideStream, on every explicit family and through the
@@ -37,8 +38,12 @@
 #include "graph/torus2d.hpp"
 #include "graph/torus_kd.hpp"
 #include "graph/vector_step.hpp"
+#include "obs/telemetry.hpp"
+#include "rng/xoshiro_wide.hpp"
 #include "scenario/experiment.hpp"
 #include "sim/dense_counter.hpp"
+#include "sim/density_sim.hpp"
+#include "sim/sharded_walk.hpp"
 #include "sim/trial_runner.hpp"
 #include "stats/accumulator.hpp"
 
@@ -100,13 +105,20 @@ TEST(VectorEngine, CounterChoiceIsUnobservable) {
   cfg.rounds = 100;
   ASSERT_TRUE(use_dense_counter(torus.num_nodes(), cfg.num_agents));
   const DensityResult dense = run_density_walk_vector(torus, cfg, kSeed);
+  // The vector engine's streams (run_walk's VectorExec branch), with
+  // the shard loop on the hash counter.
+  const std::uint64_t stream_seed = rng::derive_seed(kSeed, 0x51u);
+  rng::Xoshiro256pp obs_gen(rng::derive_seed(stream_seed, kVectorObserverTag));
   CollisionObserver observer(cfg.num_agents);
   CollisionCounter hash(cfg.num_agents);
-  detail::run_walk_vector_impl(torus, cfg.walk_config(),
-                               rng::derive_seed(kSeed, 0x51u), hash,
-                               static_cast<const std::vector<
-                                   graph::Torus2D::node_type>*>(nullptr),
-                               observer);
+  obs::EngineTap tap("vector", {"step", "count", "observe", "mutate"});
+  detail::run_shard_loop(
+      torus, cfg.walk_config(), stream_seed,
+      ShardPlan::make(cfg.num_agents, cfg.num_agents),
+      std::vector<rng::WideStream>{rng::WideStream(stream_seed)}, &obs_gen,
+      /*threads=*/1, tap, detail::kSinglePhases,
+      static_cast<const std::vector<graph::Torus2D::node_type>*>(nullptr),
+      hash, observer);
   EXPECT_EQ(dense.collision_counts, observer.counts());
 }
 
