@@ -8,8 +8,8 @@
 // bench-only row, where engine=single counts in whichever counter
 // with_occupancy_counter picks — the dense array on every cell here),
 // against the vector engine
-// (sim/vector_walk.hpp: the same one-shard loop on a wide-lane RNG,
-// stepped by branchless word kernels), and against the scalar engine driven through a
+// (sim/vector_walk.hpp: the same one-shard loop on a wide-lane RNG),
+// and against the scalar engine driven through a
 // type-erased graph::AnyTopology handle (the scenario layer's hot
 // path), across agent counts and topologies, printing a ns/agent-round
 // table and writing the same records to a JSON artifact (default
@@ -32,7 +32,14 @@
 // active churn model at the perfbench lattice workload's rates (the
 // kChurn* constants; at steady state about 0.25% of the nodes are
 // failed and one edge per 200 nodes is down): what a walk pays to
-// consult the time-varying overlay on every move.
+// consult the time-varying overlay on every move.  These two and
+// "anytopology", the walk they are gated against, are each the median
+// of 9 reps timed alternately, so all three see the same host noise.
+//
+// On ring/torus2d cells two more rows time the step phase alone:
+// "step" is graph::random_neighbors over every agent (the word-step
+// kernel all engines share, on Xoshiro256pp words) and "draw" is
+// drawing those words and nothing else, timed the same way.
 //
 // CI's bench-smoke job runs this with --tiny and gates ratios between
 // rows of the same run, so runner speed cancels out.  The vector and
@@ -48,25 +55,33 @@
 //   - any+dyn0/anytopology: geometric mean over the ring/torus2d cells
 //     <= 1.05, each cell <= 1.30;
 //   - any+churn/anytopology: geometric mean over the ring/torus2d
-//     cells <= 1.85 (the overlay's ~9 ns/agent-round over a
-//     dense-counting walk).
+//     cells <= 1.85 (the overlay's ~5 ns/agent-round over a
+//     dense-counting walk);
+//   - step/draw <= 3.5 on every ring/torus2d cell (the step costs 2-3
+//     draws; the kernels that branched on the direction bits read
+//     about 6).
 // engine+obs rows are trended, not gated.
 //
 // Flags:
 //   --out=PATH        JSON output path (default BENCH_engine.json)
 //   --tiny            CI smoke mode: small sizes, seconds total
-//   --reps=N          timing repetitions, best-of (default 3)
+//   --reps=N          timing repetitions of the best-of rows (default 3)
 //   --budget=STEPS    target agent-steps per timed run (default 2e7)
 //
 // The JSON must parse and carry one record per (path, topology, agents)
 // cell.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <span>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -115,6 +130,8 @@ struct Cell {
   double any_ns = 0.0;  // engine driven through graph::AnyTopology
   double dyn_ns = 0.0;  // AnyTopology engine + attached zero-rate dynamics
   double churn_ns = 0.0;  // AnyTopology engine + active churn model
+  double step_ns = 0.0;   // graph::random_neighbors alone (ring/torus2d)
+  double draw_ns = 0.0;   // the raw Xoshiro256pp words it consumes
   std::uint64_t peak_rss = 0;  // process high-water RSS after this cell
 };
 
@@ -153,6 +170,25 @@ double time_path(RunFn&& run, std::uint64_t agents, std::uint64_t rounds,
     best = ns < best ? ns : best;
   }
   return best;
+}
+
+/// Median ns/agent-round of each path over 9 reps, the paths timed
+/// alternately (a, b, ..., a, b, ...) so all see the same host noise.
+template <typename... RunFns>
+std::array<double, sizeof...(RunFns)> time_interleaved(
+    std::uint64_t agents, std::uint64_t rounds, RunFns&&... runs) {
+  constexpr int kReps = 9;
+  std::array<std::vector<double>, sizeof...(RunFns)> ns;
+  for (int rep = 0; rep < kReps; ++rep) {
+    std::size_t k = 0;
+    (ns[k++].push_back(time_path(runs, agents, rounds, 1)), ...);
+  }
+  std::array<double, sizeof...(RunFns)> medians{};
+  for (std::size_t k = 0; k < ns.size(); ++k) {
+    std::nth_element(ns[k].begin(), ns[k].begin() + kReps / 2, ns[k].end());
+    medians[k] = ns[k][kReps / 2];
+  }
+  return medians;
 }
 
 template <graph::Topology T>
@@ -219,37 +255,67 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
                           .collision_counts[0];
       },
       agents, cfg.rounds, reps);
+  // The type-erased walk and its two dynamics overhead rows, timed
+  // alternately because CI gates each dynamics row against any_ns.
+  // any+dyn0 attaches a zero-rate churn model — the mutation phase
+  // fires every round but mutates nothing, an upper bound on what the
+  // layer costs a scenario that never asked for dynamics (whose
+  // cfg.dynamics is null and which skips even this).  any+churn builds
+  // a fresh active model per rep, so every rep starts from a pristine
+  // world and walks into the same steady state.
   const graph::AnyTopology any(topo);
-  cell.any_ns = time_path(
-      [&](std::uint64_t rep) {
-        sink = sink + sim::run_density_walk(any, cfg, 0xBE7C + rep)
-                          .collision_counts[0];
-      },
-      agents, cfg.rounds, reps);
-  // The dynamics layer's overhead row: the same AnyTopology walk with a
-  // zero-rate churn model attached — the mutation phase fires every
-  // round but mutates nothing, an upper bound on what the layer costs a
-  // scenario that never asked for dynamics (whose cfg.dynamics is null
-  // and which skips even this).
   sim::ChurnDynamics idle_dyn(any, 0.0, 0.0, 10, 0);
-  cell.dyn_ns = time_path(
-      [&](std::uint64_t rep) {
-        const std::vector<double> est =
-            sim::run_dynamic_density_walk(any, cfg, idle_dyn, 0xBE7C + rep);
-        sink = sink + static_cast<std::uint64_t>(est[0] * 1e9);
-      },
-      agents, cfg.rounds, reps);
-  // The active-churn row: a fresh model per rep, so every rep starts
-  // from a pristine world and walks into the same steady state.
-  cell.churn_ns = time_path(
-      [&](std::uint64_t rep) {
-        sim::ChurnDynamics churn(any, kChurnPEdge, kChurnPFail,
-                                 kChurnMeanDown, 0);
-        const std::vector<double> est =
-            sim::run_dynamic_density_walk(any, cfg, churn, 0xBE7C + rep);
-        sink = sink + static_cast<std::uint64_t>(est[0] * 1e9);
-      },
-      agents, cfg.rounds, reps);
+  std::tie(cell.any_ns, cell.dyn_ns, cell.churn_ns) = std::tuple_cat(
+      time_interleaved(
+          agents, cfg.rounds,
+          [&](std::uint64_t) {
+            sink = sink + sim::run_density_walk(any, cfg, 0xBE7C)
+                              .collision_counts[0];
+          },
+          [&](std::uint64_t) {
+            const std::vector<double> est =
+                sim::run_dynamic_density_walk(any, cfg, idle_dyn, 0xBE7C);
+            sink = sink + static_cast<std::uint64_t>(est[0] * 1e9);
+          },
+          [&](std::uint64_t) {
+            sim::ChurnDynamics churn(any, kChurnPEdge, kChurnPFail,
+                                     kChurnMeanDown, 0);
+            const std::vector<double> est =
+                sim::run_dynamic_density_walk(any, cfg, churn, 0xBE7C);
+            sink = sink + static_cast<std::uint64_t>(est[0] * 1e9);
+          }));
+  // The step phase alone on the word-step families: random_neighbors
+  // over every agent each round, against drawing the Xoshiro256pp words
+  // it consumes and nothing else.
+  if constexpr (std::is_same_v<T, graph::Ring> ||
+                std::is_same_v<T, graph::Torus2D>) {
+    std::vector<std::uint64_t> pos(agents);
+    rng::Xoshiro256pp gen(0xBE7C);
+    for (std::uint64_t& p : pos) {
+      p = topo.random_node(gen);
+    }
+    std::tie(cell.step_ns, cell.draw_ns) = std::tuple_cat(time_interleaved(
+        agents, cfg.rounds,
+        [&](std::uint64_t) {
+          for (std::uint32_t r = 0; r < cfg.rounds; ++r) {
+            graph::random_neighbors(topo, std::span<const std::uint64_t>(pos),
+                                    std::span<std::uint64_t>(pos), gen);
+          }
+          sink = sink + pos[0];
+        },
+        [&](std::uint64_t) {
+          // Drawn as the step draws them: from a copy held in registers.
+          std::vector<std::uint64_t> words(agents);
+          for (std::uint32_t r = 0; r < cfg.rounds; ++r) {
+            rng::Xoshiro256pp local = gen;
+            for (std::uint64_t& w : words) {
+              w = local();
+            }
+            gen = local;
+            sink = sink + words[r % agents];
+          }
+        }));
+  }
   cell.peak_rss = bench::peak_rss_bytes();
   return cell;
 }
@@ -273,7 +339,7 @@ int main(int argc, char** argv) {
       "on ring/torus2d: vector <= 0.6x engine/hash, engine/hash <= 1.05x "
       "legacy (dormant telemetry), engine <= 0.85x engine/hash, "
       "any+dyn0 <= 1.05x anytopology (geomean; 1.30x per cell), "
-      "any+churn <= 1.85x anytopology (geomean); "
+      "any+churn <= 1.85x anytopology (geomean), step <= 3.5x draw; "
       "ba: engine <= 0.1x legacy; "
       "BENCH_engine.json parses");
 
@@ -332,7 +398,8 @@ int main(int argc, char** argv) {
   util::Table table({"topology", "agents", "rounds", "legacy ns/step",
                      "engine ns/step", "hash ns/step", "obs ns/step",
                      "vector ns/step", "any ns/step", "dyn ns/step",
-                     "churn ns/step", "counter gain", "obs ratio",
+                     "churn ns/step", "step ns/step", "draw ns/step",
+                     "counter gain", "obs ratio",
                      "vector ratio", "erasure overhead", "dyn overhead",
                      "churn overhead", "peak rss MiB"});
   std::vector<bench::BenchRecord> records;
@@ -347,6 +414,8 @@ int main(int argc, char** argv) {
                    util::format_fixed(c.any_ns, 2),
                    util::format_fixed(c.dyn_ns, 2),
                    util::format_fixed(c.churn_ns, 2),
+                   c.step_ns > 0.0 ? util::format_fixed(c.step_ns, 2) : "-",
+                   c.draw_ns > 0.0 ? util::format_fixed(c.draw_ns, 2) : "-",
                    util::format_fixed(c.engine_ns / c.engine_hash_ns, 3),
                    util::format_fixed(c.obs_ns / c.engine_ns, 3),
                    util::format_fixed(c.vector_ns / c.engine_hash_ns, 3),
@@ -388,6 +457,14 @@ int main(int argc, char** argv) {
     base.name = "any+churn";
     base.ns_per_agent_round = c.churn_ns;
     records.push_back(base);
+    if (c.step_ns > 0.0) {
+      base.name = "step";
+      base.ns_per_agent_round = c.step_ns;
+      records.push_back(base);
+      base.name = "draw";
+      base.ns_per_agent_round = c.draw_ns;
+      records.push_back(base);
+    }
   }
   table.print_markdown(std::cout);
 

@@ -84,7 +84,8 @@ class AnyTopology {
 
   /// Advances every position one step in place, drawing from the wide
   /// stream — one virtual call per round, forwarding to the wrapped
-  /// topology's graph::vector_step path (word kernels / batched Lemire).
+  /// topology's graph::vector_step path (word-step kernel / batched
+  /// Lemire).
   void step_nodes(std::span<node_type> pos, rng::WideStream& stream) const {
     impl_->step_nodes_wide(pos, stream);
   }

@@ -10,16 +10,20 @@ namespace {
 /// One recovery sweep over an insertion-ordered set: one Bernoulli per
 /// element in order, then swap-and-pop the recovered positions from the
 /// back so earlier removals never move an element that is still pending
-/// a decision.  Returns whether any element recovered.
+/// a decision.
 template <class Key, class Index>
-bool sweep(std::vector<Key>& items, Index& index, double p,
+void sweep(std::vector<Key>& items, Index& index, double p,
            rng::Xoshiro256pp& gen, std::vector<std::size_t>& recovered) {
   recovered.clear();
+  // A local copy keeps the state in registers; push_back could alias it
+  // in memory.
+  rng::Xoshiro256pp local = gen;
   for (std::size_t i = 0; i < items.size(); ++i) {
-    if (rng::bernoulli(gen, p)) {
+    if (rng::bernoulli(local, p)) {
       recovered.push_back(i);
     }
   }
+  gen = local;
   for (std::size_t r = recovered.size(); r-- > 0;) {
     const std::size_t i = recovered[r];
     index.erase(items[i], items);
@@ -31,7 +35,6 @@ bool sweep(std::vector<Key>& items, Index& index, double p,
     }
     items.pop_back();
   }
-  return !recovered.empty();
 }
 
 }  // namespace
@@ -51,11 +54,6 @@ void TimeVaryingWorld::rebuild_filters() {
   }
 }
 
-bool TimeVaryingWorld::filters_outgrown() const {
-  return failed_filter_.outgrown_by(failed_.size()) ||
-         blocked_filter_.outgrown_by(failed_.size() + 2 * down_.size());
-}
-
 bool TimeVaryingWorld::fail_node(node_type u) {
   const std::uint64_t key = topo_->key(u);
   if (node_failed(key)) {
@@ -63,7 +61,7 @@ bool TimeVaryingWorld::fail_node(node_type u) {
   }
   failed_.push_back(key);
   failed_index_.set(key, failed_.size() - 1, failed_);
-  if (filters_outgrown()) {
+  if (failed_filter_.outgrown_by(1) || blocked_filter_.outgrown_by(1)) {
     rebuild_filters();
   } else {
     failed_filter_.insert(key);
@@ -80,7 +78,7 @@ bool TimeVaryingWorld::drop_edge(node_type u, node_type v) {
   }
   down_.push_back(key);
   down_index_.set(key, down_.size() - 1, down_);
-  if (filters_outgrown()) {
+  if (blocked_filter_.outgrown_by(2)) {
     rebuild_filters();
   } else {
     blocked_filter_.insert(key.first);
@@ -96,12 +94,13 @@ void TimeVaryingWorld::recover(double recover_probability,
   if (recover_probability == 0.0) {
     return;
   }
-  const bool nodes_recovered =
-      sweep(failed_, failed_index_, recover_probability, gen, recovered_);
-  const bool edges_recovered =
-      sweep(down_, down_index_, recover_probability, gen, recovered_);
-  if (nodes_recovered || edges_recovered) {
-    rebuild_filters();  // bits cannot be cleared one key at a time
+  sweep(failed_, failed_index_, recover_probability, gen, recovered_);
+  sweep(down_, down_index_, recover_probability, gen, recovered_);
+  // Bits cannot be cleared one key at a time: recovered keys stay held,
+  // as false positives only, until they outnumber the live ones.
+  if (failed_filter_.held() > 2 * failed_.size() ||
+      blocked_filter_.held() > 2 * (failed_.size() + 2 * down_.size())) {
+    rebuild_filters();
   }
 }
 

@@ -18,18 +18,20 @@
 //
 // Speed: every walker move queries the overlay and almost every query
 // misses, so membership is answered in two tiers.
-//   - One-bit prefilters over node keys (detail::KeyFilter, >= 32 bits
-//     per key, so at most 1/32 false positives): `blocked` holds every
-//     failed node and both ends of every down edge, `failed` only the
-//     failed nodes.  A clear bit answers "no" exactly, so a move to an
-//     untouched node costs one bit test.  fail_node / drop_edge set
-//     bits; recover() rebuilds the filters when anything recovered.
+//   - One-bit prefilters over node keys (detail::KeyFilter: hashed at
+//     >= 32 bits per key held and >= 2^16 bits, so at most 1/32 false
+//     positives): `blocked` holds every failed node and both ends of
+//     every down edge, `failed` only the failed nodes.  A clear bit answers "no" exactly, so a move to
+//     an untouched node costs one bit test.  fail_node / drop_edge set
+//     bits.  Bits cannot be cleared one key at a time, so a recovered
+//     key stays held until recover() finds a filter holding more
+//     recovered keys than live ones and rebuilds the filters.
 //   - Behind them, flat open-addressing indexes (key -> vector
 //     position, linear probing, backward-shift erase) at most half
 //     full.  A slot is a 32-bit position; the key lives in the vector.
-// Memory is O(state), never O(num_nodes()): the prefilters follow the
-// current state, the indexes keep the capacity of the largest state
-// seen.
+// Memory is O(state) plus 8 KiB per prefilter, never O(num_nodes()):
+// the prefilters follow the current state, the indexes keep the
+// capacity of the largest state seen.
 #pragma once
 
 #include <algorithm>
@@ -131,15 +133,19 @@ class FlatIndex {
 };
 
 /// One-bit membership prefilter over node keys: a clear bit means the
-/// key was never inserted since the last reset().  Sized for a key
-/// count, never for the key space.
+/// key was never inserted since the last reset().  Hashed into a filter
+/// sized for the keys it holds (every insert since the reset), never
+/// for the key space, and never below kMinBits.
 class KeyFilter {
  public:
   /// Bits per key the filter is sized for; the false-positive rate is
   /// at most 1/kBitsPerKey.
   static constexpr std::size_t kBitsPerKey = 32;
+  /// Smallest size (8 KiB), so the few keys of a small state read
+  /// almost no false positives.
+  static constexpr std::size_t kMinBits = std::size_t{1} << 16;
 
-  KeyFilter() : words_(1, 0), shift_(64 - 6) {}
+  KeyFilter() { reset(0); }
 
   bool may_contain(std::uint64_t key) const {
     const std::uint64_t bit = hash(key) >> shift_;
@@ -148,17 +154,22 @@ class KeyFilter {
   void insert(std::uint64_t key) {
     const std::uint64_t bit = hash(key) >> shift_;
     words_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+    ++held_;
   }
-  /// Whether `keys` keys exceed what the current size is meant for.
-  bool outgrown_by(std::size_t keys) const {
-    return keys * kBitsPerKey > words_.size() * 64;
+  /// Keys inserted since the last reset().
+  std::size_t held() const { return held_; }
+  /// Whether `more` keys on top of the held ones exceed what the
+  /// current size is meant for.
+  bool outgrown_by(std::size_t more) const {
+    return (held_ + more) * kBitsPerKey > words_.size() * 64;
   }
   /// Clears the filter and resizes it for `keys` keys.
   void reset(std::size_t keys) {
     const std::size_t bits =
-        std::bit_ceil(std::max<std::size_t>(64, keys * kBitsPerKey));
+        std::bit_ceil(std::max(kMinBits, keys * kBitsPerKey));
     words_.assign(bits / 64, 0);
     shift_ = 64 - static_cast<unsigned>(std::countr_zero(bits));
+    held_ = 0;
   }
 
  private:
@@ -168,8 +179,9 @@ class KeyFilter {
     return key * 0x9E3779B97F4A7C15ULL;
   }
 
-  std::vector<std::uint64_t> words_;  // power-of-two bit count, >= 64
-  unsigned shift_;                    // 64 - log2(bit count)
+  std::vector<std::uint64_t> words_;  // power-of-two bit count
+  unsigned shift_ = 0;                // 64 - log2(bit count)
+  std::size_t held_ = 0;              // inserts since the last reset()
 };
 
 }  // namespace detail
@@ -250,8 +262,6 @@ class TimeVaryingWorld {
     }
   };
 
-  /// Whether the state outgrew either prefilter's size.
-  bool filters_outgrown() const;
   /// Resizes both prefilters to the state and re-inserts its keys.
   void rebuild_filters();
 

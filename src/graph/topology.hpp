@@ -87,25 +87,33 @@ concept VariablePickTopology =
 
 namespace detail {
 
-/// Shared scaffold for topologies whose step needs exactly one raw
-/// generator word (ring, torus2d): draws a block of words sequentially
-/// (one per node — the stream-compatibility contract), then applies
-/// `step(node, word)` in a tight loop the compiler can vectorize.
-/// The spans may alias elementwise.
-template <typename Node, rng::BitGenerator64 G, typename StepFn>
-inline void blocked_random_neighbors(std::span<const Node> in,
-                                     std::span<Node> out, G& gen,
-                                     StepFn&& step) {
+/// Batched stepping for the families whose step takes exactly one raw
+/// generator word (ring, torus2d), for every generator: draws a block
+/// of words in stream order — one fill() on a generator that has it
+/// (rng::WideStream), else one call per word — then runs the family's
+/// step_words kernel over it.  Same draws in the same order as
+/// in.size() random_neighbor calls.  The spans may alias elementwise.
+template <typename T, rng::BitGenerator64 G>
+inline void step_word_blocks(const T& topo, std::span<const std::uint64_t> in,
+                             std::span<std::uint64_t> out, G& gen) {
+  ANTDENSE_CHECK(in.size() == out.size(),
+                 "bulk neighbor sampling needs equal-sized spans");
   constexpr std::size_t kBlock = 256;
   std::uint64_t words[kBlock];
   for (std::size_t done = 0; done < in.size();) {
     const std::size_t m = std::min(kBlock, in.size() - done);
-    for (std::size_t j = 0; j < m; ++j) {
-      words[j] = gen();
+    if constexpr (requires { gen.fill(std::span<std::uint64_t>()); }) {
+      gen.fill({words, m});
+    } else {
+      // A local copy keeps the state in registers; stores to `words`
+      // could alias it in memory.
+      G local = gen;
+      for (std::size_t j = 0; j < m; ++j) {
+        words[j] = local();
+      }
+      gen = local;
     }
-    for (std::size_t j = 0; j < m; ++j) {
-      out[done + j] = step(in[done + j], words[j]);
-    }
+    topo.step_words(in.subspan(done, m), out.subspan(done, m), words);
     done += m;
   }
 }

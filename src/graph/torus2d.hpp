@@ -15,6 +15,10 @@
 #include "rng/random.hpp"
 #include "util/check.hpp"
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 namespace antdense::graph {
 
 class Torus2D {
@@ -67,20 +71,78 @@ class Torus2D {
     return step(u, static_cast<int>(dir));
   }
 
-  /// Batched stepping: one neighbor per input node, same generator
-  /// stream as sequential random_neighbor calls.  Draws a block of raw
-  /// words first, then applies a branchless wrap, so the position update
-  /// runs as a tight select-based loop instead of a per-agent switch.
+  /// Batched stepping: same generator stream as sequential
+  /// random_neighbor calls, through step_words for any generator.
   /// `out[i]` replaces `in[i]`; the spans may alias elementwise.
   template <rng::BitGenerator64 G>
   void random_neighbors(std::span<const node_type> in,
                         std::span<node_type> out, G& gen) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    detail::blocked_random_neighbors(
-        in, out, gen, [this](node_type u, std::uint64_t word) {
-          return step_branchless(u, static_cast<std::uint32_t>(word >> 62));
-        });
+    detail::step_word_blocks(*this, in, out, gen);
+  }
+
+  /// The torus's word-step kernel, shared by every engine: out[j] is
+  /// the node random_neighbor(in[j], g) returns when g's next word is
+  /// words[j] (two top bits = the direction).  Branch-free: per-
+  /// direction deltas (+1, or width-1 / height-1 ≡ -1 mod size) from a
+  /// table, added to the unpacked coordinates in 64 bits — so sides up
+  /// to 2^32-1 cannot overflow — then a conditional subtract (a select,
+  /// not a branch) wraps each.
+  /// The spans may alias elementwise.
+  void step_words(std::span<const node_type> in, std::span<node_type> out,
+                  const std::uint64_t* words) const {
+    const std::uint64_t width = width_;
+    const std::uint64_t height = height_;
+    std::size_t j = 0;
+#if defined(__AVX2__)
+    {
+      const __m256i vxmask = _mm256_set1_epi64x(0xFFFFFFFFLL);
+      const __m256i vone = _mm256_set1_epi64x(1);
+      const __m256i vw = _mm256_set1_epi64x(static_cast<long long>(width));
+      const __m256i vw1 =
+          _mm256_set1_epi64x(static_cast<long long>(width - 1));
+      const __m256i vh = _mm256_set1_epi64x(static_cast<long long>(height));
+      const __m256i vh1 =
+          _mm256_set1_epi64x(static_cast<long long>(height - 1));
+      const __m256i d0 = _mm256_setzero_si256();
+      const __m256i d2 = _mm256_set1_epi64x(2);
+      const __m256i d3 = _mm256_set1_epi64x(3);
+      for (; j + 4 <= in.size(); j += 4) {
+        const __m256i u = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(in.data() + j));
+        const __m256i w = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(words + j));
+        const __m256i dir = _mm256_srli_epi64(w, 62);
+        __m256i x = _mm256_and_si256(u, vxmask);
+        __m256i y = _mm256_srli_epi64(u, 32);
+        // The delta table as masked selects: dx = {1, width-1, 0, 0},
+        // dy = {0, 0, 1, height-1} by direction.
+        const __m256i dx = _mm256_or_si256(
+            _mm256_and_si256(_mm256_cmpeq_epi64(dir, d0), vone),
+            _mm256_and_si256(_mm256_cmpeq_epi64(dir, vone), vw1));
+        const __m256i dy = _mm256_or_si256(
+            _mm256_and_si256(_mm256_cmpeq_epi64(dir, d2), vone),
+            _mm256_and_si256(_mm256_cmpeq_epi64(dir, d3), vh1));
+        x = _mm256_add_epi64(x, dx);
+        x = _mm256_sub_epi64(
+            x, _mm256_and_si256(vw, _mm256_cmpgt_epi64(x, vw1)));
+        y = _mm256_add_epi64(y, dy);
+        y = _mm256_sub_epi64(
+            y, _mm256_and_si256(vh, _mm256_cmpgt_epi64(y, vh1)));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out.data() + j),
+                            _mm256_or_si256(_mm256_slli_epi64(y, 32), x));
+      }
+    }
+#endif
+    const std::uint64_t dx[4] = {1, width - 1, 0, 0};
+    const std::uint64_t dy[4] = {0, 0, 1, height - 1};
+    for (; j < in.size(); ++j) {
+      const std::uint64_t dir = words[j] >> 62;
+      std::uint64_t x = (in[j] & 0xFFFFFFFFULL) + dx[dir];
+      std::uint64_t y = (in[j] >> 32) + dy[dir];
+      x = x >= width ? x - width : x;
+      y = y >= height ? y - height : y;
+      out[j] = (y << 32) | x;
+    }
   }
 
   /// Deterministic step, dir in {0:+x, 1:-x, 2:+y, 3:-y}.  Exposed for
@@ -127,21 +189,6 @@ class Torus2D {
   }
 
  private:
-  /// step() without the switch: adds width-1 / height-1 for the backward
-  /// directions (≡ -1 mod size) and wraps with one conditional subtract,
-  /// so the compiler can turn the bulk loop into compare-and-blend code.
-  node_type step_branchless(node_type u, std::uint32_t dir) const {
-    std::uint32_t x = x_of(u);
-    std::uint32_t y = y_of(u);
-    const std::uint32_t dx = dir == 0 ? 1u : (dir == 1 ? width_ - 1 : 0u);
-    const std::uint32_t dy = dir == 2 ? 1u : (dir == 3 ? height_ - 1 : 0u);
-    x += dx;
-    x = x >= width_ ? x - width_ : x;
-    y += dy;
-    y = y >= height_ ? y - height_ : y;
-    return pack(x, y);
-  }
-
   std::uint32_t width_;
   std::uint32_t height_;
 };

@@ -1,10 +1,41 @@
 #include "sim/dynamic_world.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "util/format.hpp"
 
 namespace antdense::sim {
+
+namespace {
+
+/// Calls on_hit(i), in order, for every i in [begin, end) where
+/// world.may_block(keys[i]).  The prefilter runs over a block of keys
+/// before any of its hits, with no branch per key; on_hit may rewrite
+/// keys[i], since no hit reads another agent's key.
+template <class OnHit>
+void for_each_may_block(const graph::TimeVaryingWorld& world,
+                        std::span<const std::uint64_t> keys,
+                        std::size_t begin, std::size_t end, OnHit&& on_hit) {
+  constexpr std::size_t kBlock = 256;
+  // 16-bit indexes: storing them cannot alias the prefilter's state,
+  // so the compiler keeps that in registers across the block.
+  std::array<std::uint16_t, kBlock> hits;
+  for (std::size_t b = begin; b < end; b += kBlock) {
+    const std::size_t m = std::min(kBlock, end - b);
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      hits[n] = static_cast<std::uint16_t>(j);
+      n += world.may_block(keys[b + j]) ? 1 : 0;
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      on_hit(b + hits[k]);
+    }
+  }
+}
+
+}  // namespace
 
 DynamicsInstruments::DynamicsInstruments(const char* model) {
   obs::Telemetry* tel = obs::ambient_telemetry();
@@ -51,7 +82,6 @@ std::string ChurnDynamics::name() const {
 void ChurnDynamics::mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
                            std::span<std::uint64_t> positions,
                            std::span<const std::uint64_t> keys) {
-  (void)round;
   const graph::AnyTopology& base = world_.base();
 
   const std::size_t down_before =
@@ -82,28 +112,40 @@ void ChurnDynamics::mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
     instruments_.add(instruments_.edge_drops, dropped);
   }
 
+  std::uint64_t failed = 0;
   if (p_fail_ > 0.0) {
     const std::uint64_t fail_events =
         rng::binomial(mut_gen, base.num_nodes(), p_fail_);
-    std::uint64_t failed = 0;
     for (std::uint64_t j = 0; j < fail_events; ++j) {
       failed += world_.fail_node(base.random_node(mut_gen)) ? 1 : 0;
     }
     instruments_.add(instruments_.node_fails, failed);
   }
 
-  // Evict walkers standing on failed nodes (including long-failed nodes
-  // an earlier deflection could not escape), found by the engine's keys.
-  // Deterministic: consumes no randomness.
-  if (world_.num_failed_nodes() > 0) {
-    ANTDENSE_ASSERT(keys.size() == positions.size(),
-                    "churn eviction needs one key per agent");
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      if (world_.node_failed(keys[i])) {
-        positions[i] = world_.deflect(positions[i], scratch_);
-      }
-    }
+  // Evict walkers standing on failed nodes, found by the engine's keys.
+  // Deterministic: consumes no randomness.  rewrite_moves never moves a
+  // walker onto a failed node, so the scan is skipped unless a node
+  // failed in this tick, the last scan left a walker stranded (every
+  // neighbor blocked), or this tick does not follow the last one (a
+  // walk's first tick: a reused model may carry failures over).
+  ANTDENSE_ASSERT(keys.size() == positions.size(),
+                  "churn eviction needs one key per agent");
+  const bool scan = world_.num_failed_nodes() > 0 &&
+                    (failed > 0 || stranded_ || round != last_round_ + 1);
+  last_round_ = round;
+  stranded_ = false;
+  if (!scan) {
+    return;
   }
+  // The blocked prefilter holds every failed node; node_failed sorts
+  // out the down-edge ends among its hits.
+  for_each_may_block(world_, keys, 0, keys.size(), [&](std::size_t i) {
+    if (world_.node_failed(keys[i])) {
+      const std::uint64_t to = world_.deflect(positions[i], scratch_);
+      stranded_ = stranded_ || to == positions[i];
+      positions[i] = to;
+    }
+  });
 }
 
 void ChurnDynamics::rewrite_moves(std::span<const std::uint64_t> prev,
@@ -117,23 +159,23 @@ void ChurnDynamics::rewrite_moves(std::span<const std::uint64_t> prev,
   if (world_.num_failed_nodes() == 0 && world_.num_down_edges() == 0) {
     return;
   }
-  std::vector<std::uint64_t> scratch;  // per call: rewrites run per shard
-  for (std::uint32_t i = begin; i < end; ++i) {
-    // A destination the prefilter clears is up and touches no down
-    // edge; a lazy stay is always allowed.
-    const std::uint64_t to_key = keys[i];
-    if (!world_.may_block(to_key) || pos[i] == prev[i]) {
-      continue;
+  // Per thread: rewrites run per shard, concurrently.
+  thread_local std::vector<std::uint64_t> scratch;
+  // A destination the prefilter clears is up and touches no down edge;
+  // a lazy stay is always allowed.
+  for_each_may_block(world_, keys, begin, end, [&](std::size_t i) {
+    if (pos[i] == prev[i]) {
+      return;
     }
     const std::uint64_t from_key = base.key(prev[i]);
-    if (world_.edge_down(from_key, to_key)) {
+    if (world_.edge_down(from_key, keys[i])) {
       pos[i] = prev[i];  // the traversed edge is down: the move fails
       keys[i] = from_key;
-    } else if (world_.node_failed(to_key)) {
+    } else if (world_.node_failed(keys[i])) {
       pos[i] = world_.deflect(prev[i], scratch);
       keys[i] = base.key(pos[i]);
     }
-  }
+  });
 }
 
 DriftDynamics::DriftDynamics(const graph::AnyTopology& topo,

@@ -97,6 +97,8 @@ class ChurnDynamics final : public WorldDynamics {
   std::uint32_t mean_down_;
   std::uint64_t seed_;
   std::vector<std::uint64_t> scratch_;  // mutate-phase only (serial)
+  bool stranded_ = false;  // the last eviction scan left a walker in place
+  std::uint32_t last_round_ = 0;  // round of the last mutate call
   DynamicsInstruments instruments_;
 };
 

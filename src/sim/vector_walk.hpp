@@ -11,9 +11,10 @@
 //     *identity* choice: engine=vector has its own golden streams
 //     (tests/test_vector_walk.cpp), and the single/sharded streams are
 //     untouched.
-//   - Stepping goes through graph::vector_step: branchless word kernels
-//     for ring/torus2d (AVX2 when compiled in), batched Lemire rejection
-//     for the pick families, the topology's own bulk sampler otherwise.
+//   - Stepping goes through graph::vector_step: the word-step kernel
+//     ring/torus2d share with every engine (AVX2 when compiled in),
+//     batched Lemire rejection for the pick families, the topology's
+//     own bulk sampler otherwise.
 //     All of it is sequential-equivalent over the WideStream, so the
 //     vector stream is *defined* by "per-agent draws from the wide
 //     stream" and every acceleration path is unobservable.  Placement

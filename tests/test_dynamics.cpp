@@ -93,6 +93,43 @@ TEST(TimeVaryingWorld, RecoverSweepsWithProbabilityOne) {
   EXPECT_EQ(world.num_down_edges(), 0u);
 }
 
+TEST(TimeVaryingWorld, HandlesKeySpacesAboveTwoToTheSixtyThree) {
+  // Prefilters are sized by the keys they hold, never by a key space
+  // this large.
+  const std::uint64_t n = 10000000000000000000ULL;
+  const graph::AnyTopology topo =
+      Registry::built_in().make("ring:" + std::to_string(n));
+  graph::TimeVaryingWorld world(topo);
+  std::set<std::uint64_t> failed;
+  for (const std::uint64_t u :
+       std::vector<std::uint64_t>{0, n - 1, 1ULL << 63, 12345}) {
+    EXPECT_TRUE(world.fail_node(u));
+    failed.insert(u);
+  }
+  EXPECT_TRUE(world.drop_edge(n - 2, n - 3));
+  EXPECT_TRUE(world.drop_edge(5, 6));
+  // Enough failures to outgrow and rebuild the prefilters.
+  rng::Xoshiro256pp gen(3);
+  for (int i = 0; i < 3000; ++i) {
+    const std::uint64_t u = topo.random_node(gen);
+    EXPECT_EQ(world.fail_node(u), failed.insert(u).second);
+  }
+  for (const std::uint64_t u : failed) {
+    EXPECT_TRUE(world.node_failed(topo.key(u))) << u;
+  }
+  EXPECT_FALSE(world.node_failed(1));
+  EXPECT_FALSE(world.node_failed(n - 4));
+  EXPECT_TRUE(world.edge_down(n - 3, n - 2));
+  EXPECT_TRUE(world.edge_down(6, 5));
+  EXPECT_FALSE(world.edge_down(6, 7));
+  EXPECT_FALSE(world.move_allowed(5, 6));
+  world.recover(1.0, gen);
+  EXPECT_EQ(world.num_failed_nodes(), 0u);
+  EXPECT_EQ(world.num_down_edges(), 0u);
+  EXPECT_FALSE(world.node_failed(0));
+  EXPECT_FALSE(world.edge_down(5, 6));
+}
+
 /// The overlay's contract written with std::set membership: insertion-
 /// ordered vectors, swap-and-pop recovery, one Bernoulli per element.
 struct ReferenceWorld {
@@ -169,7 +206,8 @@ struct ReferenceWorld {
 
 TEST(TimeVaryingWorld, MatchesASetReferenceThroughGrowthAndDrain) {
   // 144 nodes and 288 edges: the state reaches hundreds of elements, so
-  // both indexes and the prefilter resize several times, then drains.
+  // both indexes resize several times, then drains, and recoveries
+  // leave the prefilters holding stale keys until they are rebuilt.
   const graph::AnyTopology topo = Registry::built_in().make("torus2d:12x12");
   graph::TimeVaryingWorld world(topo);
   ReferenceWorld ref{&topo, {}, {}, {}, {}};
@@ -305,6 +343,107 @@ TEST(ChurnDynamics, EvictsWalkersFromFailedNodes) {
         << "no walker may remain on a failed node that has an "
            "admissible neighbor";
   }
+}
+
+TEST(ChurnDynamics, EvictionSkipStrandsNobodyAFullScanWouldMove) {
+  // A walker whose every neighbor is blocked stays on its failed node:
+  // it is stranded.  A tick scans for walkers on failed nodes only when
+  // a node failed in it or the last scan stranded someone; either way,
+  // after every tick a full scan must find nobody it would move.  A
+  // small ring that fails nodes and edges often and recovers them
+  // slowly strands walkers, and rescues them in ticks that fail nothing.
+  const graph::AnyTopology topo = Registry::built_in().make("ring:12");
+  sim::ChurnDynamics model(topo, /*p_edge=*/0.04, /*p_fail=*/0.05,
+                           /*mean_down=*/4, 1);
+  const graph::TimeVaryingWorld& world = model.world();
+  rng::Xoshiro256pp walk_gen(5);
+  rng::Xoshiro256pp mut_gen(rng::derive_mutation_stream(5, 1));
+  std::vector<std::uint64_t> pos(40);
+  for (std::uint64_t& p : pos) {
+    p = topo.random_node(walk_gen);
+  }
+  std::vector<std::uint64_t> keys(pos.size());
+  topo.keys(pos, keys);
+  std::vector<std::uint64_t> scratch;
+  const auto failed_nodes = [&] {
+    std::set<std::uint64_t> failed;
+    for (std::uint64_t key = 0; key < topo.num_nodes(); ++key) {
+      if (world.node_failed(key)) {
+        failed.insert(key);
+      }
+    }
+    return failed;
+  };
+  std::size_t quiet_rescues = 0;
+  for (std::uint32_t round = 2; round <= 3000; ++round) {
+    const std::set<std::uint64_t> failed_before = failed_nodes();
+    const std::vector<std::uint64_t> before = pos;
+    model.mutate(round, mut_gen, std::span<std::uint64_t>(pos), keys);
+    for (const std::uint64_t p : pos) {
+      ASSERT_FALSE(world.node_failed(topo.key(p)) &&
+                   world.deflect(p, scratch) != p)
+          << "round " << round << ": a walker on failed node " << p
+          << " has an admissible neighbor";
+    }
+    const std::set<std::uint64_t> failed_after = failed_nodes();
+    const bool fresh_failure = std::any_of(
+        failed_after.begin(), failed_after.end(),
+        [&](std::uint64_t key) { return failed_before.count(key) == 0; });
+    quiet_rescues += !fresh_failure && pos != before ? 1 : 0;
+
+    const std::vector<std::uint64_t> prev = pos;
+    topo.random_neighbors(prev, pos, walk_gen);
+    model.rewrite_moves(prev, std::span<std::uint64_t>(pos), keys, 0,
+                        static_cast<std::uint32_t>(pos.size()));
+  }
+  EXPECT_GT(quiet_rescues, 0u)
+      << "some tick without a fresh failure must move a stranded walker";
+}
+
+TEST(ChurnDynamics, AReusedModelEvictsOnANewWalksFirstTick) {
+  // A model reused for another walk carries its failures over, and that
+  // walk's agents may start on failed nodes.  Its first tick (round 2
+  // again) must evict them even when no node fails in that tick.
+  const graph::AnyTopology topo = Registry::built_in().make("ring:60");
+  sim::ChurnDynamics model(topo, /*p_edge=*/0.0, /*p_fail=*/0.01,
+                           /*mean_down=*/1000, 4);
+  const graph::TimeVaryingWorld& world = model.world();
+  rng::Xoshiro256pp mut_gen(rng::derive_mutation_stream(9, 4));
+  std::vector<std::uint64_t> scratch;
+  std::size_t quiet_restarts = 0;
+  std::uint32_t round = 2;
+  for (int walk = 0; walk < 200; ++walk) {
+    // A few ticks of the old walk, with nobody on the world.
+    for (int t = 0; t < 3; ++t) {
+      std::vector<std::uint64_t> none;
+      model.mutate(round++, mut_gen, std::span<std::uint64_t>(none), none);
+    }
+    std::vector<std::uint64_t> pos;
+    for (std::uint64_t u = 0; u < topo.num_nodes(); ++u) {
+      if (world.node_failed(topo.key(u)) && world.deflect(u, scratch) != u) {
+        pos.push_back(u);
+      }
+    }
+    if (pos.empty()) {
+      continue;
+    }
+    const std::size_t failed_before = world.num_failed_nodes();
+    std::vector<std::uint64_t> keys(pos.size());
+    topo.keys(pos, keys);
+    round = 2;
+    model.mutate(round++, mut_gen, std::span<std::uint64_t>(pos), keys);
+    if (world.num_failed_nodes() > failed_before) {
+      continue;  // a fresh failure forces the scan anyway
+    }
+    ++quiet_restarts;
+    for (const std::uint64_t p : pos) {
+      ASSERT_FALSE(world.node_failed(topo.key(p)) &&
+                   world.deflect(p, scratch) != p)
+          << "walk " << walk << ": a walker starting on failed node " << p
+          << " was not evicted";
+    }
+  }
+  EXPECT_GT(quiet_restarts, 0u);
 }
 
 TEST(ChurnDynamics, RewriteMovesBlocksDownEdgesAndDeflectsIntoFailures) {

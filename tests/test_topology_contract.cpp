@@ -13,6 +13,9 @@
 //     empty and one-node batches, and at the implicit families' edges:
 //     isolated nodes, and batches past the scratch entry budget
 //   - batched keys equals scalar keys
+//   - the ring and torus2d word-step kernel, which every engine steps
+//     through, equals per-agent random_neighbor calls on both the
+//     scalar and the wide generator, also on tori past 2^31 per side
 //
 // Families are built through the scenario Registry, so this suite also
 // exercises every registered spec string end to end.
@@ -22,10 +25,17 @@
 #include <cstdint>
 #include <set>
 #include <span>
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/any_topology.hpp"
+#include "graph/ring.hpp"
+#include "graph/torus2d.hpp"
+#include "graph/vector_step.hpp"
 #include "rng/xoshiro256pp.hpp"
+#include "rng/xoshiro_wide.hpp"
 #include "scenario/registry.hpp"
 
 namespace antdense {
@@ -241,6 +251,97 @@ TEST(TopologyContract, BatchedKeysEqualScalarKeys) {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       EXPECT_EQ(batched[i], topo.key(nodes[i]));
     }
+  }
+}
+
+/// Steps `nodes` three rounds three ways from equal generators: the
+/// batched path into a separate output (where `topo` offers one for G),
+/// the batched path in place — graph::vector_step on a WideStream — and
+/// per-agent random_neighbor calls.  All must agree, draw for draw.
+template <typename G, typename T>
+void expect_word_steps_match_per_agent(const T& topo,
+                                       std::vector<std::uint64_t> nodes) {
+  G out_gen(0x5EB);
+  G in_place_gen(0x5EB);
+  G sequential_gen(0x5EB);
+  constexpr bool kDistinctSpans = requires(
+      std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
+    topo.random_neighbors(in, out, out_gen);
+  };
+  std::vector<std::uint64_t> out(nodes.size());
+  std::vector<std::uint64_t> in_place = nodes;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::uint64_t> sequential(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      sequential[i] = topo.random_neighbor(nodes[i], sequential_gen);
+    }
+    if constexpr (kDistinctSpans) {
+      topo.random_neighbors(std::span<const std::uint64_t>(nodes),
+                            std::span<std::uint64_t>(out), out_gen);
+      ASSERT_EQ(out, sequential) << "round " << round;
+    }
+    if constexpr (std::is_same_v<G, rng::WideStream>) {
+      graph::vector_step(topo, std::span<std::uint64_t>(in_place),
+                         in_place_gen);
+    } else {
+      graph::random_neighbors(topo, std::span<const std::uint64_t>(in_place),
+                              std::span<std::uint64_t>(in_place),
+                              in_place_gen);
+    }
+    ASSERT_EQ(in_place, sequential) << "round " << round;
+    nodes = sequential;
+  }
+  const std::uint64_t next = sequential_gen();
+  if constexpr (kDistinctSpans) {
+    EXPECT_EQ(out_gen(), next);
+  }
+  EXPECT_EQ(in_place_gen(), next);
+}
+
+/// 300 nodes, so a step crosses the kernel's 256-word block boundary:
+/// `ends` first (the wrap cases), then uniform draws.
+template <typename T>
+std::vector<std::uint64_t> word_step_nodes(
+    const T& topo, std::initializer_list<std::uint64_t> ends) {
+  std::vector<std::uint64_t> nodes(ends);
+  rng::Xoshiro256pp seeder(41);
+  while (nodes.size() < 300) {
+    nodes.push_back(topo.random_node(seeder));
+  }
+  return nodes;
+}
+
+template <typename T>
+void expect_word_kernel_matches_per_agent(
+    const T& topo, std::initializer_list<std::uint64_t> ends) {
+  SCOPED_TRACE(topo.name());
+  const std::vector<std::uint64_t> nodes = word_step_nodes(topo, ends);
+  const graph::AnyTopology any(topo);
+  expect_word_steps_match_per_agent<rng::Xoshiro256pp>(topo, nodes);
+  expect_word_steps_match_per_agent<rng::WideStream>(topo, nodes);
+  expect_word_steps_match_per_agent<rng::Xoshiro256pp>(any, nodes);
+  expect_word_steps_match_per_agent<rng::WideStream>(any, nodes);
+}
+
+TEST(TopologyContract, WordStepKernelMatchesPerAgentSteps) {
+  // Ring(2) would be a multigraph; the constructor rejects it.
+  EXPECT_THROW(graph::Ring(2), std::invalid_argument);
+  for (const std::uint64_t n : {3ULL, 997ULL}) {
+    expect_word_kernel_matches_per_agent(graph::Ring(n), {0, n - 1});
+  }
+  // Rings above 2^63 nodes: u + size-1 carries out of 64 bits.
+  for (const std::uint64_t n : {(1ULL << 63) + 2, ~0ULL}) {
+    expect_word_kernel_matches_per_agent(graph::Ring(n),
+                                         {0, n - 1, 1ULL << 63});
+  }
+  // Tori wider or taller than 2^31: x + width-1 must not wrap in 32 bits.
+  for (const auto& [w, h] :
+       {std::pair<std::uint32_t, std::uint32_t>{2, 2}, {48, 32},
+        {3000000000u, 2}, {2, 3000000000u}}) {
+    expect_word_kernel_matches_per_agent(
+        graph::Torus2D(w, h),
+        {graph::Torus2D::pack(0, 0), graph::Torus2D::pack(w - 1, h - 1),
+         graph::Torus2D::pack(0, h - 1), graph::Torus2D::pack(w - 1, 0)});
   }
 }
 

@@ -1,6 +1,6 @@
 // The vector engine's contract suite (sim/vector_walk.hpp, run on the
 // shard loop):
-//   - sequential equivalence: graph::vector_step (word kernels, batched
+//   - sequential equivalence: graph::vector_step (word-step kernel, batched
 //     Lemire, bulk fallback) == per-agent random_neighbor draws from an
 //     equal-seeded WideStream, on every explicit family and through the
 //     type-erased AnyTopology handle;
