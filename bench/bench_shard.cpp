@@ -170,9 +170,10 @@ int main(int argc, char** argv) {
   // grain is identity-bearing, so benching a special grain would time a
   // different engine.  Instead the tiny sizes start at 2 x the default
   // grain so even smoke cells are genuinely multi-shard: the worker
-  // pool, the concurrent counter, and the determinism cross-check all
-  // really run multi-threaded (one 4096-agent shard would silently
-  // serialize them, turning the cross-check into a tautology).
+  // pool's step and observe passes, the serial fill between them, and
+  // the determinism cross-check all really run across shards (one
+  // 4096-agent shard would silently serialize them, turning the
+  // cross-check into a tautology).
   const std::vector<std::uint32_t> agent_counts =
       tiny ? std::vector<std::uint32_t>{2 * sim::ShardPlan::kDefaultShardSize,
                                         8 * sim::ShardPlan::kDefaultShardSize}

@@ -145,27 +145,29 @@ util::JsonValue ScenarioResult::to_json() const {
   summary_doc.set("within_eps", summary.within_eps);
   doc.set("summary", summary_doc);
 
-  util::JsonValue estimates_doc = util::JsonValue::array();
+  // The arrays are built in place and moved in: a 10^5-agent estimates
+  // array is about 10 MB of JsonValues.
+  util::JsonValue estimates_doc = util::JsonValue::array(estimates.size());
   for (double e : estimates) {
     estimates_doc.push_back(e);
   }
-  doc.set("estimates", estimates_doc);
+  doc.set("estimates", std::move(estimates_doc));
 
-  util::JsonValue checkpoints_doc = util::JsonValue::array();
+  util::JsonValue checkpoints_doc = util::JsonValue::array(checkpoints.size());
   for (std::uint32_t c : checkpoints) {
     checkpoints_doc.push_back(c);
   }
-  doc.set("checkpoints", checkpoints_doc);
+  doc.set("checkpoints", std::move(checkpoints_doc));
 
-  util::JsonValue series_doc = util::JsonValue::array();
+  util::JsonValue series_doc = util::JsonValue::array(series.size());
   for (const auto& trace : series) {
-    util::JsonValue trace_doc = util::JsonValue::array();
+    util::JsonValue trace_doc = util::JsonValue::array(trace.size());
     for (double v : trace) {
       trace_doc.push_back(v);
     }
     series_doc.push_back(std::move(trace_doc));
   }
-  doc.set("series", series_doc);
+  doc.set("series", std::move(series_doc));
 
   doc.set("elapsed_seconds", elapsed_seconds);
   doc.set("elapsed_ns", elapsed_ns);
@@ -270,7 +272,8 @@ ScenarioResult Experiment::run(const ProgressHooks& hooks) const {
       result.estimates = fan_out([&](std::uint64_t seed,
                                      const sim::Exec& exec) {
         sim::PropertyObserver counts(
-            sim::draw_property_carriers(spec_.agents, num_property, seed));
+            sim::draw_property_carriers(spec_.agents, num_property, seed),
+            topo_.num_nodes());
         sim::run_walk(topo_, cfg.walk_config(), rng::derive_seed(seed, 0x52u),
                       exec, nullptr, counts, progress);
         std::vector<double> freq;

@@ -82,7 +82,7 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
                                                rng::Xoshiro256pp* view_gen) {
     obs::EngineTap tap(engine, {"step", "count", "observe", "mutate"});
     with_occupancy_counter(
-        topo.num_nodes(), cfg.num_agents, /*threads=*/1, [&](auto& counter) {
+        topo.num_nodes(), cfg.num_agents, [&](auto& counter) {
           detail::run_shard_loop(
               topo, cfg, stream_seed,
               ShardPlan::make(cfg.num_agents, cfg.num_agents),
@@ -236,7 +236,7 @@ PropertyResult run_property_walk(const T& topo, const DensityConfig& cfg,
   cfg.validate();
   ANTDENSE_CHECK(has_property.size() == cfg.num_agents,
                  "property flags must match agent count");
-  PropertyObserver observer(has_property);
+  PropertyObserver observer(has_property, topo.num_nodes());
   run_walk(topo, cfg.walk_config(), rng::derive_seed(seed, 0x52u), exec,
            static_cast<const std::vector<typename T::node_type>*>(nullptr),
            observer);

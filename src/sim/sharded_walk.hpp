@@ -17,28 +17,31 @@
 //      sequential calls), graph::vector_step when the shard stream is a
 //      rng::WideStream, or the per-agent Bernoulli/step loop for a lazy
 //      walk — and a dynamics model rewrites blocked moves;
-//   3. count: keys are recomputed and the round's occupancy counter
-//      filled (masked by the model's alive slots), then the fill hooks
-//      run (auxiliary occupancy counting).  The counter is the one
-//      with_occupancy_counter (sim/dense_counter.hpp) picks: the
-//      lock-free ConcurrentCollisionCounter when a worker pool fills it,
-//      otherwise the direct-addressed DenseCollisionCounter, or the hash
-//      CollisionCounter on sparse or huge substrates;
+//   3. count: keys are recomputed, then the round's occupancy counter is
+//      filled (masked by the model's alive slots) shard by shard, in
+//      shard order, and each shard's fill hooks run (auxiliary occupancy
+//      counting).  The counter is the one with_occupancy_counter
+//      (sim/dense_counter.hpp) picks: the direct-addressed byte-per-node
+//      DenseCollisionCounter, or the hash CollisionCounter on sparse or
+//      huge substrates;
 //   4. observe: after_round hooks read the now-complete occupancy and
 //      write their own agents' slice — noise draws come from the view
 //      generator: the shard stream, after the shard's step draws, unless
 //      the entry point names a separate one;
 //   5. end_round hooks (serial) take cross-shard snapshots.
-// With threads > 1, steps 2–3 run as one parallel pass over the shards
-// and step 4 as a second, barrier-separated one; the serial path runs
-// the same passes shard by shard, with steps 2 and 3 split into two
-// passes when the phase layout times them apart.
+// With threads > 1, stepping and keying (steps 2–3) run as one parallel
+// pass over the shards, the fill runs on the calling thread, and step 4
+// runs as a second parallel pass: every write to the counter and to
+// fill-hook state is serial, so neither needs a thread-safe insertion
+// path.  The serial path runs the same passes shard by shard, with
+// steps 2 and 3 split into two passes when the phase layout times them
+// apart.
 //
 // Three entry points fix the streams, thread count and telemetry layout:
 //   - run_walk_sharded (engine=sharded): `shard_size`-agent shards on
 //     rng::derive_stream(stream_seed, shard) generators, on a worker
 //     pool; tap "sharded" books steps 2–3 as one step_count phase
-//     (fill hooks included) at every thread count.
+//     (fill and fill hooks included) at every thread count.
 //   - sim::run_walk with SingleExec (engine=single, sim/density_sim.hpp):
 //     one shard holding every agent, on Xoshiro256pp(stream_seed)
 //     itself, on the caller's thread — the historical single-stream
@@ -53,9 +56,10 @@
 // Determinism contract: the output is a pure function of (stream_seed,
 // WalkConfig, shard plan, shard streams) — bit-identical for ANY thread
 // count, including 1, because the shard decomposition and each shard's
-// draw sequence never depend on scheduling, and occupancy is exact for
-// any insertion order and in every counter.  Observer slices are laid
-// out in shard order within the shared arrays, so the "merge" is free.
+// draw sequence never depend on scheduling, occupancy is exact in every
+// counter, and the fill runs in shard order on one thread.  Observer
+// slices are laid out in shard order within the shared arrays, so the
+// "merge" is free.
 // tests/test_sharded_walk.cpp pins threads ∈ {1, 2, 8} equality across
 // every topology family and workload; tests/test_walk_engine.cpp pins
 // engine=single against the frozen pre-engine loops, and
@@ -150,8 +154,8 @@ inline constexpr PhaseLayout kSinglePhases{
 /// a rng::WideStream through graph::vector_step.  `view_gen` is the
 /// generator every view hands the observers; null means each shard's
 /// own, which only a Xoshiro256pp shard stream can be.  `threads` > 1
-/// runs each pass's shards on a worker pool, which needs a layout whose
-/// step and count share a span and the concurrent counter.  `counter` is
+/// runs the step and observe passes' shards on a worker pool, which
+/// needs a layout whose step and count share a span.  `counter` is
 /// fresh and holds the round's occupancy.  The entry points
 /// (run_walk_sharded here, the SingleExec and VectorExec branches of
 /// sim::run_walk) validate `cfg` and fix the plan, streams, thread
@@ -182,10 +186,7 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
   ANTDENSE_ASSERT(kScalarGens || view_gen != nullptr,
                   "wide shard streams need a separate view generator");
   ANTDENSE_ASSERT(!concurrent || phases.step == phases.count,
-                  "the concurrent path books step and count as one phase");
-  ANTDENSE_CHECK(
-      !concurrent || (std::is_same_v<Counter, ConcurrentCollisionCounter>),
-      "a worker pool needs the concurrent counter");
+                  "the pool path books step and count as one phase");
 
   // Placement draws come from each shard's own stream, so placement is
   // as thread-count-invariant as the walk itself.
@@ -241,8 +242,7 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
                                    n_agents,
                                    std::span<const std::uint64_t>(keys),
                                    counter,
-                                   *gen,
-                                   concurrent};
+                                   *gen};
   };
 
   // Step: the shard's draws, then the dynamics rewrite of blocked moves.
@@ -282,15 +282,22 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
     }
   };
 
-  // Count: key, count and fill — everything that writes this round's
-  // occupancy.
-  const auto count_shard = [&](std::uint32_t s) {
-    const std::uint32_t b = plan.begin(s);
-    const std::uint32_t e = plan.end(s);
+  // Key: the count pass's parallel half (a rewrite keyed the slice
+  // already).
+  const auto key_shard = [&](std::uint32_t s) {
     if (!rewrites) {
+      const std::uint32_t b = plan.begin(s);
+      const std::uint32_t e = plan.end(s);
       graph::node_keys(topo, std::span<const node>(pos).subspan(b, e - b),
                        std::span<std::uint64_t>(keys).subspan(b, e - b));
     }
+  };
+
+  // Fill: everything that writes this round's occupancy — always on one
+  // thread, in shard order.
+  const auto fill_shard = [&](std::uint32_t s) {
+    const std::uint32_t b = plan.begin(s);
+    const std::uint32_t e = plan.end(s);
     if (count_mask != nullptr) {
       for (std::uint32_t i = b; i < e; ++i) {
         if (count_mask[i] != 0) {
@@ -301,8 +308,6 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
       fill_counter(counter,
                    std::span<const std::uint64_t>(keys).subspan(b, e - b));
     }
-    // Per-worker sink: each pool worker lands on its own striped slot,
-    // and the total is Σ shard sizes — exact for any thread count.
     tap.add_agent_steps(e - b);
     const auto view = make_view(s);
     (notify_fill(observers, view, std::span<const node>(pos)), ...);
@@ -319,13 +324,13 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
   // once, here — doing it per run() call would heap-allocate twice per
   // round.
   std::unique_ptr<util::WorkerPool> pool;
-  std::function<void(std::size_t)> step_count_fn;
+  std::function<void(std::size_t)> step_key_fn;
   std::function<void(std::size_t)> observe_fn;
   if (concurrent) {
     pool = std::make_unique<util::WorkerPool>(threads);
-    step_count_fn = [&](std::size_t s) {
+    step_key_fn = [&](std::size_t s) {
       step_shard(static_cast<std::uint32_t>(s));
-      count_shard(static_cast<std::uint32_t>(s));
+      key_shard(static_cast<std::uint32_t>(s));
     };
     observe_fn = [&](std::size_t s) {
       observe_shard(static_cast<std::uint32_t>(s));
@@ -346,12 +351,16 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
     (notify_begin_round(observers, round), ...);
     if (concurrent) {
       const obs::EngineTap::PhaseSpan phase(tap, phases.step);
-      pool->run(n_shards, step_count_fn);
+      pool->run(n_shards, step_key_fn);
+      for (std::uint32_t s = 0; s < n_shards; ++s) {
+        fill_shard(s);
+      }
     } else if (phases.step == phases.count) {
       const obs::EngineTap::PhaseSpan phase(tap, phases.step);
       for (std::uint32_t s = 0; s < n_shards; ++s) {
         step_shard(s);
-        count_shard(s);
+        key_shard(s);
+        fill_shard(s);
       }
     } else {
       // Step every shard, then count every shard, so the count phase is
@@ -365,7 +374,8 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
       }
       const obs::EngineTap::PhaseSpan phase(tap, phases.count);
       for (std::uint32_t s = 0; s < n_shards; ++s) {
-        count_shard(s);
+        key_shard(s);
+        fill_shard(s);
       }
     }
     {
@@ -386,9 +396,10 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
 }  // namespace detail
 
 /// Runs the sharded engine: the shard loop over `exec.shard_size`-agent
-/// shards on derive_stream(stream_seed, s) generators.  after_round/fill
-/// hooks fire once per shard per round, concurrently across shards, and
-/// must only write state for agents in the view's range.  Deterministic
+/// shards on derive_stream(stream_seed, s) generators.  fill hooks fire
+/// once per shard per round, serially in shard order; after_round hooks
+/// fire once per shard per round, concurrently across shards, and must
+/// only write state for agents in the view's range.  Deterministic
 /// in (stream_seed, cfg, exec.shard_size) for any exec.threads.
 template <graph::Topology T, class... Obs>
   requires(WalkObserver<Obs, typename T::node_type> && ...)
@@ -411,7 +422,7 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
   // around the parallel phases (no new barriers), while striped counter
   // adds inside them come from the workers themselves.
   obs::EngineTap tap("sharded", {"step_count", "observe", "mutate"});
-  with_occupancy_counter(topo.num_nodes(), cfg.num_agents, threads,
+  with_occupancy_counter(topo.num_nodes(), cfg.num_agents,
                          [&](auto& counter) {
                            detail::run_shard_loop(
                                topo, cfg, stream_seed, plan, std::move(gens),

@@ -1,5 +1,6 @@
 #include "sim/walk_engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace antdense::sim {
@@ -60,17 +61,20 @@ std::vector<double> CollisionObserver::estimates(std::uint32_t rounds) const {
   return out;
 }
 
-PropertyObserver::PropertyObserver(std::vector<bool> has_property)
+PropertyObserver::PropertyObserver(std::vector<bool> has_property,
+                                   std::uint64_t num_nodes)
     : has_property_(std::move(has_property)),
       total_counts_(has_property_.size(), 0),
       property_counts_(has_property_.size(), 0),
-      prop_counter_(has_property_.empty() ? 1 : has_property_.size()) {
+      carriers_(make_occupancy_counter(
+          num_nodes, static_cast<std::uint32_t>(
+                         std::max<std::size_t>(has_property_.size(), 1)))) {
   ANTDENSE_CHECK(!has_property_.empty(),
                  "property flags must cover at least one agent");
 }
 
 void PropertyObserver::begin_round(std::uint32_t) {
-  prop_counter_.begin_round();
+  std::visit([](auto& carriers) { carriers.begin_round(); }, carriers_);
 }
 
 namespace detail {

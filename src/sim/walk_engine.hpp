@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -56,17 +57,18 @@ struct WalkConfig {
 /// What an observer sees at the end of each round.  Everything is a view
 /// into engine state; observers must not hold onto it past the call.
 /// `Counter` is whichever occupancy counter the loop runs on
-/// (with_occupancy_counter, sim/dense_counter.hpp): dense, hash or
-/// concurrent, all exact, so observers templated on the view read the
-/// same counts from each.
+/// (with_occupancy_counter, sim/dense_counter.hpp): dense or hash, both
+/// exact, so observers templated on the view read the same counts from
+/// each.
 /// `gen` is the generator whose draws are reproducible for this view's
 /// agent range — the shard's stream (the stream seed itself under
 /// engine=single), or the vector engine's observer stream.
 /// Observers that draw from it (noise models) become part of the
 /// reproducible stream, in pack order.
-/// Hooks must only write observer state belonging to agents in
-/// [begin_agent, end_agent); the sharded engine runs hooks for distinct
-/// ranges concurrently.
+/// after_round hooks must only write observer state belonging to agents
+/// in [begin_agent, end_agent); the sharded engine runs them for
+/// distinct ranges concurrently.  fill hooks always run serially, in
+/// agent order.
 template <typename Counter>
 struct BasicRoundView {
   std::uint32_t round = 0;        // 1-based
@@ -76,9 +78,6 @@ struct BasicRoundView {
   std::span<const std::uint64_t> keys;  // keys[i] = key of agent i's node
   const Counter& counter;               // occupancy of the current round
   rng::Xoshiro256pp& gen;
-  /// True when fill hooks run concurrently (sharded, threads > 1):
-  /// auxiliary counters must use their thread-safe insertion path.
-  bool concurrent_fill = false;
 };
 
 /// An observer is any type with at least one per-round hook:
@@ -105,8 +104,7 @@ concept WalkObserverForView =
 template <typename O, typename Node>
 concept WalkObserver =
     WalkObserverForView<O, Node, BasicRoundView<DenseCollisionCounter>> &&
-    WalkObserverForView<O, Node, BasicRoundView<CollisionCounter>> &&
-    WalkObserverForView<O, Node, BasicRoundView<ConcurrentCollisionCounter>>;
+    WalkObserverForView<O, Node, BasicRoundView<CollisionCounter>>;
 
 /// Per-agent cumulative collision counts — Algorithm 1's `c`, with the
 /// Section 6.1 sensing perturbations (detection misses, spurious
@@ -227,12 +225,14 @@ class CollisionObserver {
 };
 
 /// Two-class counting for Section 5.2: total encounters and encounters
-/// with property-P agents, from the same walk.  The property-occupancy
-/// counter is filled in the engine's fill phase (concurrently under the
-/// sharded engine) and read per agent in after_round.
+/// with property-P agents, from the same walk.  The carrier-occupancy
+/// counter — picked by the same policy as the round's own counter
+/// (make_occupancy_counter) — is filled in the engine's serial fill
+/// phase and read per agent in after_round.
 class PropertyObserver {
  public:
-  explicit PropertyObserver(std::vector<bool> has_property);
+  /// `num_nodes`: the substrate's node count, for the counter policy.
+  PropertyObserver(std::vector<bool> has_property, std::uint64_t num_nodes);
 
   void begin_round(std::uint32_t round);
 
@@ -240,28 +240,28 @@ class PropertyObserver {
   void fill(const View& v) {
     ANTDENSE_ASSERT(v.num_agents == has_property_.size(),
                     "observer sized for a different agent count");
-    if (v.concurrent_fill) {
-      for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
-        if (has_property_[i]) {
-          prop_counter_.add(v.keys[i]);
-        }
-      }
-    } else {
-      for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
-        if (has_property_[i]) {
-          prop_counter_.add_serial(v.keys[i]);
-        }
-      }
-    }
+    std::visit(
+        [&](auto& carriers) {
+          for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
+            if (has_property_[i]) {
+              carriers.add(v.keys[i]);
+            }
+          }
+        },
+        carriers_);
   }
 
   template <typename View>
   void after_round(const View& v) {
-    for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
-      total_counts_[i] += v.counter.occupancy(v.keys[i]) - 1;
-      const std::uint32_t prop_occ = prop_counter_.occupancy(v.keys[i]);
-      property_counts_[i] += prop_occ - (has_property_[i] ? 1 : 0);
-    }
+    std::visit(
+        [&](const auto& carriers) {
+          for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
+            total_counts_[i] += v.counter.occupancy(v.keys[i]) - 1;
+            const std::uint32_t prop_occ = carriers.occupancy(v.keys[i]);
+            property_counts_[i] += prop_occ - (has_property_[i] ? 1 : 0);
+          }
+        },
+        carriers_);
   }
 
   const std::vector<std::uint64_t>& total_counts() const {
@@ -281,7 +281,7 @@ class PropertyObserver {
   std::vector<bool> has_property_;
   std::vector<std::uint64_t> total_counts_;
   std::vector<std::uint64_t> property_counts_;
-  ConcurrentCollisionCounter prop_counter_;
+  OccupancyCounter carriers_;
 };
 
 /// Snapshots the running estimate c/r of the first `tracked_agents`

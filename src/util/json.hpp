@@ -45,9 +45,11 @@ class JsonValue {
   JsonValue(std::string s) : kind_(Kind::kString), str_(std::move(s)) {}
   JsonValue(const char* s) : kind_(Kind::kString), str_(s) {}
 
-  static JsonValue array() {
+  /// An empty array with room for `capacity` elements.
+  static JsonValue array(std::size_t capacity = 0) {
     JsonValue v;
     v.kind_ = Kind::kArray;
+    v.array_.reserve(capacity);
     return v;
   }
   static JsonValue object() {

@@ -491,7 +491,7 @@ TEST(DriftDynamics, CollisionObserverDropsTheDeadAndRestartsTheReborn) {
                                  std::uint32_t round,
                                  const std::vector<std::uint64_t>& keys) {
     const auto n = static_cast<std::uint32_t>(keys.size());
-    sim::ConcurrentCollisionCounter counter(n);
+    sim::CollisionCounter counter(n);
     counter.begin_round();
     for (std::uint32_t i = 0; i < n; ++i) {
       if (drift.count_mask()[i] != 0) {
@@ -499,7 +499,7 @@ TEST(DriftDynamics, CollisionObserverDropsTheDeadAndRestartsTheReborn) {
       }
     }
     observer.after_round(
-        sim::BasicRoundView<sim::ConcurrentCollisionCounter>{
+        sim::BasicRoundView<sim::CollisionCounter>{
             round, 0, n, n, keys, counter, gen});
   };
 

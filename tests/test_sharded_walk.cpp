@@ -3,12 +3,13 @@
 // merged output is bit-identical for ANY thread count — threads ∈
 // {1, 2, 8} here — across every topology family and every workload
 // observer, including the noise paths that draw from per-shard streams.
-// Also covers the ShardPlan layout, the lock-free collision counter's
-// serial/concurrent parity, the occupancy-counter choice (dense, hash
-// and concurrent counters give the shard loop byte-equal results, and
-// with_occupancy_counter's picks), statistical sanity of the sharded stream
-// (Algorithm 1 stays unbiased), and thread-count invariance at the
-// scenario::Experiment level for engine=sharded specs.
+// Also covers the ShardPlan layout, the occupancy-counter choice (the
+// dense and hash counters give the shard loop byte-equal results on one
+// thread and on a pool, and with_occupancy_counter's picks), statistical
+// sanity of the sharded stream (Algorithm 1 stays unbiased), and
+// thread-count invariance at the scenario::Experiment level — every
+// workload and family for engine=sharded, and every engine on a ring
+// crowded past the dense counter's byte.
 #include "sim/sharded_walk.hpp"
 
 #include <gtest/gtest.h>
@@ -30,12 +31,10 @@
 #include "scenario/ball_density.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
-#include "sim/concurrent_counter.hpp"
 #include "sim/dense_counter.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/dynamic_world.hpp"
 #include "stats/accumulator.hpp"
-#include "util/worker_pool.hpp"
 
 namespace antdense::sim {
 namespace {
@@ -79,77 +78,6 @@ TEST(ShardPlan, ExactMultipleAndSingleShard) {
 TEST(ShardPlan, RejectsDegenerateInputs) {
   EXPECT_THROW(ShardPlan::make(0, 16), std::invalid_argument);
   EXPECT_THROW(ShardPlan::make(10, 0), std::invalid_argument);
-}
-
-// --- The lock-free counter -------------------------------------------
-
-TEST(ConcurrentCounter, SerialAndConcurrentAddsAgree) {
-  // Same keys through add_serial, single-threaded add, and genuinely
-  // concurrent add via a pool: occupancy must be exact in all three.
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    keys.push_back(i % 37);  // heavy collisions
-  }
-  ConcurrentCollisionCounter serial(keys.size());
-  serial.begin_round();
-  for (std::uint64_t k : keys) {
-    serial.add_serial(k);
-  }
-  ConcurrentCollisionCounter atomic_1t(keys.size());
-  atomic_1t.begin_round();
-  for (std::uint64_t k : keys) {
-    atomic_1t.add(k);
-  }
-  ConcurrentCollisionCounter parallel(keys.size());
-  parallel.begin_round();
-  util::WorkerPool pool(4);
-  pool.run(keys.size(), [&](std::size_t i) { parallel.add(keys[i]); });
-
-  for (std::uint64_t k = 0; k < 40; ++k) {
-    const std::uint32_t expect = k < 37 ? (500 + 37 - k - 1) / 37 : 0;
-    EXPECT_EQ(serial.occupancy(k), expect) << k;
-    EXPECT_EQ(atomic_1t.occupancy(k), expect) << k;
-    EXPECT_EQ(parallel.occupancy(k), expect) << k;
-  }
-}
-
-TEST(ConcurrentCounter, EpochInvalidatesPreviousRound) {
-  ConcurrentCollisionCounter counter(8);
-  counter.begin_round();
-  counter.add_serial(5);
-  counter.add_serial(5);
-  EXPECT_EQ(counter.occupancy(5), 2u);
-  counter.begin_round();
-  EXPECT_EQ(counter.occupancy(5), 0u);
-  counter.add(5);
-  EXPECT_EQ(counter.occupancy(5), 1u);
-}
-
-TEST(ConcurrentCounter, EpochWrapResetsStaleSlots) {
-  // The epoch space holds 2^31 - 1 rounds.  Key 3 is stamped with
-  // epoch 1, the epoch the counter restarts at after the wrap, so a
-  // wrap without a reset would count it twice.
-  ConcurrentCollisionCounter counter(8);
-  counter.begin_round();
-  counter.add_serial(3);
-  constexpr std::uint32_t kLastEpoch = 0x7FFFFFFFu;
-  for (std::uint32_t round = 2; round <= kLastEpoch; ++round) {
-    counter.begin_round();
-  }
-  counter.add_serial(9);
-  counter.add(9);
-  EXPECT_EQ(counter.occupancy(9), 2u);
-
-  counter.begin_round();  // wraps
-  EXPECT_EQ(counter.occupancy(9), 0u) << "a key from before the wrap";
-  EXPECT_EQ(counter.occupancy(3), 0u) << "a key stamped with epoch 1";
-  counter.add_serial(3);
-  counter.add(3);
-  counter.add_serial(9);
-  EXPECT_EQ(counter.occupancy(3), 2u);
-  EXPECT_EQ(counter.occupancy(9), 1u);
-  counter.begin_round();
-  EXPECT_EQ(counter.occupancy(3), 0u);
 }
 
 // --- Thread-count invariance, all topology families -------------------
@@ -305,14 +233,12 @@ Counter make_counter(const graph::AnyTopology& topo, std::uint32_t agents) {
 }
 
 /// One shard-loop walk on a Counter: 16-agent shards on derive_stream
-/// generators; the concurrent counter is filled by a two-thread pool,
-/// the serial counters on the caller's thread.
+/// generators, on `threads` threads (a worker pool when > 1).
 template <typename Counter, class... Obs>
 void run_loop_on(const graph::AnyTopology& topo, WalkConfig cfg,
-                 WorldDynamics* dynamics, Obs&... observers) {
+                 unsigned threads, WorldDynamics* dynamics,
+                 Obs&... observers) {
   constexpr std::uint64_t kSeed = 0xC0DE;
-  constexpr unsigned kThreads =
-      std::is_same_v<Counter, ConcurrentCollisionCounter> ? 2 : 1;
   cfg.dynamics = dynamics;
   const ShardPlan plan = ShardPlan::make(cfg.num_agents, kTestShardSize);
   std::vector<rng::Xoshiro256pp> gens;
@@ -323,7 +249,7 @@ void run_loop_on(const graph::AnyTopology& topo, WalkConfig cfg,
   obs::EngineTap tap("sharded", {"step_count", "observe", "mutate"});
   detail::run_shard_loop(
       topo, cfg, kSeed, plan, std::move(gens), /*view_gen=*/nullptr,
-      kThreads, tap,
+      threads, tap,
       detail::kShardedPhases,
       static_cast<const std::vector<std::uint64_t>*>(nullptr), counter,
       observers...);
@@ -341,9 +267,11 @@ struct LoopOutputs {
 };
 
 template <typename Counter>
-LoopOutputs run_every_observer(const graph::AnyTopology& topo) {
+LoopOutputs run_every_observer(const graph::AnyTopology& topo,
+                               unsigned threads = 1,
+                               std::uint32_t agents = 40) {
   WalkConfig cfg;
-  cfg.num_agents = 40;
+  cfg.num_agents = agents;
   cfg.rounds = 30;
   LoopOutputs out;
   {
@@ -351,7 +279,7 @@ LoopOutputs run_every_observer(const graph::AnyTopology& topo) {
         cfg.num_agents,
         {.detection_miss = 0.3, .spurious = 0.1, .dropout = 0.1});
     TrajectoryObserver trajectory(counts, 5, {5, 15, 30});
-    run_loop_on<Counter>(topo, cfg, nullptr, counts, trajectory);
+    run_loop_on<Counter>(topo, cfg, threads, nullptr, counts, trajectory);
     out.noisy_counts = counts.take_counts();
     out.trajectory = trajectory.take_estimates();
   }
@@ -360,14 +288,14 @@ LoopOutputs run_every_observer(const graph::AnyTopology& topo) {
     for (std::uint32_t i = 0; i < cfg.num_agents; i += 3) {
       has_property[i] = true;
     }
-    PropertyObserver property(has_property);
-    run_loop_on<Counter>(topo, cfg, nullptr, property);
+    PropertyObserver property(has_property, topo.num_nodes());
+    run_loop_on<Counter>(topo, cfg, threads, nullptr, property);
     out.total_counts = property.take_total_counts();
     out.property_counts = property.take_property_counts();
   }
   {
     scenario::BallDensityObserver balls(topo, 2, {1, 10, 30}, cfg.num_agents);
-    run_loop_on<Counter>(topo, cfg, nullptr, balls);
+    run_loop_on<Counter>(topo, cfg, threads, nullptr, balls);
     out.ball_densities = balls.take_densities();
   }
   {
@@ -376,13 +304,13 @@ LoopOutputs run_every_observer(const graph::AnyTopology& topo) {
     const double per_node = 1.0 / static_cast<double>(topo.num_nodes());
     ChurnDynamics churn(topo, 5.0 * per_node, 2.0 * per_node, 5, 1);
     CollisionObserver counts(cfg.num_agents, {}, &churn);
-    run_loop_on<Counter>(topo, cfg, &churn, counts);
+    run_loop_on<Counter>(topo, cfg, threads, &churn, counts);
     out.churn_estimates = counts.estimates(cfg.rounds);
   }
   {
     DriftDynamics drift(topo, cfg.num_agents, 0.05, 0.2, 1);
     CollisionObserver counts(cfg.num_agents, {}, &drift);
-    run_loop_on<Counter>(topo, cfg, &drift, counts);
+    run_loop_on<Counter>(topo, cfg, threads, &drift, counts);
     out.drift_estimates = counts.estimates(cfg.rounds);
   }
   return out;
@@ -399,9 +327,10 @@ void expect_same_outputs(const LoopOutputs& got, const LoopOutputs& want) {
 }
 
 TEST(OccupancyCounters, EveryCounterGivesTheShardLoopTheSameBytes) {
-  // Occupancy is exact in all three counters, so which one the loop ran
-  // on must not show in any observer's output: noise draws, property
-  // counts, trajectories, ball densities, and churn/drift masking.
+  // Occupancy is exact in both counters, and the pool path fills them
+  // serially, so neither the counter nor the thread count may show in
+  // any observer's output: noise draws, property counts, trajectories,
+  // ball densities, and churn/drift masking.
   const auto& registry = scenario::Registry::built_in();
   for (const char* family :
        {"ring:97", "torus2d:12x10", "toruskd:3x5", "hypercube:7",
@@ -418,35 +347,42 @@ TEST(OccupancyCounters, EveryCounterGivesTheShardLoopTheSameBytes) {
     SCOPED_TRACE("dense vs hash");
     expect_same_outputs(run_every_observer<DenseCollisionCounter>(topo),
                         hash);
-    SCOPED_TRACE("concurrent vs hash");
-    expect_same_outputs(run_every_observer<ConcurrentCollisionCounter>(topo),
+    SCOPED_TRACE("dense on a 2-thread pool vs hash");
+    expect_same_outputs(run_every_observer<DenseCollisionCounter>(topo, 2),
                         hash);
+    SCOPED_TRACE("hash on a 2-thread pool vs hash");
+    expect_same_outputs(run_every_observer<CollisionCounter>(topo, 2), hash);
   }
-  // Above the dense cap the policy never picks the dense counter (its
-  // slots would take 256 MiB here); the other two must still agree.
+  // Above the dense cap the policy never picks the dense counter; the
+  // hash counter must agree with itself on a pool.
   const graph::AnyTopology huge = registry.make("hypercube:25");
   ASSERT_GT(huge.num_nodes(), std::uint64_t{1} << 24);
-  expect_same_outputs(run_every_observer<ConcurrentCollisionCounter>(huge),
+  expect_same_outputs(run_every_observer<CollisionCounter>(huge, 2),
                       run_every_observer<CollisionCounter>(huge));
 }
 
+TEST(OccupancyCounters, SaturatedBytesSpillExactly) {
+  // 5000 agents on 12 nodes: about 417 per node, so every byte of the
+  // dense counter saturates each round and the rest spills.
+  const graph::AnyTopology ring =
+      scenario::Registry::built_in().make("ring:12");
+  const LoopOutputs hash = run_every_observer<CollisionCounter>(ring, 1, 5000);
+  ASSERT_EQ(hash.noisy_counts.size(), 5000u);
+  SCOPED_TRACE("dense vs hash");
+  expect_same_outputs(run_every_observer<DenseCollisionCounter>(ring, 1, 5000),
+                      hash);
+  SCOPED_TRACE("dense on a 2-thread pool vs hash");
+  expect_same_outputs(run_every_observer<DenseCollisionCounter>(ring, 2, 5000),
+                      hash);
+}
+
 /// The counter with_occupancy_counter builds for these inputs.
-std::string picked_counter(std::uint64_t nodes, std::uint32_t agents,
-                           unsigned threads) {
+std::string picked_counter(std::uint64_t nodes, std::uint32_t agents) {
   std::string picked;
-  with_occupancy_counter(nodes, agents, threads,
-                         [&]<typename Counter>(Counter&) {
-                           if constexpr (std::is_same_v<
-                                             Counter, DenseCollisionCounter>) {
-                             picked = "dense";
-                           } else if constexpr (std::is_same_v<
-                                                    Counter,
-                                                    CollisionCounter>) {
-                             picked = "hash";
-                           } else {
-                             picked = "concurrent";
-                           }
-                         });
+  with_occupancy_counter(nodes, agents, [&]<typename Counter>(Counter&) {
+    picked = std::is_same_v<Counter, DenseCollisionCounter> ? "dense"
+                                                            : "hash";
+  });
   return picked;
 }
 
@@ -455,22 +391,18 @@ TEST(OccupancyCounters, SelectionTable) {
     const char* what;
     std::uint64_t nodes;
     std::uint32_t agents;
-    unsigned threads;
     const char* counter;
   };
   const Row rows[] = {
-      {"lattice: torus2d 1000^2, 1e5 agents", 1'000'000, 100'000, 1, "dense"},
-      {"daemon: torus2d 64^2, 300 agents", 4096, 300, 1, "dense"},
-      {"gnp 2000, 1e3 agents", 2000, 1000, 1, "dense"},
-      {"rgg2d 1e6, 1e4 agents", 1'000'000, 10'000, 1, "hash"},
-      {"hypercube:24, 1e3 agents", std::uint64_t{1} << 24, 1000, 1, "hash"},
-      {"lattice on a 4-thread pool", 1'000'000, 100'000, 4, "concurrent"},
-      {"hypercube:24 on a 2-thread pool", std::uint64_t{1} << 24, 1000, 2,
-       "concurrent"},
+      {"lattice: torus2d 1000^2, 1e5 agents", 1'000'000, 100'000, "dense"},
+      {"daemon: torus2d 64^2, 300 agents", 4096, 300, "dense"},
+      {"gnp 2000, 1e3 agents", 2000, 1000, "dense"},
+      {"implicit: rgg2d 1e6, 1e4 agents", 1'000'000, 10'000, "dense"},
+      {"rgg2d 1e6, 1e3 agents", 1'000'000, 1000, "hash"},
+      {"hypercube:24, 1e3 agents", std::uint64_t{1} << 24, 1000, "hash"},
   };
   for (const Row& row : rows) {
-    EXPECT_EQ(picked_counter(row.nodes, row.agents, row.threads), row.counter)
-        << row.what;
+    EXPECT_EQ(picked_counter(row.nodes, row.agents), row.counter) << row.what;
   }
 }
 
@@ -574,6 +506,42 @@ TEST(ShardedExperiment, AllWorkloadsAllFamiliesThreadInvariant) {
           result.spec = canonical;
           EXPECT_EQ(result.to_json().dump(0), reference)
               << "diverged at threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardedExperiment, CrowdedRingEveryEngineThreadInvariant) {
+  // ring:12 with 5000 agents holds about 417 agents per node, past the
+  // dense counter's byte, so every round spills.  Each engine's result
+  // document must not depend on the thread count.
+  for (const scenario::EngineMode engine :
+       {scenario::EngineMode::kSingleStream, scenario::EngineMode::kSharded,
+        scenario::EngineMode::kVector}) {
+    for (const scenario::Workload workload :
+         {scenario::Workload::kDensity, scenario::Workload::kProperty}) {
+      scenario::ScenarioSpec spec;
+      spec.topology = "ring:12";
+      spec.workload = workload;
+      spec.engine = engine;
+      spec.agents = 5000;
+      spec.rounds = 20;
+      spec.trials = 2;
+      SCOPED_TRACE(scenario::engine_mode_name(engine) + " / " +
+                   scenario::workload_name(workload));
+      std::string reference;
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        spec.threads = threads;
+        scenario::ScenarioResult result = scenario::Experiment(spec).run();
+        result.elapsed_seconds = 0.0;
+        result.elapsed_ns = 0;
+        result.spec.threads = 1;  // the echoed knob legitimately differs
+        const std::string dump = result.to_json().dump(0);
+        if (reference.empty()) {
+          reference = dump;
+        } else {
+          EXPECT_EQ(dump, reference) << "diverged at threads=" << threads;
         }
       }
     }

@@ -72,7 +72,7 @@ TEST(DenseCounter, MatchesHashCounterOnRandomKeys) {
   }
 }
 
-TEST(DenseCounter, StaleEpochReadsAsEmpty) {
+TEST(DenseCounter, PreviousRoundReadsAsEmpty) {
   DenseCollisionCounter counter(8);
   counter.begin_round();
   counter.add(3);
@@ -82,16 +82,54 @@ TEST(DenseCounter, StaleEpochReadsAsEmpty) {
   EXPECT_EQ(counter.occupancy(3), 0u);
 }
 
+TEST(DenseCounter, CountsStayExactPastTheByte) {
+  // Keys filled to either side of the byte's 255 (the rest spill), in
+  // interleaved order, over several rounds whose per-key totals change:
+  // every add's return value and every occupancy equals the hash
+  // counter's.
+  constexpr std::uint64_t kKeys = 8;
+  const std::uint32_t adds[kKeys] = {254, 255, 256, 1000, 0, 1, 300, 255};
+  DenseCollisionCounter dense(kKeys);
+  CollisionCounter hash(kKeys);
+  for (std::uint32_t round = 0; round < 4; ++round) {
+    dense.begin_round();
+    hash.begin_round();
+    std::uint32_t left[kKeys];
+    for (std::uint64_t key = 0; key < kKeys; ++key) {
+      // Rotate the totals so a key saturated last round is not this one.
+      left[key] = adds[(key + round) % kKeys];
+    }
+    for (bool any = true; any;) {
+      any = false;
+      for (std::uint64_t key = 0; key < kKeys; ++key) {
+        if (left[key] > 0) {
+          --left[key];
+          any = true;
+          ASSERT_EQ(dense.add(key), hash.add(key))
+              << "round " << round << " key " << key;
+        }
+      }
+    }
+    for (std::uint64_t key = 0; key < kKeys; ++key) {
+      EXPECT_EQ(dense.occupancy(key), adds[(key + round) % kKeys])
+          << "round " << round << " key " << key;
+      EXPECT_EQ(dense.occupancy(key), hash.occupancy(key));
+    }
+  }
+}
+
 TEST(DenseCounter, SelectionPolicy) {
   constexpr std::uint64_t kCap = std::uint64_t{1} << 24;
   EXPECT_TRUE(use_dense_counter(1, 1));
-  EXPECT_TRUE(use_dense_counter(kCap, kCap / kDenseNodesPerAgent));
+  EXPECT_TRUE(use_dense_counter(
+      kCap, (kCap + kDenseNodesPerAgent - 1) / kDenseNodesPerAgent));
   EXPECT_FALSE(use_dense_counter(kCap + 1, kCap));
   EXPECT_FALSE(use_dense_counter(0, 1));
   // The nodes-per-agent ratio: sparse populations count in the hash
   // table, whatever the substrate's size.
-  EXPECT_TRUE(use_dense_counter(64, 1));
-  EXPECT_FALSE(use_dense_counter(65, 1));
+  EXPECT_TRUE(use_dense_counter(192, 1));
+  EXPECT_FALSE(use_dense_counter(193, 1));
+  EXPECT_TRUE(use_dense_counter(1'000'000, 10'000));
   EXPECT_FALSE(use_dense_counter(kCap, 1000));
   EXPECT_FALSE(use_dense_counter(1000, 0));
 }

@@ -267,7 +267,7 @@ TEST(WalkEngine, ComposedObserversMatchSeparateRuns) {
   cfg.num_agents = kAgents;
   cfg.rounds = kRounds;
   CollisionObserver collisions(kAgents);
-  PropertyObserver properties(has_property);
+  PropertyObserver properties(has_property, torus.num_nodes());
   constexpr std::uint64_t kStreamSeed = 0xABCDEFull;
   run_walk(torus, cfg, kStreamSeed, SingleExec{},
            static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
@@ -279,7 +279,7 @@ TEST(WalkEngine, ComposedObserversMatchSeparateRuns) {
            collisions_only);
   EXPECT_EQ(collisions.counts(), collisions_only.counts());
 
-  PropertyObserver properties_only(has_property);
+  PropertyObserver properties_only(has_property, torus.num_nodes());
   run_walk(torus, cfg, kStreamSeed, SingleExec{},
            static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
            properties_only);
