@@ -56,10 +56,12 @@ void print_usage(std::ostream& os) {
      << "  --dynamics=MODEL:PARAMS  time-varying world (--list-dynamics;\n"
      << "                    density workload, any engine)\n"
      << "  --trials=K --threads=N --seed=S\n"
+     << "                    (threads run trials in parallel; each walk\n"
+     << "                     runs on one thread)\n"
      << "  --engine=single|sharded|vector\n"
-     << "                    (sharded: threads parallelize within one walk;\n"
-     << "                     vector: wide-lane batched stepping; results\n"
-     << "                     are identical for any --threads in any mode)\n"
+     << "                    (sharded: per-shard streams; vector: wide-lane\n"
+     << "                     batched stepping; results are identical for\n"
+     << "                     any --threads in any mode)\n"
      << "  --property-fraction=F --tracked=N --checkpoints=N --radius=R\n\n"
      << "driver flags:\n"
      << "  --spec=FILE.json  load a spec file (flags overlay it)\n"

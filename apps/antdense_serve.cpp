@@ -34,7 +34,8 @@ void print_usage(std::ostream& os) {
      << "                      survives a restart\n"
      << "  --cache-bytes=N     in-memory cache budget in bytes\n"
      << "                      (default 67108864 = 64 MiB)\n"
-     << "  --threads=N         worker threads per executed experiment\n"
+     << "  --threads=N         worker threads per executed experiment,\n"
+     << "                      which run its trials in parallel\n"
      << "                      (default 0 = one per core)\n"
      << "  --progress-stride=N report round progress every N rounds\n"
      << "                      (default 0 = auto, ~64 frames per run)\n"

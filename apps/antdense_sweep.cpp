@@ -49,8 +49,8 @@ void print_usage(std::ostream& os) {
      << "  --threads=N             scheduler workers (default: the\n"
      << "                          campaign's \"threads\"; 0 there = one\n"
      << "                          worker per core)\n"
-     << "  --inner-threads=N       threads per experiment (within-\n"
-     << "                          experiment parallelism; the scheduler\n"
+     << "  --inner-threads=N       threads per experiment, which run\n"
+     << "                          its trials in parallel (the scheduler\n"
      << "                          clamps workers x inner to the core\n"
      << "                          count, with a message on stderr)\n"
      << "  --max-experiments=K     stop after K new experiments\n"

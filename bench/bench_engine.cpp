@@ -150,7 +150,7 @@ std::vector<std::uint64_t> run_single_on_hash(const T& topo,
       topo, cfg.walk_config(), stream_seed,
       sim::ShardPlan::make(cfg.num_agents, cfg.num_agents),
       std::vector<rng::Xoshiro256pp>{rng::Xoshiro256pp(stream_seed)},
-      /*view_gen=*/nullptr, /*threads=*/1, tap,
+      /*view_gen=*/nullptr, tap,
       sim::detail::kSinglePhases,
       static_cast<const std::vector<typename T::node_type>*>(nullptr),
       counter, observer);

@@ -1,31 +1,22 @@
-// E-SHARD — sharded-engine scaling and single-thread parity.
+// E-SHARD — the shard grain's cost to a serial user.
 //
 // Times the single-stream engine (sim::run_density_walk) against the
-// sharded engine (sim::run_density_walk_sharded) at threads 1, 2, 4,
-// and 8 on the 2-D torus across agent counts — with a vector-engine
-// (sim::run_density_walk_vector) reference row per cell — printing a
-// ns/agent-round table and writing BENCH_shard.json for the CI perf
-// gate.  Before
-// timing, every cell cross-checks that the sharded collision counts are
-// bit-identical across all thread counts — a release-mode smoke test of
-// the determinism contract that also catches worker-pool races the unit
-// tests might miss.
+// sharded engine (sim::run_density_walk_sharded) on the 2-D torus across
+// agent counts — with a vector-engine (sim::run_density_walk_vector)
+// reference row per cell — printing a ns/agent-round table and writing
+// BENCH_shard.json for the CI perf gate.  All three run the same shard
+// loop on the calling thread; the sharded engine differs only in its
+// 4096-agent shards, each on its own derive_stream generator.
 //
 // Flags:
 //   --out=PATH        JSON output path (default BENCH_shard.json)
 //   --tiny            CI smoke mode: small sizes, seconds total
-//   --reps=N          timing repetitions, best-of (default 3; 2 in tiny)
+//   --reps=N          timing repetitions, best-of (default 3; 5 in tiny)
 //   --budget=STEPS    target agent-steps per timed run (default 2e7)
 //
-// Acceptance (the bench-smoke perf gate re-checks the first two from
-// the JSON):
-//   - sharded at threads=1 is within 1.10x of the single-stream engine
-//     in every cell (no regression for serial users);
-//   - thread counts agree bit-for-bit;
-//   - on multi-core hosts, threads=8 at 100k agents shows the headline
-//     speedup (>= 3x on >= 8 real cores).  Each record carries
-//     "threads" and "hardware_threads" so a row from a 1-core container
-//     is not mistaken for a scaling failure.
+// Acceptance (the bench-smoke perf gate re-checks it from the JSON):
+// sharded (row "sharded/t1", one thread) is within 1.10x of the
+// single-stream engine in every cell.
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -45,20 +36,13 @@ namespace {
 
 using namespace antdense;
 
-constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
-
 struct Cell {
   std::string topology;
   std::uint64_t agents = 0;
   std::uint64_t rounds = 0;
-  std::uint32_t shard_size = 0;
-  double engine_ns = 0.0;                  // single-stream reference
-  double vector_ns = 0.0;                  // engine=vector reference
-  double sharded_ns[std::size(kThreadCounts)] = {};
-  /// What actually ran: the engine clamps workers to the shard count,
-  /// so a "t8" row on a 3-shard cell executes 3-wide.  Recorded in the
-  /// JSON so trend readers are never misled.
-  unsigned effective_threads[std::size(kThreadCounts)] = {};
+  double engine_ns = 0.0;   // single-stream reference
+  double vector_ns = 0.0;   // engine=vector reference
+  double sharded_ns = 0.0;  // engine=sharded, production grain
 };
 
 /// Best-of-`reps` ns/agent-round for one stepping path.
@@ -77,41 +61,15 @@ double time_path(RunFn&& run, std::uint64_t agents, std::uint64_t rounds,
 }
 
 Cell measure_cell(const graph::Torus2D& topo, std::uint32_t agents,
-                  std::uint32_t shard_size, std::uint64_t budget, int reps) {
+                  std::uint64_t budget, int reps) {
   sim::DensityConfig cfg;
   cfg.num_agents = agents;
   cfg.rounds = static_cast<std::uint32_t>(
       std::max<std::uint64_t>(1, budget / agents));
-  const std::uint32_t num_shards =
-      sim::ShardPlan::make(agents, shard_size).num_shards();
-
-  // Determinism cross-check at a reduced round count: the merged counts
-  // must not depend on the worker count.  Only exercises the pool when
-  // the cell has more than one shard (tiny mode guarantees it; in full
-  // mode the small cells document production behavior, clamp included).
-  {
-    sim::DensityConfig check_cfg = cfg;
-    check_cfg.rounds = std::max<std::uint32_t>(1, cfg.rounds / 16);
-    const sim::DensityResult t1 = sim::run_density_walk_sharded(
-        topo, check_cfg, 0x5EED,
-        sim::ShardExec{.threads = 1, .shard_size = shard_size});
-    for (unsigned threads : {2u, 8u}) {
-      const sim::DensityResult tn = sim::run_density_walk_sharded(
-          topo, check_cfg, 0x5EED,
-          sim::ShardExec{.threads = threads, .shard_size = shard_size});
-      if (tn.collision_counts != t1.collision_counts) {
-        std::cerr << "FATAL: sharded counts diverged at threads=" << threads
-                  << " (" << topo.name() << ", " << agents << " agents)\n";
-        std::exit(1);
-      }
-    }
-  }
-
   Cell cell;
   cell.topology = topo.name();
   cell.agents = agents;
   cell.rounds = cfg.rounds;
-  cell.shard_size = shard_size;
   static volatile std::uint64_t sink = 0;
   cell.engine_ns = time_path(
       [&](std::uint64_t rep) {
@@ -125,20 +83,13 @@ Cell measure_cell(const graph::Torus2D& topo, std::uint32_t agents,
                           .collision_counts[0];
       },
       agents, cfg.rounds, reps);
-  for (std::size_t t = 0; t < std::size(kThreadCounts); ++t) {
-    cell.effective_threads[t] =
-        std::min<unsigned>(kThreadCounts[t], num_shards);
-    cell.sharded_ns[t] = time_path(
-        [&](std::uint64_t rep) {
-          sink = sink +
-                 sim::run_density_walk_sharded(
-                     topo, cfg, 0xBE7C + rep,
-                     sim::ShardExec{.threads = kThreadCounts[t],
-                                    .shard_size = shard_size})
-                     .collision_counts[0];
-        },
-        agents, cfg.rounds, reps);
-  }
+  cell.sharded_ns = time_path(
+      [&](std::uint64_t rep) {
+        sink = sink + sim::run_density_walk_sharded(topo, cfg, 0xBE7C + rep,
+                                                    sim::ShardExec{})
+                          .collision_counts[0];
+      },
+      agents, cfg.rounds, reps);
   return cell;
 }
 
@@ -158,22 +109,15 @@ int main(int argc, char** argv) {
   const unsigned hardware = util::default_thread_count();
 
   bench::print_banner(
-      "E-SHARD",
-      "sharded WalkEngine scaling vs the single-stream engine",
-      "sharded threads=1 within 1.10x of engine everywhere; counts "
-      "bit-identical across threads; >= 3x at threads=8 with 100k agents "
-      "on >= 8 cores");
+      "E-SHARD", "the sharded engine's grain vs the single-stream engine",
+      "sharded (one thread) within 1.10x of engine everywhere");
   std::cout << "hardware threads: " << hardware << "\n\n";
 
   // Every cell keeps the PRODUCTION shard grain — the perf gate must
-  // measure the configuration serial users actually get, and the shard
-  // grain is identity-bearing, so benching a special grain would time a
-  // different engine.  Instead the tiny sizes start at 2 x the default
-  // grain so even smoke cells are genuinely multi-shard: the worker
-  // pool's step and observe passes, the serial fill between them, and
-  // the determinism cross-check all really run across shards (one
-  // 4096-agent shard would silently serialize them, turning the
-  // cross-check into a tautology).
+  // measure the configuration users actually get, and the shard grain
+  // is identity-bearing, so benching a special grain would time a
+  // different engine.  The tiny sizes start at 2 x the default grain so
+  // even smoke cells are genuinely multi-shard.
   const std::vector<std::uint32_t> agent_counts =
       tiny ? std::vector<std::uint32_t>{2 * sim::ShardPlan::kDefaultShardSize,
                                         8 * sim::ShardPlan::kDefaultShardSize}
@@ -185,37 +129,27 @@ int main(int argc, char** argv) {
     // bench_engine's cells for apples-to-apples "engine" rows).
     const auto side = static_cast<std::uint32_t>(
         std::ceil(std::sqrt(static_cast<double>(agents) * 10.0)));
-    cells.push_back(measure_cell(graph::Torus2D(side, side), agents,
-                                 sim::ShardPlan::kDefaultShardSize, budget,
-                                 reps));
+    cells.push_back(
+        measure_cell(graph::Torus2D(side, side), agents, budget, reps));
   }
 
   util::Table table({"topology", "agents", "rounds", "engine ns/step",
-                     "vector ns/step", "t1 ns/step", "t2 ns/step",
-                     "t4 ns/step", "t8 ns/step", "t1/engine", "t8 speedup"});
+                     "vector ns/step", "sharded ns/step", "sharded/engine"});
   std::vector<bench::BenchRecord> records;
   for (const Cell& c : cells) {
     table.add_row(
         {c.topology, util::format_count(c.agents),
          util::format_count(c.rounds), util::format_fixed(c.engine_ns, 2),
          util::format_fixed(c.vector_ns, 2),
-         util::format_fixed(c.sharded_ns[0], 2),
-         util::format_fixed(c.sharded_ns[1], 2),
-         util::format_fixed(c.sharded_ns[2], 2),
-         util::format_fixed(c.sharded_ns[3], 2),
-         util::format_fixed(c.sharded_ns[0] / c.engine_ns, 3),
-         util::format_fixed(c.sharded_ns[0] / c.sharded_ns[3], 2) + "x"});
+         util::format_fixed(c.sharded_ns, 2),
+         util::format_fixed(c.sharded_ns / c.engine_ns, 3)});
     records.push_back({"engine", c.topology, c.agents, c.rounds, c.engine_ns,
                        1, hardware});
     records.push_back({"vector", c.topology, c.agents, c.rounds, c.vector_ns,
                        1, hardware});
-    for (std::size_t t = 0; t < std::size(kThreadCounts); ++t) {
-      // name carries the requested tier; "threads" the width that
-      // actually ran after the engine clamped to the shard count.
-      records.push_back({"sharded/t" + std::to_string(kThreadCounts[t]),
-                         c.topology, c.agents, c.rounds, c.sharded_ns[t],
-                         c.effective_threads[t], hardware});
-    }
+    // The row keeps its historical name, which the perf gate reads.
+    records.push_back({"sharded/t1", c.topology, c.agents, c.rounds,
+                       c.sharded_ns, 1, hardware});
   }
   table.print_markdown(std::cout);
 

@@ -158,7 +158,7 @@ RunReport run_campaign(const CampaignSpec& campaign,
         }
         util::WallTimer experiment_timer;
         // Experiment-level parallelism comes from the workers;
-        // within-experiment parallelism from inner_threads.  Either
+        // trial-level parallelism from inner_threads.  Either
         // way the result is the same — thread counts are resource
         // knobs, never part of an experiment's identity.
         scenario::ScenarioSpec spec = p.spec;

@@ -29,8 +29,8 @@ struct RunOptions {
   /// there means one per core.
   unsigned threads = 0;
   /// Threads handed to each experiment (ScenarioSpec::threads while it
-  /// runs) — within-experiment parallelism, which pays off for
-  /// `engine=sharded` specs or trial fan-outs.  When inner_threads > 1
+  /// runs) — within-experiment parallelism, which pays off for trial
+  /// fan-outs (each walk runs on one thread).  When inner_threads > 1
   /// the scheduler keeps workers x inner_threads within
   /// hardware_concurrency by shrinking the worker pool, reporting
   /// through on_diagnostic; plain worker oversubscription (inner == 1)

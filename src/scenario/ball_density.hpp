@@ -11,8 +11,8 @@
 //
 // Shard-safe: every density row is preallocated (checkpoints x agents)
 // and after_round writes only the view's agent slice, so the sharded
-// engine can run one hook per shard concurrently; BFS scratch and the
-// per-node memo are hook-local.
+// engine's one hook per shard fills disjoint slices; BFS scratch and
+// the per-node memo are hook-local.
 #pragma once
 
 #include <algorithm>

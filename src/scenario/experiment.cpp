@@ -98,12 +98,12 @@ struct TrialProgress {
   std::atomic<std::uint64_t> done_{0};
 };
 
-/// The one place a spec's engine becomes a sim::Exec.  Inner threads
-/// follow the spec; sim::run_trials runs each walk of a fan-out on one.
+/// The one place a spec's engine becomes a sim::Exec.  Every walk runs
+/// on one thread; the spec's `threads` fans out trials (sim::run_trials).
 sim::Exec engine_exec(const ScenarioSpec& spec) {
   switch (spec.engine) {
     case EngineMode::kSharded:
-      return sim::ShardExec{.threads = spec.threads};
+      return sim::ShardExec{};
     case EngineMode::kVector:
       return sim::VectorExec{};
     case EngineMode::kSingleStream:

@@ -38,15 +38,15 @@ enum class Workload {
 /// How the walk itself executes.  This is part of the experiment's
 /// *identity*, not a resource knob: the engines consume different
 /// (equally valid) random streams, so their results differ bitwise.
-/// Within any one engine, results are bit-identical for any `threads`.
+/// Within any one engine, results are bit-identical for any `threads`:
+/// every engine runs each walk on one thread, and `threads` fans out
+/// Monte Carlo trials.
 enum class EngineMode {
-  kSingleStream,  // the historical run_walk stream; threads only fan
-                  // out Monte Carlo trials
-  kSharded,       // sim/sharded_walk.hpp: per-shard streams, threads
-                  // parallelize within one walk too
+  kSingleStream,  // the historical run_walk stream
+  kSharded,       // sim/sharded_walk.hpp: per-shard streams at a fixed
+                  // 4096-agent grain
   kVector,        // sim/vector_walk.hpp: wide-lane stream, vectorized
-                  // stepping on the shard loop, dynamics included;
-                  // threads fan out trials as with single
+                  // stepping on the shard loop, dynamics included
 };
 
 std::string engine_mode_name(EngineMode mode);

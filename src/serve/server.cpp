@@ -2,7 +2,9 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -153,8 +155,27 @@ void Server::stop() {
   listener_.close();
 }
 
+void Server::reap_finished() {
+  std::vector<std::unique_ptr<Connection>> finished;
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    const auto live = std::partition(
+        connections_.begin(), connections_.end(), [](const auto& conn) {
+          return !conn->finished.load(std::memory_order_acquire);
+        });
+    std::move(live, connections_.end(), std::back_inserter(finished));
+    connections_.erase(live, connections_.end());
+  }
+  for (auto& conn : finished) {
+    conn->thread.join();
+  }
+}  // `finished` drops here, closing each socket
+
 void Server::accept_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
+    // Each finished client would otherwise hold its fd and an unjoined
+    // thread until stop(), and enough of them exhaust the fd limit.
+    reap_finished();
     util::Socket socket = listener_.accept_interruptible(wake_.read_fd());
     if (!socket.valid()) {
       if (stopping_.load(std::memory_order_acquire)) {
@@ -170,7 +191,10 @@ void Server::accept_loop() {
       std::lock_guard<std::mutex> lock(connections_mutex_);
       connections_.push_back(std::move(conn));
     }
-    raw->thread = std::thread([this, raw] { serve_connection(*raw); });
+    raw->thread = std::thread([this, raw] {
+      serve_connection(*raw);
+      raw->finished.store(true, std::memory_order_release);
+    });
   }
 }
 

@@ -104,9 +104,13 @@ class Server {
     util::Socket socket;
     std::mutex send_mutex;
     std::thread thread;
+    std::atomic<bool> finished{false};  // set as the thread's last act
   };
 
   void accept_loop();
+  /// Joins every connection whose handler has returned and closes its
+  /// socket.  Accept thread only: it is the only writer of `thread`.
+  void reap_finished();
   void serve_connection(Connection& conn);
   util::JsonValue handle_request(Connection& conn,
                                  const util::JsonValue& request);

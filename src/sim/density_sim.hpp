@@ -86,7 +86,7 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
           detail::run_shard_loop(
               topo, cfg, stream_seed,
               ShardPlan::make(cfg.num_agents, cfg.num_agents),
-              std::vector<Gen>{gen}, view_gen, /*threads=*/1, tap,
+              std::vector<Gen>{gen}, view_gen, tap,
               detail::kSinglePhases, initial_positions, counter,
               observers...);
         });

@@ -159,7 +159,9 @@ void ChurnDynamics::rewrite_moves(std::span<const std::uint64_t> prev,
   if (world_.num_failed_nodes() == 0 && world_.num_down_edges() == 0) {
     return;
   }
-  // Per thread: rewrites run per shard, concurrently.
+  // Reused across calls without making the const model mutable; per
+  // thread, because concurrent trials run their walks on different
+  // threads.
   thread_local std::vector<std::uint64_t> scratch;
   // A destination the prefilter clears is up and touches no down edge;
   // a lazy stay is always allowed.

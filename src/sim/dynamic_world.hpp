@@ -29,8 +29,8 @@
 //
 // All mutation randomness comes from the engine-provided mutation
 // stream; observation draws (fade) come from the observer's view
-// generator in agent order, which keeps every model thread-count-
-// invariant under the sharded engine.  The density observer is the
+// generator in agent order, which keeps every model's draws on the
+// sharded engine's shard streams.  The density observer is the
 // plain CollisionObserver (sim/walk_engine.hpp) handed the model: it
 // reads drift's alive mask and birth rounds, and fade's transform.
 #pragma once

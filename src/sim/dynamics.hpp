@@ -30,8 +30,8 @@
 // static engine (agents step even when dead or deflected), so:
 //   1. a null dynamics pointer reproduces the static goldens bit for
 //      bit, and
-//   2. the sharded engine stays thread-count-invariant with dynamics
-//      enabled — mutate() runs serially between rounds, and
+//   2. the sharded engine's per-shard streams are untouched by
+//      dynamics — mutate() runs between rounds, and
 //      rewrite_moves()/observe() are const, deterministic, and touch
 //      only the view's agent range.
 //
@@ -83,9 +83,8 @@ class WorldDynamics {
   /// Deterministically rewrites the moves of agents [begin, end): agent
   /// i attempted prev[i] -> pos[i] on the *static* topology; the model
   /// may veto or deflect the move in place, and sets keys[i] to the key
-  /// of the final pos[i].  Called only when rewrites_moves().  Const and
-  /// data-race-free: the sharded engine calls it concurrently for
-  /// disjoint ranges.
+  /// of the final pos[i].  Called only when rewrites_moves(), once per
+  /// shard.  Const.
   virtual void rewrite_moves(std::span<const std::uint64_t> prev,
                              std::span<std::uint64_t> pos,
                              std::span<std::uint64_t> keys,
@@ -117,8 +116,7 @@ class WorldDynamics {
   /// Transforms slot `slot`'s raw partner count for this round.  Draws
   /// come from `gen` — the *observer's* view generator (walk or shard
   /// stream), in agent order within the view's range, which is what
-  /// keeps sharded observation noise thread-count-invariant.  Const:
-  /// called concurrently for disjoint ranges.
+  /// keeps sharded observation noise on the shard streams.  Const.
   virtual std::uint64_t observe(std::uint32_t slot, std::uint64_t others,
                                 rng::Xoshiro256pp& gen) const {
     (void)slot;

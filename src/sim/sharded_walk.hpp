@@ -1,52 +1,49 @@
 // The shard round loop: the one implementation of Algorithm 1's
 // synchronous round (Musco, Su & Lynch, PODC 2016, arXiv:1603.02981),
-// behind all three engines — single, sharded and vector.
+// behind all three engines — single, sharded and vector.  It runs on
+// the caller's thread; walks run in parallel only as whole trials or
+// experiments (sim::run_trials, the campaign scheduler, the daemon).
 //
 // Agent state (positions, keys, observer accumulators) lives in shared
 // structure-of-arrays vectors split into contiguous shards (ShardPlan).
 // Each shard owns a private generator, and randomness is keyed by the
-// shard, never by the executing thread.  One round:
+// shard.  One round:
 //   0. when a dynamics model is attached (sim/dynamics.hpp) and r >= 2:
-//      the world mutates, serially, on its own domain-tagged stream —
-//      the shard streams never change, so static configs stay
-//      bit-identical to their goldens;
-//   1. counter.begin_round(), then the observers' begin_round hooks
-//      (serial setup);
+//      the world mutates on its own domain-tagged stream — the shard
+//      streams never change, so static configs stay bit-identical to
+//      their goldens;
+//   1. counter.begin_round(), then the observers' begin_round hooks;
 //   2. step: every shard's agents step from the shard stream — the
 //      batched topology API (graph::random_neighbors, same stream as
 //      sequential calls), graph::vector_step when the shard stream is a
 //      rng::WideStream, or the per-agent Bernoulli/step loop for a lazy
 //      walk — and a dynamics model rewrites blocked moves;
-//   3. count: keys are recomputed, then the round's occupancy counter is
-//      filled (masked by the model's alive slots) shard by shard, in
-//      shard order, and each shard's fill hooks run (auxiliary occupancy
-//      counting).  The counter is the one with_occupancy_counter
-//      (sim/dense_counter.hpp) picks: the direct-addressed byte-per-node
-//      DenseCollisionCounter, or the hash CollisionCounter on sparse or
-//      huge substrates;
+//   3. count: the shard's keys are recomputed and the round's occupancy
+//      counter is filled (masked by the model's alive slots), shard by
+//      shard, in shard order, and each shard's fill hooks run
+//      (auxiliary occupancy counting).  The counter is the one
+//      with_occupancy_counter (sim/dense_counter.hpp) picks: the
+//      direct-addressed byte-per-node DenseCollisionCounter, or the hash
+//      CollisionCounter on sparse or huge substrates;
 //   4. observe: after_round hooks read the now-complete occupancy and
-//      write their own agents' slice — noise draws come from the view
-//      generator: the shard stream, after the shard's step draws, unless
-//      the entry point names a separate one;
-//   5. end_round hooks (serial) take cross-shard snapshots.
-// With threads > 1, stepping and keying (steps 2–3) run as one parallel
-// pass over the shards, the fill runs on the calling thread, and step 4
-// runs as a second parallel pass: every write to the counter and to
-// fill-hook state is serial, so neither needs a thread-safe insertion
-// path.  The serial path runs the same passes shard by shard, with
-// steps 2 and 3 split into two passes when the phase layout times them
-// apart.
+//      write their own agents' slice, shard by shard — noise draws come
+//      from the view generator: the shard stream, after the shard's step
+//      draws, unless the entry point names a separate one;
+//   5. end_round hooks take cross-shard snapshots.
+// When the phase layout books step and count as one phase, each shard
+// steps and counts before the next shard steps; otherwise every shard
+// steps, then every shard counts, so the count phase is timed apart.
+// Either way each shard makes the same draws in the same order.
 //
-// Three entry points fix the streams, thread count and telemetry layout:
+// Three entry points fix the streams and telemetry layout:
 //   - run_walk_sharded (engine=sharded): `shard_size`-agent shards on
-//     rng::derive_stream(stream_seed, shard) generators, on a worker
-//     pool; tap "sharded" books steps 2–3 as one step_count phase
-//     (fill and fill hooks included) at every thread count.
+//     rng::derive_stream(stream_seed, shard) generators; tap "sharded"
+//     books steps 2–3 as one step_count phase (fill hooks included).
 //   - sim::run_walk with SingleExec (engine=single, sim/density_sim.hpp):
 //     one shard holding every agent, on Xoshiro256pp(stream_seed)
-//     itself, on the caller's thread — the historical single-stream
-//     walk, draw for draw; tap "single" books step, count (fill hooks
-//     included) and observe apart.
+//     itself — the historical single-stream walk, draw for draw; tap
+//     "single" books step, count (fill hooks included) and observe
+//     apart.
 //   - sim::run_walk with VectorExec (engine=vector, sim/vector_walk.hpp):
 //     the same single shard on WideStream(stream_seed), with observer
 //     noise on a generator of its own; tap "vector", laid out as single.
@@ -54,16 +51,15 @@
 // begin_round/end_round hooks.
 //
 // Determinism contract: the output is a pure function of (stream_seed,
-// WalkConfig, shard plan, shard streams) — bit-identical for ANY thread
-// count, including 1, because the shard decomposition and each shard's
-// draw sequence never depend on scheduling, occupancy is exact in every
-// counter, and the fill runs in shard order on one thread.  Observer
-// slices are laid out in shard order within the shared arrays, so the
-// "merge" is free.
-// tests/test_sharded_walk.cpp pins threads ∈ {1, 2, 8} equality across
-// every topology family and workload; tests/test_walk_engine.cpp pins
-// engine=single against the frozen pre-engine loops, and
-// tests/test_vector_walk.cpp pins the vector streams.
+// WalkConfig, shard plan, shard streams): the shard decomposition and
+// each shard's draw sequence are fixed, and occupancy is exact in every
+// counter.  Observer slices are laid out in shard order within the
+// shared arrays, so the "merge" is free.  tests/test_sharded_walk.cpp
+// pins multi-shard engine=sharded result documents at the default grain
+// and the dense and hash counters' agreement across every family and
+// observer; tests/test_walk_engine.cpp pins engine=single against the
+// frozen pre-engine loops, and tests/test_vector_walk.cpp pins the
+// vector streams.
 //
 // The sharded stream is deliberately NOT the single engine's: even a
 // one-shard sharded walk is seeded through derive_stream.  Pick per walk
@@ -73,8 +69,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -90,8 +84,6 @@
 #include "sim/dense_counter.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
-#include "util/worker_pool.hpp"
 
 namespace antdense::sim {
 
@@ -100,9 +92,9 @@ namespace antdense::sim {
 /// stream steps which agent), so it is a parameter with a fixed default,
 /// never a function of the machine.
 struct ShardPlan {
-  /// Default agents-per-shard: small enough that a 100k-agent walk
-  /// exposes ~25-way parallelism, large enough that per-shard phase
-  /// overhead is noise.
+  /// Default agents-per-shard: small enough that a shard's positions
+  /// and keys stay cache-resident between its step and its count, large
+  /// enough that per-shard overhead is noise.
   static constexpr std::uint32_t kDefaultShardSize = 4096;
 
   std::uint32_t num_agents = 0;
@@ -124,10 +116,12 @@ struct ShardPlan {
   }
 };
 
-/// Execution-resource knobs for the sharded engine.  `threads` never
-/// changes results; `shard_size` does (it reassigns agents to streams).
+/// The sharded engine's entry in sim::Exec.  `shard_size` changes
+/// results (it reassigns agents to streams).
 struct ShardExec {
-  unsigned threads = 0;  // worker threads; 0 = one per core
+  /// Has no effect: every walk runs on the caller's thread.  Kept so
+  /// existing callers that set it still compile.
+  unsigned threads = 0;
   std::uint32_t shard_size = ShardPlan::kDefaultShardSize;
 };
 
@@ -153,13 +147,11 @@ inline constexpr PhaseLayout kSinglePhases{
 /// s's generator: a Xoshiro256pp steps through graph::random_neighbors,
 /// a rng::WideStream through graph::vector_step.  `view_gen` is the
 /// generator every view hands the observers; null means each shard's
-/// own, which only a Xoshiro256pp shard stream can be.  `threads` > 1
-/// runs the step and observe passes' shards on a worker pool, which
-/// needs a layout whose step and count share a span.  `counter` is
+/// own, which only a Xoshiro256pp shard stream can be.  `counter` is
 /// fresh and holds the round's occupancy.  The entry points
 /// (run_walk_sharded here, the SingleExec and VectorExec branches of
-/// sim::run_walk) validate `cfg` and fix the plan, streams, thread
-/// count, phase layout and counter.
+/// sim::run_walk) validate `cfg` and fix the plan, streams, phase
+/// layout and counter.
 template <graph::Topology T, typename Gen, typename Counter, class... Obs>
   requires(WalkObserverForView<Obs, typename T::node_type,
                                BasicRoundView<Counter>> &&
@@ -167,8 +159,7 @@ template <graph::Topology T, typename Gen, typename Counter, class... Obs>
 void run_shard_loop(const T& topo, const WalkConfig& cfg,
                     std::uint64_t stream_seed, const ShardPlan& plan,
                     std::vector<Gen> gens, rng::Xoshiro256pp* view_gen,
-                    unsigned threads, obs::EngineTap& tap,
-                    const PhaseLayout& phases,
+                    obs::EngineTap& tap, const PhaseLayout& phases,
                     const std::vector<typename T::node_type>*
                         initial_positions,
                     Counter& counter, Obs&... observers) {
@@ -181,15 +172,11 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
   ANTDENSE_CHECK(initial_positions == nullptr ||
                      initial_positions->size() == n_agents,
                  "initial positions must match agent count");
-  const bool concurrent = threads > 1;
   ANTDENSE_ASSERT(gens.size() == n_shards, "one generator per shard");
   ANTDENSE_ASSERT(kScalarGens || view_gen != nullptr,
                   "wide shard streams need a separate view generator");
-  ANTDENSE_ASSERT(!concurrent || phases.step == phases.count,
-                  "the pool path books step and count as one phase");
 
-  // Placement draws come from each shard's own stream, so placement is
-  // as thread-count-invariant as the walk itself.
+  // Placement draws come from each shard's own stream, in shard order.
   std::vector<node> pos(n_agents);
   if (initial_positions != nullptr) {
     pos = *initial_positions;
@@ -206,11 +193,9 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
 
   // Dynamics plumbing (sim/dynamics.hpp): dormant — null model, no
   // copies, per-round branches only — for static walks, whose streams
-  // stay bit-identical to their goldens.  Mutation is SERIAL, between
-  // rounds, on its own domain-tagged stream that never touches the
-  // shard streams; move rewriting and masked counting run per shard
-  // (const, deterministic, disjoint ranges), so thread-count invariance
-  // holds with dynamics enabled.
+  // stay bit-identical to their goldens.  Mutation runs between rounds,
+  // on its own domain-tagged stream that never touches the shard
+  // streams; move rewriting and masked counting run per shard.
   constexpr bool kDynCapable = std::is_same_v<node, std::uint64_t>;
   WorldDynamics* dyn = cfg.dynamics;
   if constexpr (!kDynCapable) {
@@ -253,7 +238,7 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
     if constexpr (kDynCapable) {
       if (rewrites) {
         // Taken after the mutation tick, which may relocate evicted or
-        // reborn agents.  Disjoint slice per shard: race-free.
+        // reborn agents.
         std::copy(pos.begin() + b, pos.begin() + e, prev.begin() + b);
       }
     }
@@ -282,22 +267,17 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
     }
   };
 
-  // Key: the count pass's parallel half (a rewrite keyed the slice
-  // already).
-  const auto key_shard = [&](std::uint32_t s) {
-    if (!rewrites) {
-      const std::uint32_t b = plan.begin(s);
-      const std::uint32_t e = plan.end(s);
-      graph::node_keys(topo, std::span<const node>(pos).subspan(b, e - b),
-                       std::span<std::uint64_t>(keys).subspan(b, e - b));
-    }
-  };
-
-  // Fill: everything that writes this round's occupancy — always on one
-  // thread, in shard order.
-  const auto fill_shard = [&](std::uint32_t s) {
+  // Count: key the shard (a rewrite keyed it already), then fill this
+  // round's occupancy and run the fill hooks.
+  const auto count_shard = [&](std::uint32_t s) {
     const std::uint32_t b = plan.begin(s);
     const std::uint32_t e = plan.end(s);
+    const std::span<std::uint64_t> shard_keys =
+        std::span<std::uint64_t>(keys).subspan(b, e - b);
+    if (!rewrites) {
+      graph::node_keys(topo, std::span<const node>(pos).subspan(b, e - b),
+                       shard_keys);
+    }
     if (count_mask != nullptr) {
       for (std::uint32_t i = b; i < e; ++i) {
         if (count_mask[i] != 0) {
@@ -305,43 +285,18 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
         }
       }
     } else {
-      fill_counter(counter,
-                   std::span<const std::uint64_t>(keys).subspan(b, e - b));
+      fill_counter(counter, std::span<const std::uint64_t>(shard_keys));
     }
     tap.add_agent_steps(e - b);
     const auto view = make_view(s);
     (notify_fill(observers, view, std::span<const node>(pos)), ...);
   };
 
-  // Observe: observer reads of the completed round.
-  const auto observe_shard = [&](std::uint32_t s) {
-    const auto view = make_view(s);
-    (notify_after_round(observers, view, std::span<const node>(pos)), ...);
-  };
-
-  // The pool outlives the round loop: each phase is a condvar wake, not
-  // a thread spawn.  The phase lambdas are wrapped in std::function
-  // once, here — doing it per run() call would heap-allocate twice per
-  // round.
-  std::unique_ptr<util::WorkerPool> pool;
-  std::function<void(std::size_t)> step_key_fn;
-  std::function<void(std::size_t)> observe_fn;
-  if (concurrent) {
-    pool = std::make_unique<util::WorkerPool>(threads);
-    step_key_fn = [&](std::size_t s) {
-      step_shard(static_cast<std::uint32_t>(s));
-      key_shard(static_cast<std::uint32_t>(s));
-    };
-    observe_fn = [&](std::size_t s) {
-      observe_shard(static_cast<std::uint32_t>(s));
-    };
-  }
-
   for (round = 1; round <= cfg.rounds; ++round) {
     counter.begin_round();
     if constexpr (kDynCapable) {
       // The world is pristine in round 1 (the tick runs *between*
-      // rounds), and identical for any thread count by construction.
+      // rounds).
       if (dyn != nullptr && round > 1) {
         const obs::EngineTap::PhaseSpan phase(tap, phases.mutate);
         dyn->mutate(round, mut_gen, std::span<std::uint64_t>(pos),
@@ -349,23 +304,13 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
       }
     }
     (notify_begin_round(observers, round), ...);
-    if (concurrent) {
-      const obs::EngineTap::PhaseSpan phase(tap, phases.step);
-      pool->run(n_shards, step_key_fn);
-      for (std::uint32_t s = 0; s < n_shards; ++s) {
-        fill_shard(s);
-      }
-    } else if (phases.step == phases.count) {
+    if (phases.step == phases.count) {
       const obs::EngineTap::PhaseSpan phase(tap, phases.step);
       for (std::uint32_t s = 0; s < n_shards; ++s) {
         step_shard(s);
-        key_shard(s);
-        fill_shard(s);
+        count_shard(s);
       }
     } else {
-      // Step every shard, then count every shard, so the count phase is
-      // timed apart; each shard still makes the same draws in the same
-      // order.
       {
         const obs::EngineTap::PhaseSpan phase(tap, phases.step);
         for (std::uint32_t s = 0; s < n_shards; ++s) {
@@ -374,18 +319,15 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
       }
       const obs::EngineTap::PhaseSpan phase(tap, phases.count);
       for (std::uint32_t s = 0; s < n_shards; ++s) {
-        key_shard(s);
-        fill_shard(s);
+        count_shard(s);
       }
     }
     {
       const obs::EngineTap::PhaseSpan phase(tap, phases.observe);
-      if (concurrent) {
-        pool->run(n_shards, observe_fn);
-      } else {
-        for (std::uint32_t s = 0; s < n_shards; ++s) {
-          observe_shard(s);
-        }
+      for (std::uint32_t s = 0; s < n_shards; ++s) {
+        const auto view = make_view(s);
+        (notify_after_round(observers, view, std::span<const node>(pos)),
+         ...);
       }
     }
     (notify_end_round(observers, round), ...);
@@ -396,11 +338,9 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
 }  // namespace detail
 
 /// Runs the sharded engine: the shard loop over `exec.shard_size`-agent
-/// shards on derive_stream(stream_seed, s) generators.  fill hooks fire
-/// once per shard per round, serially in shard order; after_round hooks
-/// fire once per shard per round, concurrently across shards, and must
-/// only write state for agents in the view's range.  Deterministic
-/// in (stream_seed, cfg, exec.shard_size) for any exec.threads.
+/// shards on derive_stream(stream_seed, s) generators, on the caller's
+/// thread.  fill and after_round hooks fire once per shard per round, in
+/// shard order.  Deterministic in (stream_seed, cfg, exec.shard_size).
 template <graph::Topology T, class... Obs>
   requires(WalkObserver<Obs, typename T::node_type> && ...)
 void run_walk_sharded(const T& topo, const WalkConfig& cfg,
@@ -415,18 +355,12 @@ void run_walk_sharded(const T& topo, const WalkConfig& cfg,
   for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
     gens.emplace_back(rng::derive_stream(stream_seed, s));
   }
-  const unsigned threads = std::min<unsigned>(
-      exec.threads == 0 ? util::default_thread_count() : exec.threads,
-      plan.num_shards());
-  // Resolved on the caller thread; phase spans wrap the serial seams
-  // around the parallel phases (no new barriers), while striped counter
-  // adds inside them come from the workers themselves.
   obs::EngineTap tap("sharded", {"step_count", "observe", "mutate"});
   with_occupancy_counter(topo.num_nodes(), cfg.num_agents,
                          [&](auto& counter) {
                            detail::run_shard_loop(
                                topo, cfg, stream_seed, plan, std::move(gens),
-                               /*view_gen=*/nullptr, threads, tap,
+                               /*view_gen=*/nullptr, tap,
                                detail::kShardedPhases,
                                initial_positions, counter, observers...);
                          });

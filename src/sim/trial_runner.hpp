@@ -3,10 +3,9 @@
 //
 // The trial rule: one trial runs on the calling thread at `seed` itself,
 // on `exec` as given; more trials run trial t at derive_seed(seed, t),
-// spread over `threads` workers, each walk on one inner thread (the
-// sharded engine's results do not depend on it).  Output is identical
-// for any thread count.  scenario::Experiment runs every workload
-// through this rule.
+// spread over `threads` workers, each walk on the worker that runs it.
+// Output is identical for any thread count.  scenario::Experiment runs
+// every workload through this rule.
 //
 // Two sampling disciplines on top of it:
 //   - collect_all_agent_estimates: pools every agent's estimate from each
@@ -19,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <variant>
 #include <vector>
 
 #include "graph/topology.hpp"
@@ -47,10 +45,6 @@ std::vector<double> run_trials(
     }
     return out;
   }
-  Exec inner = exec;
-  if (auto* shard = std::get_if<ShardExec>(&inner)) {
-    shard->threads = 1;
-  }
   std::vector<std::vector<double>> per_trial(trials);
   // Captured on the caller thread and re-installed per worker so
   // engine taps fire inside each trial (telemetry never affects the
@@ -60,7 +54,7 @@ std::vector<double> run_trials(
       trials,
       [&](std::size_t trial) {
         obs::ScopedTelemetry ambient(telemetry);
-        per_trial[trial] = run_trial(rng::derive_seed(seed, trial), inner);
+        per_trial[trial] = run_trial(rng::derive_seed(seed, trial), exec);
         if (on_trial_done) {
           on_trial_done(trial);
         }

@@ -22,7 +22,7 @@
 // end_agent): one shard of the population, which is all of it under
 // engine=single and the vector engine.  Observer state indexed by agent
 // id is therefore written in disjoint slices, which is what makes the
-// sharded merge free and thread-count-invariant.
+// sharded merge free.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +66,9 @@ struct WalkConfig {
 /// Observers that draw from it (noise models) become part of the
 /// reproducible stream, in pack order.
 /// after_round hooks must only write observer state belonging to agents
-/// in [begin_agent, end_agent); the sharded engine runs them for
-/// distinct ranges concurrently.  fill hooks always run serially, in
-/// agent order.
+/// in [begin_agent, end_agent); the sharded engine runs them once per
+/// shard, so each call sees one range.  Both fill and after_round hooks
+/// run in shard order.
 template <typename Counter>
 struct BasicRoundView {
   std::uint32_t round = 0;        // 1-based

@@ -7,9 +7,6 @@
 //     now for every workload x engine cell; dynamic scenarios (churn,
 //     drift, fade) likewise on every engine, one hash across thread
 //     counts.
-//   - Invariance: a churned sharded walk is bit-identical for 1, 2, and
-//     8 threads (mutation is serial; rewrites are per-range
-//     deterministic).
 //   - Degeneracy: churn with both rates 0 equals the static walk
 //     estimate for estimate, and a drift model with no deaths/births
 //     likewise, on the vector engine as on the scalar ones.
@@ -229,44 +226,6 @@ TEST(DynamicScenarios, DynamicResultsMatchTheirGoldens) {
 }
 
 // ---------------------------------------------------------------------
-// Thread-count invariance under churn
-// ---------------------------------------------------------------------
-
-TEST(DynamicScenarios, ShardedChurnIsBitIdenticalForAnyThreadCount) {
-  const graph::AnyTopology topo =
-      Registry::built_in().make("torus2d:24x24");
-  sim::DensityConfig cfg;
-  cfg.num_agents = 48;
-  cfg.rounds = 30;
-  const auto run_with = [&](unsigned threads) {
-    sim::ChurnDynamics model(topo, /*p_edge=*/0.05, /*p_fail=*/0.02,
-                             /*mean_down=*/6, /*seed=*/4);
-    return sim::run_dynamic_density_walk(topo, cfg, model, /*seed=*/21,
-                                         sim::ShardExec{.threads = threads});
-  };
-  const std::vector<double> one = run_with(1);
-  EXPECT_EQ(one, run_with(2));
-  EXPECT_EQ(one, run_with(8));
-  EXPECT_EQ(one.size(), 48u);
-}
-
-TEST(DynamicScenarios, ShardedDriftIsBitIdenticalForAnyThreadCount) {
-  const graph::AnyTopology topo = Registry::built_in().make("ring:512");
-  sim::DensityConfig cfg;
-  cfg.num_agents = 40;
-  cfg.rounds = 40;
-  const auto run_with = [&](unsigned threads) {
-    sim::DriftDynamics model(topo, cfg.num_agents, /*p_death=*/0.05,
-                             /*p_birth=*/0.08, /*seed=*/2);
-    return sim::run_dynamic_density_walk(topo, cfg, model, /*seed=*/5,
-                                         sim::ShardExec{.threads = threads});
-  };
-  const std::vector<double> one = run_with(1);
-  EXPECT_EQ(one, run_with(2));
-  EXPECT_EQ(one, run_with(8));
-}
-
-// ---------------------------------------------------------------------
 // Degenerate dynamics reproduce the static walk
 // ---------------------------------------------------------------------
 
@@ -284,7 +243,7 @@ TEST(DynamicScenarios, ZeroRateChurnEqualsTheStaticWalk) {
       << "a dynamic world that never mutates must reproduce the static "
          "stream bit for bit (single engine)";
 
-  const sim::ShardExec sharded{.threads = 2};
+  const sim::ShardExec sharded{};
   const std::vector<double> expected_sharded =
       sim::run_density_walk(topo, cfg, /*seed=*/13, sharded).estimates();
   sim::ChurnDynamics churn2(topo, 0.0, 0.0, 10, 0);

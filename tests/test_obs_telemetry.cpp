@@ -3,9 +3,9 @@
 //  1. RNG-neutrality — enabling metrics + tracing changes NOTHING about
 //     what an experiment computes.  Pinned as byte-identity of the
 //     canonical result document across all three engines.
-//  2. Exactness — the striped counters lose nothing: sharded-engine
-//     totals are exact and invariant across thread counts, and the
-//     collision counter reconciles against the observer's own output.
+//  2. Exactness — the striped counters lose nothing: multi-shard
+//     sharded-engine totals are exact, and the collision counter
+//     reconciles against the observer's own output.
 //  3. Coverage — every phase of a round is booked once per round, in
 //     its engine's own phase layout, a dynamic world's move rewrite
 //     included.
@@ -87,42 +87,35 @@ TEST(ObsTelemetry, ResultsAreByteIdenticalWithTelemetryOnAndOff) {
   }
 }
 
-TEST(ObsTelemetry, ShardedCountersAreExactAndThreadCountInvariant) {
+TEST(ObsTelemetry, ShardedCountersAreExact) {
   const graph::Ring topo(256);
   sim::DensityConfig cfg;
   cfg.num_agents = 100;
   cfg.rounds = 50;
 
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    MetricsRegistry metrics;
-    Telemetry telemetry{&metrics, nullptr};
-    sim::DensityResult result = [&] {
-      ScopedTelemetry ambient(&telemetry);
-      // shard_size 16 forces multiple shards, so with threads > 1 the
-      // striped adds really do come from concurrent pool workers.
-      return sim::run_density_walk_sharded(
-          topo, cfg, /*seed=*/77,
-          sim::ShardExec{.threads = threads, .shard_size = 16});
-    }();
+  MetricsRegistry metrics;
+  Telemetry telemetry{&metrics, nullptr};
+  sim::DensityResult result = [&] {
+    ScopedTelemetry ambient(&telemetry);
+    // shard_size 16 forces multiple shards, so the agent-step count is
+    // booked once per shard per round.
+    return sim::run_density_walk_sharded(topo, cfg, /*seed=*/77,
+                                         sim::ShardExec{.shard_size = 16});
+  }();
 
-    const Labels sharded{{"engine", "sharded"}};
-    EXPECT_EQ(
-        metrics.counter("antdense_engine_agent_steps_total", sharded).value(),
-        static_cast<std::uint64_t>(cfg.num_agents) * cfg.rounds)
-        << "threads=" << threads;
-    EXPECT_EQ(metrics.counter("antdense_engine_rounds_total", sharded).value(),
-              cfg.rounds)
-        << "threads=" << threads;
+  const Labels sharded{{"engine", "sharded"}};
+  EXPECT_EQ(
+      metrics.counter("antdense_engine_agent_steps_total", sharded).value(),
+      static_cast<std::uint64_t>(cfg.num_agents) * cfg.rounds);
+  EXPECT_EQ(metrics.counter("antdense_engine_rounds_total", sharded).value(),
+            cfg.rounds);
 
-    const std::uint64_t observer_total = std::accumulate(
-        result.collision_counts.begin(), result.collision_counts.end(),
-        std::uint64_t{0});
-    EXPECT_EQ(
-        metrics.counter("antdense_collisions_observed_total").value(),
-        observer_total)
-        << "threads=" << threads;
-    EXPECT_GT(observer_total, 0u) << "test needs collisions to count";
-  }
+  const std::uint64_t observer_total = std::accumulate(
+      result.collision_counts.begin(), result.collision_counts.end(),
+      std::uint64_t{0});
+  EXPECT_EQ(metrics.counter("antdense_collisions_observed_total").value(),
+            observer_total);
+  EXPECT_GT(observer_total, 0u) << "test needs collisions to count";
 }
 
 TEST(ObsTelemetry, AmbientPropagatesThroughTrialFanOut) {
@@ -157,10 +150,9 @@ HistogramSnapshot phase(MetricsRegistry& metrics, const char* engine,
 
 TEST(ObsTelemetry, EachEngineBooksItsPhaseLayoutOncePerRound) {
   // engine=single and engine=vector book step, count and observe apart;
-  // engine=sharded books step and count as one step_count phase at
-  // every thread count, on the serial path (threads 1) and the pool
-  // (threads 2 over three shards) alike.  Neither layout's names may
-  // appear under the other engine.  Churn exercises the mutate phase
+  // engine=sharded books step and count as one step_count phase, here
+  // over three shards.  Neither layout's names may appear under the
+  // other engine.  Churn exercises the mutate phase
   // and the move rewrite, property a fill hook.
   const graph::AnyTopology topo{graph::Ring(128)};
   sim::DensityConfig cfg;
@@ -177,10 +169,8 @@ TEST(ObsTelemetry, EachEngineBooksItsPhaseLayoutOncePerRound) {
   } engines[] = {
       {"single", "single", {"step", "count", "observe"}, {"step_count"},
        sim::SingleExec{}},
-      {"sharded/t1", "sharded", {"step_count", "observe"}, {"step", "count"},
-       sim::ShardExec{.threads = 1, .shard_size = 8}},
-      {"sharded/t2", "sharded", {"step_count", "observe"}, {"step", "count"},
-       sim::ShardExec{.threads = 2, .shard_size = 8}},
+      {"sharded", "sharded", {"step_count", "observe"}, {"step", "count"},
+       sim::ShardExec{.shard_size = 8}},
       {"vector", "vector", {"step", "count", "observe"}, {"step_count"},
        sim::VectorExec{}},
   };
@@ -259,7 +249,7 @@ TEST(ObsTelemetry, MoveRewritesAreBookedToTheStepPhase) {
     const char* step;
     sim::Exec exec;
   } engines[] = {{"single", "step", sim::SingleExec{}},
-                 {"sharded", "step_count", sim::ShardExec{.threads = 1}},
+                 {"sharded", "step_count", sim::ShardExec{}},
                  {"vector", "step", sim::VectorExec{}}};
   for (const auto& e : engines) {
     MetricsRegistry metrics;

@@ -8,8 +8,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -570,6 +573,39 @@ TEST(ServeServer, ProgressThrottleStillDeliversTheFinalFrame) {
   // Everything else was throttled away (the first frame may slip
   // through before the interval starts counting).
   EXPECT_LE(ticks.size(), 2u);
+  server.stop();
+}
+
+/// Open file descriptors of this process, or 0 where /proc/self/fd is
+/// not available.
+std::size_t open_fd_count() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/fd", error);
+  if (error) {
+    return 0;
+  }
+  return static_cast<std::size_t>(
+      std::distance(it, std::filesystem::directory_iterator()));
+}
+
+TEST(ServeServer, FinishedConnectionsReleaseTheirDescriptors) {
+  // Clients connect, make one request and hang up, one after another.
+  // The daemon must join each finished connection and close its
+  // socket; otherwise every client keeps one fd and one thread until
+  // stop(), and enough clients exhaust the fd limit.
+  Server server(test_options());
+  server.start();
+  const std::size_t before = open_fd_count();
+  if (before == 0) {
+    GTEST_SKIP() << "no /proc/self/fd to count descriptors";
+  }
+  for (int i = 0; i < 200; ++i) {
+    Client client(server.port());
+    ASSERT_EQ(envelope_type(client.server_info()), "server_info");
+  }
+  // Finished connections are reaped on the next accept, so the last
+  // client or two may still hold a descriptor.
+  EXPECT_LE(open_fd_count(), before + 4);
   server.stop();
 }
 

@@ -1,15 +1,15 @@
-// Differential tests pinning the sharded engine's determinism contract
-// (sim/sharded_walk.hpp): for a fixed (seed, config, shard grain), the
-// merged output is bit-identical for ANY thread count — threads ∈
-// {1, 2, 8} here — across every topology family and every workload
-// observer, including the noise paths that draw from per-shard streams.
-// Also covers the ShardPlan layout, the occupancy-counter choice (the
-// dense and hash counters give the shard loop byte-equal results on one
-// thread and on a pool, and with_occupancy_counter's picks), statistical
-// sanity of the sharded stream (Algorithm 1 stays unbiased), and
-// thread-count invariance at the scenario::Experiment level — every
-// workload and family for engine=sharded, and every engine on a ring
-// crowded past the dense counter's byte.
+// Tests pinning the sharded engine's contract (sim/sharded_walk.hpp):
+// the ShardPlan layout; multi-shard result-document goldens at the
+// default grain (placement, stepping, counting and noise draws across
+// shards, for a density spec, a lazy noisy walk and a churned torus);
+// the occupancy-counter choice (the dense and hash counters give the
+// shard loop byte-equal results for every family and observer, and
+// with_occupancy_counter's picks); the stream's identity edges;
+// statistical sanity of the sharded stream (Algorithm 1 stays
+// unbiased); and thread-count invariance at the scenario::Experiment
+// level, where `threads` fans out trials — every workload and family
+// for engine=sharded, and every engine on a ring crowded past the dense
+// counter's byte.
 #include "sim/sharded_walk.hpp"
 
 #include <gtest/gtest.h>
@@ -20,14 +20,8 @@
 #include <vector>
 
 #include "graph/any_topology.hpp"
-#include "graph/biased_torus2d.hpp"
-#include "graph/complete.hpp"
-#include "graph/explicit_topology.hpp"
-#include "graph/generators.hpp"
 #include "graph/hypercube.hpp"
-#include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
-#include "graph/torus_kd.hpp"
 #include "scenario/ball_density.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/registry.hpp"
@@ -35,12 +29,13 @@
 #include "sim/density_sim.hpp"
 #include "sim/dynamic_world.hpp"
 #include "stats/accumulator.hpp"
+#include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace antdense::sim {
 namespace {
 
 using graph::Hypercube;
-using graph::Ring;
 using graph::Torus2D;
 
 // Small shards force real multi-shard merges at test sizes.
@@ -80,146 +75,6 @@ TEST(ShardPlan, RejectsDegenerateInputs) {
   EXPECT_THROW(ShardPlan::make(10, 0), std::invalid_argument);
 }
 
-// --- Thread-count invariance, all topology families -------------------
-
-template <graph::Topology T>
-void expect_sharded_threads_agree(const T& topo, const DensityConfig& cfg,
-                                  std::uint64_t seed) {
-  const DensityResult reference = run_density_walk(
-      topo, cfg, seed, ShardExec{.threads = 1, .shard_size = kTestShardSize});
-  for (unsigned threads : kThreadCounts) {
-    const DensityResult r = run_density_walk(
-        topo, cfg, seed,
-        ShardExec{.threads = threads, .shard_size = kTestShardSize});
-    EXPECT_EQ(r.collision_counts, reference.collision_counts)
-        << topo.name() << " diverged at threads=" << threads;
-  }
-}
-
-TEST(ShardedEquivalence, DensityThreadsAgreeAcrossTopologies) {
-  const DensityConfig cfg = base_config();
-  for (std::uint64_t seed : {1ull, 0xDEADull}) {
-    expect_sharded_threads_agree(Ring(512), cfg, seed);
-    expect_sharded_threads_agree(Torus2D(24, 24), cfg, seed);
-    expect_sharded_threads_agree(Hypercube(10), cfg, seed);
-    expect_sharded_threads_agree(graph::TorusKD(3, 8), cfg, seed);
-    expect_sharded_threads_agree(graph::CompleteGraph(100), cfg, seed);
-  }
-  const graph::Graph g = graph::make_random_regular_graph(128, 4, 99);
-  expect_sharded_threads_agree(graph::ExplicitTopology(g, "rr"),
-                               base_config(), 5);
-}
-
-TEST(ShardedEquivalence, FallbackTopologyThreadsAgree) {
-  // BiasedTorus2D has no batched member: the per-agent fallback path
-  // must be just as thread-count-invariant.
-  const auto topo = graph::BiasedTorus2D::with_drift(20, 20, 0.1);
-  expect_sharded_threads_agree(topo, base_config(), 13);
-}
-
-TEST(ShardedEquivalence, NoisePathsThreadsAgree) {
-  // Detection-miss and spurious draws come from per-shard streams in
-  // observer phase B; they must not depend on scheduling either.
-  DensityConfig cfg = base_config();
-  cfg.detection_miss_probability = 0.4;
-  cfg.spurious_collision_probability = 0.2;
-  expect_sharded_threads_agree(Torus2D(16, 16), cfg, 31);
-  expect_sharded_threads_agree(Hypercube(9), cfg, 32);
-}
-
-TEST(ShardedEquivalence, LazyWalkThreadsAgree) {
-  DensityConfig cfg = base_config();
-  cfg.lazy_probability = 0.3;
-  expect_sharded_threads_agree(Torus2D(16, 16), cfg, 21);
-  expect_sharded_threads_agree(Ring(256), cfg, 22);
-}
-
-TEST(ShardedEquivalence, InitialPositionsThreadsAgree) {
-  const Torus2D torus(16, 16);
-  DensityConfig cfg = base_config();
-  std::vector<Torus2D::node_type> start;
-  for (std::uint32_t i = 0; i < cfg.num_agents; ++i) {
-    start.push_back(Torus2D::pack(i % 4, i / 16));
-  }
-  const DensityResult reference = run_density_walk(
-      torus, cfg, 41, ShardExec{.threads = 1, .shard_size = kTestShardSize},
-      &start);
-  for (unsigned threads : kThreadCounts) {
-    const DensityResult r = run_density_walk(
-        torus, cfg, 41,
-        ShardExec{.threads = threads, .shard_size = kTestShardSize}, &start);
-    EXPECT_EQ(r.collision_counts, reference.collision_counts);
-  }
-}
-
-TEST(ShardedEquivalence, PropertyWalkThreadsAgree) {
-  DensityConfig cfg = base_config();
-  std::vector<bool> has_property(cfg.num_agents, false);
-  for (std::uint32_t i = 0; i < cfg.num_agents; i += 3) {
-    has_property[i] = true;
-  }
-  auto check = [&](const auto& topo) {
-    const PropertyResult reference = run_property_walk(
-        topo, cfg, has_property, 2,
-        ShardExec{.threads = 1, .shard_size = kTestShardSize});
-    for (unsigned threads : kThreadCounts) {
-      const PropertyResult r = run_property_walk(
-          topo, cfg, has_property, 2,
-          ShardExec{.threads = threads, .shard_size = kTestShardSize});
-      EXPECT_EQ(r.total_counts, reference.total_counts)
-          << topo.name() << " threads=" << threads;
-      EXPECT_EQ(r.property_counts, reference.property_counts)
-          << topo.name() << " threads=" << threads;
-    }
-  };
-  check(Ring(300));
-  check(Torus2D(20, 20));
-  check(Hypercube(10));
-}
-
-TEST(ShardedEquivalence, TrajectoryThreadsAgree) {
-  const Torus2D torus(16, 16);
-  WalkConfig cfg;
-  cfg.num_agents = 40;
-  cfg.rounds = 60;
-  auto run_at = [&](unsigned threads) {
-    CollisionObserver counts(cfg.num_agents);
-    TrajectoryObserver trajectory(counts, 6, {5, 20, 60});
-    run_walk_sharded(torus, cfg, 0x7124u,
-                     ShardExec{.threads = threads,
-                               .shard_size = kTestShardSize},
-                     static_cast<const std::vector<Torus2D::node_type>*>(
-                         nullptr),
-                     counts, trajectory);
-    return trajectory.take_estimates();
-  };
-  const auto reference = run_at(1);
-  ASSERT_EQ(reference.size(), 6u);
-  ASSERT_EQ(reference[0].size(), 3u);
-  EXPECT_EQ(run_at(2), reference);
-  EXPECT_EQ(run_at(8), reference);
-}
-
-TEST(ShardedEquivalence, BallDensityThreadsAgree) {
-  const graph::AnyTopology any(Torus2D(18, 18));
-  WalkConfig cfg;
-  cfg.num_agents = 48;
-  cfg.rounds = 24;
-  auto run_at = [&](unsigned threads) {
-    scenario::BallDensityObserver balls(any, 2, {1, 8, 24}, cfg.num_agents);
-    run_walk_sharded(any, cfg, 0x10Du,
-                     ShardExec{.threads = threads,
-                               .shard_size = kTestShardSize},
-                     static_cast<const std::vector<std::uint64_t>*>(nullptr),
-                     balls);
-    return balls.take_densities();
-  };
-  const auto reference = run_at(1);
-  ASSERT_EQ(reference.size(), 3u);
-  EXPECT_EQ(run_at(2), reference);
-  EXPECT_EQ(run_at(8), reference);
-}
-
 // --- Occupancy counters ----------------------------------------------
 
 /// A fresh counter of type Counter for a walk of `agents` on `topo`.
@@ -233,11 +88,10 @@ Counter make_counter(const graph::AnyTopology& topo, std::uint32_t agents) {
 }
 
 /// One shard-loop walk on a Counter: 16-agent shards on derive_stream
-/// generators, on `threads` threads (a worker pool when > 1).
+/// generators.
 template <typename Counter, class... Obs>
 void run_loop_on(const graph::AnyTopology& topo, WalkConfig cfg,
-                 unsigned threads, WorldDynamics* dynamics,
-                 Obs&... observers) {
+                 WorldDynamics* dynamics, Obs&... observers) {
   constexpr std::uint64_t kSeed = 0xC0DE;
   cfg.dynamics = dynamics;
   const ShardPlan plan = ShardPlan::make(cfg.num_agents, kTestShardSize);
@@ -248,8 +102,7 @@ void run_loop_on(const graph::AnyTopology& topo, WalkConfig cfg,
   Counter counter = make_counter<Counter>(topo, cfg.num_agents);
   obs::EngineTap tap("sharded", {"step_count", "observe", "mutate"});
   detail::run_shard_loop(
-      topo, cfg, kSeed, plan, std::move(gens), /*view_gen=*/nullptr,
-      threads, tap,
+      topo, cfg, kSeed, plan, std::move(gens), /*view_gen=*/nullptr, tap,
       detail::kShardedPhases,
       static_cast<const std::vector<std::uint64_t>*>(nullptr), counter,
       observers...);
@@ -268,7 +121,6 @@ struct LoopOutputs {
 
 template <typename Counter>
 LoopOutputs run_every_observer(const graph::AnyTopology& topo,
-                               unsigned threads = 1,
                                std::uint32_t agents = 40) {
   WalkConfig cfg;
   cfg.num_agents = agents;
@@ -279,7 +131,7 @@ LoopOutputs run_every_observer(const graph::AnyTopology& topo,
         cfg.num_agents,
         {.detection_miss = 0.3, .spurious = 0.1, .dropout = 0.1});
     TrajectoryObserver trajectory(counts, 5, {5, 15, 30});
-    run_loop_on<Counter>(topo, cfg, threads, nullptr, counts, trajectory);
+    run_loop_on<Counter>(topo, cfg, nullptr, counts, trajectory);
     out.noisy_counts = counts.take_counts();
     out.trajectory = trajectory.take_estimates();
   }
@@ -289,13 +141,13 @@ LoopOutputs run_every_observer(const graph::AnyTopology& topo,
       has_property[i] = true;
     }
     PropertyObserver property(has_property, topo.num_nodes());
-    run_loop_on<Counter>(topo, cfg, threads, nullptr, property);
+    run_loop_on<Counter>(topo, cfg, nullptr, property);
     out.total_counts = property.take_total_counts();
     out.property_counts = property.take_property_counts();
   }
   {
     scenario::BallDensityObserver balls(topo, 2, {1, 10, 30}, cfg.num_agents);
-    run_loop_on<Counter>(topo, cfg, threads, nullptr, balls);
+    run_loop_on<Counter>(topo, cfg, nullptr, balls);
     out.ball_densities = balls.take_densities();
   }
   {
@@ -304,13 +156,13 @@ LoopOutputs run_every_observer(const graph::AnyTopology& topo,
     const double per_node = 1.0 / static_cast<double>(topo.num_nodes());
     ChurnDynamics churn(topo, 5.0 * per_node, 2.0 * per_node, 5, 1);
     CollisionObserver counts(cfg.num_agents, {}, &churn);
-    run_loop_on<Counter>(topo, cfg, threads, &churn, counts);
+    run_loop_on<Counter>(topo, cfg, &churn, counts);
     out.churn_estimates = counts.estimates(cfg.rounds);
   }
   {
     DriftDynamics drift(topo, cfg.num_agents, 0.05, 0.2, 1);
     CollisionObserver counts(cfg.num_agents, {}, &drift);
-    run_loop_on<Counter>(topo, cfg, threads, &drift, counts);
+    run_loop_on<Counter>(topo, cfg, &drift, counts);
     out.drift_estimates = counts.estimates(cfg.rounds);
   }
   return out;
@@ -327,8 +179,7 @@ void expect_same_outputs(const LoopOutputs& got, const LoopOutputs& want) {
 }
 
 TEST(OccupancyCounters, EveryCounterGivesTheShardLoopTheSameBytes) {
-  // Occupancy is exact in both counters, and the pool path fills them
-  // serially, so neither the counter nor the thread count may show in
+  // Occupancy is exact in both counters, so the counter may not show in
   // any observer's output: noise draws, property counts, trajectories,
   // ball densities, and churn/drift masking.
   const auto& registry = scenario::Registry::built_in();
@@ -344,21 +195,9 @@ TEST(OccupancyCounters, EveryCounterGivesTheShardLoopTheSameBytes) {
       collisions += c;
     }
     EXPECT_GT(collisions, 0u) << "the walk must collide to test anything";
-    SCOPED_TRACE("dense vs hash");
     expect_same_outputs(run_every_observer<DenseCollisionCounter>(topo),
                         hash);
-    SCOPED_TRACE("dense on a 2-thread pool vs hash");
-    expect_same_outputs(run_every_observer<DenseCollisionCounter>(topo, 2),
-                        hash);
-    SCOPED_TRACE("hash on a 2-thread pool vs hash");
-    expect_same_outputs(run_every_observer<CollisionCounter>(topo, 2), hash);
   }
-  // Above the dense cap the policy never picks the dense counter; the
-  // hash counter must agree with itself on a pool.
-  const graph::AnyTopology huge = registry.make("hypercube:25");
-  ASSERT_GT(huge.num_nodes(), std::uint64_t{1} << 24);
-  expect_same_outputs(run_every_observer<CollisionCounter>(huge, 2),
-                      run_every_observer<CollisionCounter>(huge));
 }
 
 TEST(OccupancyCounters, SaturatedBytesSpillExactly) {
@@ -366,13 +205,9 @@ TEST(OccupancyCounters, SaturatedBytesSpillExactly) {
   // dense counter saturates each round and the rest spills.
   const graph::AnyTopology ring =
       scenario::Registry::built_in().make("ring:12");
-  const LoopOutputs hash = run_every_observer<CollisionCounter>(ring, 1, 5000);
+  const LoopOutputs hash = run_every_observer<CollisionCounter>(ring, 5000);
   ASSERT_EQ(hash.noisy_counts.size(), 5000u);
-  SCOPED_TRACE("dense vs hash");
-  expect_same_outputs(run_every_observer<DenseCollisionCounter>(ring, 1, 5000),
-                      hash);
-  SCOPED_TRACE("dense on a 2-thread pool vs hash");
-  expect_same_outputs(run_every_observer<DenseCollisionCounter>(ring, 2, 5000),
+  expect_same_outputs(run_every_observer<DenseCollisionCounter>(ring, 5000),
                       hash);
 }
 
@@ -414,9 +249,9 @@ TEST(ShardedContract, ShardSizeIsPartOfTheStream) {
   const Torus2D torus(24, 24);
   const DensityConfig cfg = base_config();
   const DensityResult a = run_density_walk(
-      torus, cfg, 7, ShardExec{.threads = 1, .shard_size = 16});
+      torus, cfg, 7, ShardExec{.shard_size = 16});
   const DensityResult b = run_density_walk(
-      torus, cfg, 7, ShardExec{.threads = 1, .shard_size = 8});
+      torus, cfg, 7, ShardExec{.shard_size = 8});
   EXPECT_NE(a.collision_counts, b.collision_counts);
 }
 
@@ -426,7 +261,7 @@ TEST(ShardedContract, DistinctFromSingleStreamEngine) {
   const Torus2D torus(24, 24);
   const DensityConfig cfg = base_config();
   const DensityResult sharded = run_density_walk(
-      torus, cfg, 7, ShardExec{.threads = 1});
+      torus, cfg, 7, ShardExec{});
   const DensityResult single = run_density_walk(torus, cfg, 7);
   EXPECT_NE(sharded.collision_counts, single.collision_counts);
 }
@@ -434,7 +269,7 @@ TEST(ShardedContract, DistinctFromSingleStreamEngine) {
 TEST(ShardedContract, DeterministicAcrossRepeatedRuns) {
   const Hypercube cube(10);
   const DensityConfig cfg = base_config();
-  const ShardExec exec{.threads = 8, .shard_size = kTestShardSize};
+  const ShardExec exec{.shard_size = kTestShardSize};
   const DensityResult a = run_density_walk(cube, cfg, 9, exec);
   const DensityResult b = run_density_walk(cube, cfg, 9, exec);
   EXPECT_EQ(a.collision_counts, b.collision_counts);
@@ -453,12 +288,56 @@ TEST(ShardedStatistics, DensityEstimatesStayUnbiased) {
   for (std::uint64_t trial = 0; trial < 120; ++trial) {
     const DensityResult r = run_density_walk(
         torus, cfg, 900 + trial,
-        ShardExec{.threads = 1, .shard_size = kTestShardSize});
+        ShardExec{.shard_size = kTestShardSize});
     for (double e : r.estimates()) {
       acc.add(e);
     }
   }
   EXPECT_NEAR(acc.mean(), d, 4.0 * acc.standard_error() + 1e-12);
+}
+
+// --- Multi-shard goldens ----------------------------------------------
+
+TEST(ShardedGolden, MultiShardResultDocumentsArePinned) {
+  // 9000 agents at the default 4096-agent grain are three shards, so
+  // these pin the cross-shard order of placement, stepping, counting
+  // and noise draws at the engine=sharded grain itself.  The document
+  // hash is to_json() minus the wall-clock fields, dumped compact; the
+  // document echoes `threads`, so it is put back before hashing and
+  // one hash covers every thread count.
+  const struct {
+    const char* json;
+    const char* hash;
+  } goldens[] = {
+      {R"({"topology":"torus2d:128x128","workload":"density","agents":9000,
+           "rounds":30,"seed":7,"engine":"sharded"})",
+       "c81575c4519b6ce5"},
+      {R"({"topology":"torus2d:96x96","workload":"density","agents":9000,
+           "rounds":30,"seed":8,"lazy":0.3,"miss":0.25,"spurious":0.02,
+           "dropout":0.1,"engine":"sharded"})",
+       "47dbca3de2a3d7af"},
+      {R"({"topology":"torus2d:128x128","workload":"density","agents":9000,
+           "rounds":30,"seed":9,"engine":"sharded",
+           "dynamics":"churn:p_edge=0.005,p_fail=0.0025,mean_down=8"})",
+       "add569dc89c9dbd7"},
+  };
+  for (const auto& g : goldens) {
+    const scenario::ScenarioSpec pinned = scenario::ScenarioSpec::from_json(
+        util::JsonValue::parse(g.json));
+    ASSERT_EQ(ShardPlan::make(pinned.agents).num_shards(), 3u);
+    for (const unsigned threads : {1u, 4u}) {
+      scenario::ScenarioSpec spec = pinned;
+      spec.threads = threads;
+      scenario::ScenarioResult result = scenario::Experiment(spec).run();
+      result.spec.threads = pinned.threads;
+      util::JsonValue doc = result.to_json();
+      doc.erase("elapsed_seconds");
+      doc.erase("elapsed_ns");
+      EXPECT_EQ(util::hex64(util::fnv1a64(doc.dump(0))), g.hash)
+          << "multi-shard result drifted for " << g.json << " at "
+          << threads << " thread(s)";
+    }
+  }
 }
 
 // --- Experiment-level invariance (all workloads, all families) --------

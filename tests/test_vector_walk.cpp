@@ -154,7 +154,7 @@ TEST(VectorEngine, CounterChoiceIsUnobservable) {
       torus, cfg.walk_config(), stream_seed,
       ShardPlan::make(cfg.num_agents, cfg.num_agents),
       std::vector<rng::WideStream>{rng::WideStream(stream_seed)}, &obs_gen,
-      /*threads=*/1, tap, detail::kSinglePhases,
+      tap, detail::kSinglePhases,
       static_cast<const std::vector<graph::Torus2D::node_type>*>(nullptr),
       hash, observer);
   EXPECT_EQ(dense.collision_counts, observer.counts());

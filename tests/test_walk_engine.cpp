@@ -349,13 +349,13 @@ TEST(LocalDensityProfile, ObserverNeedsTheWholePopulationInOneView) {
   cfg.num_agents = 20;
   cfg.rounds = 4;
   LocalDensityObserver one_shard(torus, 3, {2, 4});
-  run_walk(torus, cfg, 5, ShardExec{.threads = 1, .shard_size = 20},
+  run_walk(torus, cfg, 5, ShardExec{.shard_size = 20},
            static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
            one_shard);
   EXPECT_EQ(one_shard.densities().size(), 2u);
   LocalDensityObserver sharded(torus, 3, {2, 4});
   EXPECT_THROW(
-      run_walk(torus, cfg, 5, ShardExec{.threads = 1, .shard_size = 8},
+      run_walk(torus, cfg, 5, ShardExec{.shard_size = 8},
                static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
                sharded),
       std::invalid_argument);
