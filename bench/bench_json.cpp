@@ -6,23 +6,13 @@
 
 #include "util/check.hpp"
 #include "util/json.hpp"
+#include "util/simd.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
 
 namespace antdense::bench {
-
-namespace {
-
-// -DANTDENSE_AVX2=ON compiles every target with -mavx2, this one too.
-#if defined(__AVX2__)
-constexpr bool kAvx2Build = true;
-#else
-constexpr bool kAvx2Build = false;
-#endif
-
-}  // namespace
 
 std::uint64_t peak_rss_bytes() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -60,7 +50,7 @@ std::string to_json(const std::vector<BenchRecord>& records) {
     if (r.peak_rss_bytes != 0) {
       rec.set("peak_rss_bytes", r.peak_rss_bytes);
     }
-    rec.set("avx2", kAvx2Build);
+    rec.set("avx2", util::cpu_has_avx2());
     doc.push_back(std::move(rec));
   }
   return doc.dump() + "\n";

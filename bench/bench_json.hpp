@@ -11,7 +11,7 @@
 //     "threads": int,              // optional: worker threads used
 //     "hardware_threads": int,     // optional: cores on the bench host
 //     "peak_rss_bytes": int,       // optional: process high-water RSS
-//     "avx2": bool }               // vector kernels built with AVX2
+//     "avx2": bool }               // walk kernels ran their AVX2 bodies
 //
 // The optional fields (emitted only when a bench sets them nonzero)
 // let multi-threaded benches like bench_shard record how wide they ran
@@ -21,9 +21,9 @@
 // number that proves an O(agents)-memory substrate stayed that way.
 // peak_rss_bytes is the getrusage high-water mark at the time the cell
 // finished, so within one process it is monotone across records.
-// "avx2" is on every record: whether the bench was built with
-// -DANTDENSE_AVX2=ON, which decides the vector engine's step kernels and
-// so its timings (a binary built with it only runs on an AVX2 host).
+// "avx2" is on every record: whether the walk kernels ran their AVX2
+// bodies (util/simd.hpp: chosen at run time from the CPU), which decides
+// the step, key and prefilter timings.
 //
 // Serialization rides on the shared in-repo writer (util/json.hpp) — no
 // external JSON dependency — which escapes strings and rejects

@@ -220,8 +220,12 @@ class AnyTopology {
     }
     void keys(std::span<const node_type> nodes,
               std::span<std::uint64_t> out) const override {
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        out[i] = topo.key(static_cast<wrapped_node>(nodes[i]));
+      if constexpr (std::same_as<wrapped_node, node_type>) {
+        graph::node_keys(topo, nodes, out);
+      } else {
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+          out[i] = topo.key(static_cast<wrapped_node>(nodes[i]));
+        }
       }
     }
 

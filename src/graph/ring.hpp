@@ -12,11 +12,33 @@
 #include "rng/random.hpp"
 #include "util/check.hpp"
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace antdense::graph {
+
+namespace detail {
+
+/// The ring's portable word-step body: out[j] is the node a walker at
+/// in[j] reaches on a ring of `size` nodes when its generator word is
+/// words[j] (top bit set = forward).  Branch-free: a delta of 1 or
+/// size-1 (≡ -1 mod size) from a table, then a subtract of size masked
+/// by the wrap test.  The spans may alias elementwise.
+inline void ring_step_words_portable(std::uint64_t size,
+                                     std::span<const std::uint64_t> in,
+                                     std::span<std::uint64_t> out,
+                                     const std::uint64_t* words) {
+  // u + delta wraps iff u >= size - delta, which is the other delta.
+  // Deciding on u, not on the sum, stays right on rings above 2^63
+  // nodes, where the sum can carry out of 64 bits.
+  const std::uint64_t delta[2] = {size - 1, 1};
+  for (std::size_t j = 0; j < in.size(); ++j) {
+    const std::uint64_t forward = words[j] >> 63;
+    const std::uint64_t wrap =
+        std::uint64_t{0} -
+        static_cast<std::uint64_t>(in[j] >= delta[forward ^ 1]);
+    out[j] = in[j] + delta[forward] - (size & wrap);
+  }
+}
+
+}  // namespace detail
 
 class Ring {
  public:
@@ -52,48 +74,12 @@ class Ring {
 
   /// The ring's word-step kernel, shared by every engine: out[j] is the
   /// node random_neighbor(in[j], g) returns when g's next word is
-  /// words[j] (top bit set = forward).  Branch-free: a delta of 1 or
-  /// size-1 (≡ -1 mod size) from a table, then a subtract of size
-  /// masked by the wrap test.
-  /// The AVX2 body needs signed 64-bit compares, so it only runs while
-  /// nodes stay below 2^62.  The spans may alias elementwise.
+  /// words[j] (detail::ring_step_words_portable).  Runs this CPU's body
+  /// (util/simd.hpp): the AVX2 one, whose signed 64-bit compares need
+  /// fewer than 2^62 nodes, when it applies.  The spans may alias
+  /// elementwise.
   void step_words(std::span<const node_type> in, std::span<node_type> out,
-                  const std::uint64_t* words) const {
-    std::size_t j = 0;
-#if defined(__AVX2__)
-    if (size_ < (std::uint64_t{1} << 62)) {
-      const __m256i vzero = _mm256_setzero_si256();
-      const __m256i vone = _mm256_set1_epi64x(1);
-      const __m256i vsize = _mm256_set1_epi64x(static_cast<long long>(size_));
-      const __m256i vsize1 =
-          _mm256_set1_epi64x(static_cast<long long>(size_ - 1));
-      for (; j + 4 <= in.size(); j += 4) {
-        const __m256i u = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(in.data() + j));
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(words + j));
-        // Top bit set (word "negative") means forward: delta 1.
-        const __m256i fwd = _mm256_cmpgt_epi64(vzero, w);
-        __m256i v = _mm256_add_epi64(u, _mm256_blendv_epi8(vsize1, vone, fwd));
-        v = _mm256_sub_epi64(
-            v, _mm256_and_si256(vsize, _mm256_cmpgt_epi64(v, vsize1)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out.data() + j), v);
-      }
-    }
-#endif
-    // u + delta wraps iff u >= size - delta, which is the other delta.
-    // Deciding on u, not on the sum, stays right on rings above 2^63
-    // nodes, where the sum can carry out of 64 bits.
-    const std::uint64_t size = size_;
-    const std::uint64_t delta[2] = {size - 1, 1};
-    for (; j < in.size(); ++j) {
-      const std::uint64_t forward = words[j] >> 63;
-      const std::uint64_t wrap =
-          std::uint64_t{0} -
-          static_cast<std::uint64_t>(in[j] >= delta[forward ^ 1]);
-      out[j] = in[j] + delta[forward] - (size & wrap);
-    }
-  }
+                  const std::uint64_t* words) const;
 
   std::uint64_t key(node_type u) const { return u; }
 

@@ -1,7 +1,11 @@
 #include "graph/time_varying.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "rng/random.hpp"
 #include "util/check.hpp"
+#include "util/simd.hpp"
 
 namespace antdense::graph {
 
@@ -37,9 +41,95 @@ void sweep(std::vector<Key>& items, Index& index, double p,
   }
 }
 
+#if ANTDENSE_X86_SIMD
+/// The 4-bit may-contain mask of the four keys at `group`.  kDirect
+/// takes each key as its bit.  Otherwise it hashes: AVX2 has no 64-bit
+/// multiply, so key * kHashMultiplier mod 2^64 is put together from
+/// 32-bit halves, lo(k)*lo(c) + ((hi(k)*lo(c) + lo(k)*hi(c)) << 32).  A
+/// gather fetches each bit's filter word, a variable shift moves the
+/// bit to the sign bit, and movemask collects the four.
+template <bool kDirect>
+ANTDENSE_TARGET_AVX2 inline std::uint64_t test_group(
+    const std::uint64_t* words, __m128i shift, const std::uint64_t* group) {
+  constexpr std::uint64_t kMul = detail::KeyFilter::kHashMultiplier;
+  const __m256i k =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(group));
+  __m256i bit = k;
+  if constexpr (!kDirect) {
+    const __m256i mul = _mm256_set1_epi64x(static_cast<long long>(kMul));
+    const __m256i mul_hi =
+        _mm256_set1_epi64x(static_cast<long long>(kMul >> 32));
+    const __m256i cross =
+        _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(k, 32), mul),
+                         _mm256_mul_epu32(k, mul_hi));
+    const __m256i hash = _mm256_add_epi64(_mm256_mul_epu32(k, mul),
+                                          _mm256_slli_epi64(cross, 32));
+    bit = _mm256_srl_epi64(hash, shift);
+  }
+  const __m256i low6 = _mm256_set1_epi64x(63);
+  const __m256i word = _mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(words), _mm256_srli_epi64(bit, 6), 8);
+  const __m256i top = _mm256_sllv_epi64(
+      word, _mm256_sub_epi64(low6, _mm256_and_si256(bit, low6)));
+  return static_cast<std::uint64_t>(
+      _mm256_movemask_pd(_mm256_castsi256_pd(top)));
+}
+
+/// The AVX2 body of KeyFilter::may_contain_block_portable.  Masks are
+/// gathered 64 keys at a time, and only set bits cost a branch (hits
+/// are rare).  A short last group repeats its first key in the missing
+/// lanes, whose bits are dropped.
+template <bool kDirect>
+ANTDENSE_TARGET_AVX2 std::size_t block_avx2(const std::uint64_t* words,
+                                            unsigned shift,
+                                            const std::uint64_t* keys,
+                                            std::size_t m,
+                                            std::uint16_t* hits) {
+  const __m128i vshift = _mm_cvtsi32_si128(static_cast<int>(shift));
+  std::size_t n = 0;
+  for (std::size_t base = 0; base < m; base += 64) {
+    const std::size_t end = std::min(m, base + 64);
+    std::uint64_t bits = 0;
+    std::size_t j = base;
+    for (; j + 4 <= end; j += 4) {
+      bits |= test_group<kDirect>(words, vshift, keys + j) << (j - base);
+    }
+    if (j < end) {
+      std::uint64_t tail[4];
+      for (std::size_t t = 0; t < 4; ++t) {
+        tail[t] = keys[j + (j + t < end ? t : 0)];
+      }
+      bits |= (test_group<kDirect>(words, vshift, tail) &
+               ((std::uint64_t{1} << (end - j)) - 1))
+              << (j - base);
+    }
+    for (; bits != 0; bits &= bits - 1) {
+      hits[n++] = static_cast<std::uint16_t>(base + std::countr_zero(bits));
+    }
+  }
+  return n;
+}
+#endif
+
 }  // namespace
 
-TimeVaryingWorld::TimeVaryingWorld(const AnyTopology& topo) : topo_(&topo) {}
+std::size_t detail::KeyFilter::may_contain_block(const std::uint64_t* keys,
+                                                 std::size_t m,
+                                                 std::uint16_t* hits) const {
+#if ANTDENSE_X86_SIMD
+  if (util::cpu_has_avx2()) {
+    return mul_ == 1
+               ? block_avx2<true>(words_.data(), shift_, keys, m, hits)
+               : block_avx2<false>(words_.data(), shift_, keys, m, hits);
+  }
+#endif
+  return may_contain_block_portable(keys, m, hits);
+}
+
+TimeVaryingWorld::TimeVaryingWorld(const AnyTopology& topo)
+    : topo_(&topo),
+      failed_filter_(topo.num_nodes()),
+      blocked_filter_(topo.num_nodes()) {}
 
 void TimeVaryingWorld::rebuild_filters() {
   failed_filter_.reset(failed_.size());

@@ -18,11 +18,13 @@
 //
 // Speed: every walker move queries the overlay and almost every query
 // misses, so membership is answered in two tiers.
-//   - One-bit prefilters over node keys (detail::KeyFilter: hashed at
-//     >= 32 bits per key held and >= 2^16 bits, so at most 1/32 false
-//     positives): `blocked` holds every failed node and both ends of
-//     every down edge, `failed` only the failed nodes.  A clear bit answers "no" exactly, so a move to
-//     an untouched node costs one bit test.  fail_node / drop_edge set
+//   - One-bit prefilters over node keys (detail::KeyFilter: >= 32 bits
+//     per key held and >= 2^16 bits; hashed, with at most 1/32 false
+//     positives, or indexed by the key itself, and exact, when the key
+//     space fits in the bits): `blocked` holds every failed node and
+//     both ends of every down edge, `failed` only the failed nodes.  A
+//     clear bit answers "no" exactly, so a move to an untouched node
+//     costs one bit test.  fail_node / drop_edge set
 //     bits.  Bits cannot be cleared one key at a time, so a recovered
 //     key stays held until recover() finds a filter holding more
 //     recovered keys than live ones and rebuilds the filters.
@@ -37,6 +39,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -133,9 +136,11 @@ class FlatIndex {
 };
 
 /// One-bit membership prefilter over node keys: a clear bit means the
-/// key was never inserted since the last reset().  Hashed into a filter
-/// sized for the keys it holds (every insert since the reset), never
-/// for the key space, and never below kMinBits.
+/// key was never inserted since the last reset().  Sized for the keys it
+/// holds (every insert since the reset), never for the key space, and
+/// never below kMinBits.  When the key space fits in the bits, a key is
+/// its own bit: the filter is exact and takes no multiply.  Otherwise
+/// keys are hashed into it.
 class KeyFilter {
  public:
   /// Bits per key the filter is sized for; the false-positive rate is
@@ -144,17 +149,53 @@ class KeyFilter {
   /// Smallest size (8 KiB), so the few keys of a small state read
   /// almost no false positives.
   static constexpr std::size_t kMinBits = std::size_t{1} << 16;
+  /// Keys per block test.
+  static constexpr std::size_t kBlock = 256;
+  /// Fibonacci hashing, read from the top bits: one multiply on a path
+  /// every walker move takes.
+  static constexpr std::uint64_t kHashMultiplier = 0x9E3779B97F4A7C15ULL;
 
-  KeyFilter() { reset(0); }
+  /// A filter over keys below `key_space`.
+  explicit KeyFilter(std::uint64_t key_space) : key_space_(key_space) {
+    reset(0);
+  }
 
   bool may_contain(std::uint64_t key) const {
-    const std::uint64_t bit = hash(key) >> shift_;
+    const std::uint64_t bit = (key * mul_) >> shift_;
     return ((words_[bit >> 6] >> (bit & 63)) & 1) != 0;
   }
+  /// Block test, with no branch per key: writes the indexes j < m at
+  /// which may_contain(keys[j]) holds, ascending, to `hits`, and returns
+  /// how many it wrote; m <= kBlock.  Runs this CPU's body
+  /// (util/simd.hpp).
+  std::size_t may_contain_block(const std::uint64_t* keys, std::size_t m,
+                                std::uint16_t* hits) const;
+  /// The portable body of may_contain_block.
+  std::size_t may_contain_block_portable(const std::uint64_t* keys,
+                                         std::size_t m,
+                                         std::uint16_t* hits) const {
+    // 16-bit indexes: storing them cannot alias the filter's state, so
+    // the compiler keeps that in registers across the block.
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      hits[n] = static_cast<std::uint16_t>(j);
+      n += may_contain(keys[j]) ? 1 : 0;
+    }
+    return n;
+  }
   void insert(std::uint64_t key) {
-    const std::uint64_t bit = hash(key) >> shift_;
+    const std::uint64_t bit = (key * mul_) >> shift_;
     words_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
     ++held_;
+  }
+  /// Empties a filter that holds exactly `keys` (every insert since the
+  /// last reset), in O(keys) instead of a reset's O(bits).
+  void erase(std::span<const std::uint64_t> keys) {
+    for (const std::uint64_t key : keys) {
+      const std::uint64_t bit = (key * mul_) >> shift_;
+      words_[bit >> 6] &= ~(std::uint64_t{1} << (bit & 63));
+    }
+    held_ = 0;
   }
   /// Keys inserted since the last reset().
   std::size_t held() const { return held_; }
@@ -168,19 +209,17 @@ class KeyFilter {
     const std::size_t bits =
         std::bit_ceil(std::max(kMinBits, keys * kBitsPerKey));
     words_.assign(bits / 64, 0);
-    shift_ = 64 - static_cast<unsigned>(std::countr_zero(bits));
+    const bool direct = key_space_ <= bits;
+    mul_ = direct ? 1 : kHashMultiplier;
+    shift_ = direct ? 0 : 64 - static_cast<unsigned>(std::countr_zero(bits));
     held_ = 0;
   }
 
  private:
-  // Fibonacci hashing, read from the top bits: one multiply on a path
-  // every walker move takes.
-  static std::uint64_t hash(std::uint64_t key) {
-    return key * 0x9E3779B97F4A7C15ULL;
-  }
-
+  std::uint64_t key_space_;           // keys lie below this
   std::vector<std::uint64_t> words_;  // power-of-two bit count
-  unsigned shift_ = 0;                // 64 - log2(bit count)
+  std::uint64_t mul_ = 1;             // 1: a key is its own bit
+  unsigned shift_ = 0;                // 64 - log2(bit count), or 0
   std::size_t held_ = 0;              // inserts since the last reset()
 };
 
@@ -203,6 +242,8 @@ class TimeVaryingWorld {
   bool may_block(std::uint64_t key) const {
     return blocked_filter_.may_contain(key);
   }
+  /// The prefilter may_block reads, for block tests.
+  const detail::KeyFilter& blocked_filter() const { return blocked_filter_; }
   bool node_failed(std::uint64_t key) const {
     return failed_filter_.may_contain(key) &&
            failed_index_.contains(key, failed_);

@@ -15,11 +15,45 @@
 #include "rng/random.hpp"
 #include "util/check.hpp"
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace antdense::graph {
+
+namespace detail {
+
+/// The torus's portable word-step body: out[j] is the node a walker at
+/// in[j] reaches on a width x height torus when its generator word is
+/// words[j] (two top bits = the direction).  Branch-free: per-direction
+/// deltas (+1, or width-1 / height-1 ≡ -1 mod size) from a table, added
+/// to the unpacked coordinates in 64 bits — so sides up to 2^32-1
+/// cannot overflow — then a conditional subtract (a select, not a
+/// branch) wraps each.  The spans may alias elementwise.
+inline void torus2d_step_words_portable(std::uint64_t width,
+                                        std::uint64_t height,
+                                        std::span<const std::uint64_t> in,
+                                        std::span<std::uint64_t> out,
+                                        const std::uint64_t* words) {
+  const std::uint64_t dx[4] = {1, width - 1, 0, 0};
+  const std::uint64_t dy[4] = {0, 0, 1, height - 1};
+  for (std::size_t j = 0; j < in.size(); ++j) {
+    const std::uint64_t dir = words[j] >> 62;
+    std::uint64_t x = (in[j] & 0xFFFFFFFFULL) + dx[dir];
+    std::uint64_t y = (in[j] >> 32) + dy[dir];
+    x = x >= width ? x - width : x;
+    y = y >= height ? y - height : y;
+    out[j] = (y << 32) | x;
+  }
+}
+
+/// The torus's portable key body: out[i] = y * width + x of the packed
+/// node nodes[i].
+inline void torus2d_keys_portable(std::uint64_t width,
+                                  std::span<const std::uint64_t> nodes,
+                                  std::span<std::uint64_t> out) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    out[i] = (nodes[i] >> 32) * width + (nodes[i] & 0xFFFFFFFFULL);
+  }
+}
+
+}  // namespace detail
 
 class Torus2D {
  public:
@@ -82,68 +116,10 @@ class Torus2D {
 
   /// The torus's word-step kernel, shared by every engine: out[j] is
   /// the node random_neighbor(in[j], g) returns when g's next word is
-  /// words[j] (two top bits = the direction).  Branch-free: per-
-  /// direction deltas (+1, or width-1 / height-1 ≡ -1 mod size) from a
-  /// table, added to the unpacked coordinates in 64 bits — so sides up
-  /// to 2^32-1 cannot overflow — then a conditional subtract (a select,
-  /// not a branch) wraps each.
-  /// The spans may alias elementwise.
+  /// words[j] (detail::torus2d_step_words_portable).  Runs this CPU's
+  /// body (util/simd.hpp).  The spans may alias elementwise.
   void step_words(std::span<const node_type> in, std::span<node_type> out,
-                  const std::uint64_t* words) const {
-    const std::uint64_t width = width_;
-    const std::uint64_t height = height_;
-    std::size_t j = 0;
-#if defined(__AVX2__)
-    {
-      const __m256i vxmask = _mm256_set1_epi64x(0xFFFFFFFFLL);
-      const __m256i vone = _mm256_set1_epi64x(1);
-      const __m256i vw = _mm256_set1_epi64x(static_cast<long long>(width));
-      const __m256i vw1 =
-          _mm256_set1_epi64x(static_cast<long long>(width - 1));
-      const __m256i vh = _mm256_set1_epi64x(static_cast<long long>(height));
-      const __m256i vh1 =
-          _mm256_set1_epi64x(static_cast<long long>(height - 1));
-      const __m256i d0 = _mm256_setzero_si256();
-      const __m256i d2 = _mm256_set1_epi64x(2);
-      const __m256i d3 = _mm256_set1_epi64x(3);
-      for (; j + 4 <= in.size(); j += 4) {
-        const __m256i u = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(in.data() + j));
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(words + j));
-        const __m256i dir = _mm256_srli_epi64(w, 62);
-        __m256i x = _mm256_and_si256(u, vxmask);
-        __m256i y = _mm256_srli_epi64(u, 32);
-        // The delta table as masked selects: dx = {1, width-1, 0, 0},
-        // dy = {0, 0, 1, height-1} by direction.
-        const __m256i dx = _mm256_or_si256(
-            _mm256_and_si256(_mm256_cmpeq_epi64(dir, d0), vone),
-            _mm256_and_si256(_mm256_cmpeq_epi64(dir, vone), vw1));
-        const __m256i dy = _mm256_or_si256(
-            _mm256_and_si256(_mm256_cmpeq_epi64(dir, d2), vone),
-            _mm256_and_si256(_mm256_cmpeq_epi64(dir, d3), vh1));
-        x = _mm256_add_epi64(x, dx);
-        x = _mm256_sub_epi64(
-            x, _mm256_and_si256(vw, _mm256_cmpgt_epi64(x, vw1)));
-        y = _mm256_add_epi64(y, dy);
-        y = _mm256_sub_epi64(
-            y, _mm256_and_si256(vh, _mm256_cmpgt_epi64(y, vh1)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out.data() + j),
-                            _mm256_or_si256(_mm256_slli_epi64(y, 32), x));
-      }
-    }
-#endif
-    const std::uint64_t dx[4] = {1, width - 1, 0, 0};
-    const std::uint64_t dy[4] = {0, 0, 1, height - 1};
-    for (; j < in.size(); ++j) {
-      const std::uint64_t dir = words[j] >> 62;
-      std::uint64_t x = (in[j] & 0xFFFFFFFFULL) + dx[dir];
-      std::uint64_t y = (in[j] >> 32) + dy[dir];
-      x = x >= width ? x - width : x;
-      y = y >= height ? y - height : y;
-      out[j] = (y << 32) | x;
-    }
-  }
+                  const std::uint64_t* words) const;
 
   /// Deterministic step, dir in {0:+x, 1:-x, 2:+y, 3:-y}.  Exposed for
   /// the displacement experiments and for the independent-sampling
@@ -171,6 +147,10 @@ class Torus2D {
   std::uint64_t key(node_type u) const {
     return static_cast<std::uint64_t>(y_of(u)) * width_ + x_of(u);
   }
+  /// Batched key(): out[i] = key(nodes[i]) (graph::node_keys), on this
+  /// CPU's body (detail::torus2d_keys_portable or AVX2).
+  void keys(std::span<const node_type> nodes,
+            std::span<std::uint64_t> out) const;
 
   /// Torus (wrap-aware) L1 distance between nodes; used by tests and the
   /// swarm dispersion demo.

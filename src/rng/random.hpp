@@ -195,41 +195,59 @@ inline bool coin_flip(G& gen) {
   return (gen() >> 63) != 0;
 }
 
-/// Binomial(n, p) sample: the number of successes in n independent
-/// Bernoulli(p) trials, drawn without iterating all n trials.  Uses the
-/// geometric-skip (second waiting time) method — each uniform draw jumps
-/// over a geometric run of failures — so the expected cost is
-/// O(n * min(p, 1-p) + 1) draws instead of n.  The engine uses this to
-/// collapse the per-partner detection-miss loop into one call per agent.
+/// Binomial(n, p) samples for a fixed p: the number of successes in n
+/// independent Bernoulli(p) trials, drawn without iterating all n
+/// trials.  Uses the geometric-skip (second waiting time) method — each
+/// uniform draw jumps over a geometric run of failures — so the expected
+/// cost is O(n * min(p, 1-p) + 1) draws instead of n; for p > 1/2 it
+/// counts the failures instead.  The logarithm the skips divide by is
+/// taken once, at construction, so a caller that samples one p again
+/// and again (a dynamics model's per-tick event counts) holds one.
+class Binomial {
+ public:
+  explicit Binomial(double p = 0.0) : p_(p) {
+    ANTDENSE_CHECK(p >= 0.0 && p <= 1.0,
+                   "binomial probability must be in [0,1]");
+    log_q_ = std::log1p(-(p > 0.5 ? 1.0 - p : p));  // log(1-q) <= 0
+  }
+
+  template <BitGenerator64 G>
+  std::uint64_t operator()(G& gen, std::uint64_t n) const {
+    if (n == 0 || p_ == 0.0) {
+      return 0;
+    }
+    if (p_ == 1.0) {
+      return n;
+    }
+    std::uint64_t successes = 0;
+    std::uint64_t trials_used = 0;
+    while (true) {
+      const double u = uniform_unit(gen);
+      // Failures before the next success: Geometric(q) on {0, 1, 2, ...}.
+      const double skip = std::floor(std::log1p(-u) / log_q_);
+      if (skip >= static_cast<double>(n - trials_used)) {
+        break;  // the next success would land beyond trial n
+      }
+      trials_used += static_cast<std::uint64_t>(skip) + 1;
+      ++successes;
+      if (trials_used >= n) {
+        break;
+      }
+    }
+    return p_ > 0.5 ? n - successes : successes;
+  }
+
+ private:
+  double p_;
+  double log_q_;
+};
+
+/// One Binomial(n, p) sample (see rng::Binomial).  The engine uses this
+/// to collapse the per-partner detection-miss loop into one call per
+/// agent.
 template <BitGenerator64 G>
 inline std::uint64_t binomial(G& gen, std::uint64_t n, double p) {
-  ANTDENSE_CHECK(p >= 0.0 && p <= 1.0, "binomial probability must be in [0,1]");
-  if (n == 0 || p == 0.0) {
-    return 0;
-  }
-  if (p == 1.0) {
-    return n;
-  }
-  if (p > 0.5) {
-    return n - binomial(gen, n, 1.0 - p);
-  }
-  const double log_q = std::log1p(-p);  // log(1-p) < 0
-  std::uint64_t successes = 0;
-  std::uint64_t trials_used = 0;
-  while (true) {
-    const double u = uniform_unit(gen);
-    // Failures before the next success: Geometric(p) on {0, 1, 2, ...}.
-    const double skip = std::floor(std::log1p(-u) / log_q);
-    if (skip >= static_cast<double>(n - trials_used)) {
-      break;  // the next success would land beyond trial n
-    }
-    trials_used += static_cast<std::uint64_t>(skip) + 1;
-    ++successes;
-    if (trials_used >= n) {
-      break;
-    }
-  }
-  return successes;
+  return Binomial(p)(gen, n);
 }
 
 /// Fisher–Yates shuffle.

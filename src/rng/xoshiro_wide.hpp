@@ -14,10 +14,10 @@
 //     (rng/stream.hpp).
 //   - The emitted word sequence is lane-interleaved: word i of the
 //     stream comes from lane (i mod kWideLanes), draw (i / kWideLanes).
-//   - generate() and generate_portable() produce identical words.  The
-//     AVX2 path (compiled when __AVX2__ is set, e.g. -mavx2 or
-//     -DANTDENSE_AVX2=ON) is an implementation detail, never an
-//     identity: vector-engine goldens hold on every build.
+//   - generate() and generate_portable() produce identical words.
+//     generate() runs an AVX2 body on CPUs that have it
+//     (util/simd.hpp); which body ran is never an identity:
+//     vector-engine goldens hold on every host.
 //
 // WideStream adapts the block generator to the BitGenerator64 concept
 // (buffered operator()) plus a bulk fill(), so scalar draw algorithms
@@ -32,10 +32,6 @@
 
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace antdense::rng {
 
@@ -52,9 +48,12 @@ inline constexpr std::uint64_t kVectorLaneTag = 0x5645434C414E4553ULL;
 
 /// kWideLanes xoshiro256++ streams advanced in lockstep.  State is
 /// stored lane-major per word (SoA) so both the portable loop and the
-/// AVX2 path touch contiguous memory.
+/// AVX2 body touch contiguous memory.
 class XoshiroWide {
  public:
+  /// The lane-major state: State[w][l] is state word w of lane l.
+  using State = std::array<std::array<std::uint64_t, kWideLanes>, 4>;
+
   explicit XoshiroWide(std::uint64_t root) {
     for (std::size_t l = 0; l < kWideLanes; ++l) {
       const Xoshiro256pp lane(derive_seed(root, kVectorLaneTag,
@@ -66,15 +65,9 @@ class XoshiroWide {
   }
 
   /// Writes `count` words (a multiple of kWideLanes) lane-interleaved
-  /// into `dst`, advancing every lane count / kWideLanes draws.
-  /// Dispatches to AVX2 when compiled in, else the portable loop.
-  void generate(std::uint64_t* dst, std::size_t count) {
-#if defined(__AVX2__)
-    generate_avx2(dst, count);
-#else
-    generate_portable(dst, count);
-#endif
-  }
+  /// into `dst`, advancing every lane count / kWideLanes draws: the AVX2
+  /// body on CPUs that have it, else generate_portable.
+  void generate(std::uint64_t* dst, std::size_t count);
 
   /// The unrolled-u64-lane fallback, compiled on every platform.  The
   /// SIMD/fallback equality contract: generate() == generate_portable()
@@ -108,51 +101,6 @@ class XoshiroWide {
     std::memcpy(state_[3].data(), s3, sizeof(s3));
   }
 
-#if defined(__AVX2__)
-  /// AVX2 path: each xoshiro state word is two 4-lane vectors; one loop
-  /// iteration emits kWideLanes words with vector add/xor/shift/rotate.
-  void generate_avx2(std::uint64_t* dst, std::size_t count) {
-    __m256i s0a = load(state_[0].data());
-    __m256i s0b = load(state_[0].data() + 4);
-    __m256i s1a = load(state_[1].data());
-    __m256i s1b = load(state_[1].data() + 4);
-    __m256i s2a = load(state_[2].data());
-    __m256i s2b = load(state_[2].data() + 4);
-    __m256i s3a = load(state_[3].data());
-    __m256i s3b = load(state_[3].data() + 4);
-    for (std::size_t i = 0; i < count; i += kWideLanes) {
-      const __m256i ra =
-          _mm256_add_epi64(vrotl<23>(_mm256_add_epi64(s0a, s3a)), s0a);
-      const __m256i rb =
-          _mm256_add_epi64(vrotl<23>(_mm256_add_epi64(s0b, s3b)), s0b);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), ra);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 4), rb);
-      const __m256i ta = _mm256_slli_epi64(s1a, 17);
-      const __m256i tb = _mm256_slli_epi64(s1b, 17);
-      s2a = _mm256_xor_si256(s2a, s0a);
-      s2b = _mm256_xor_si256(s2b, s0b);
-      s3a = _mm256_xor_si256(s3a, s1a);
-      s3b = _mm256_xor_si256(s3b, s1b);
-      s1a = _mm256_xor_si256(s1a, s2a);
-      s1b = _mm256_xor_si256(s1b, s2b);
-      s0a = _mm256_xor_si256(s0a, s3a);
-      s0b = _mm256_xor_si256(s0b, s3b);
-      s2a = _mm256_xor_si256(s2a, ta);
-      s2b = _mm256_xor_si256(s2b, tb);
-      s3a = vrotl<45>(s3a);
-      s3b = vrotl<45>(s3b);
-    }
-    store(state_[0].data(), s0a);
-    store(state_[0].data() + 4, s0b);
-    store(state_[1].data(), s1a);
-    store(state_[1].data() + 4, s1b);
-    store(state_[2].data(), s2a);
-    store(state_[2].data() + 4, s2b);
-    store(state_[3].data(), s3a);
-    store(state_[3].data() + 4, s3b);
-  }
-#endif
-
   /// Lane l's state, for the lane-equality tests.
   std::array<std::uint64_t, 4> lane_state(std::size_t lane) const {
     return {state_[0][lane], state_[1][lane], state_[2][lane],
@@ -164,21 +112,7 @@ class XoshiroWide {
     return (x << k) | (x >> (64 - k));
   }
 
-#if defined(__AVX2__)
-  template <int K>
-  static __m256i vrotl(__m256i x) {
-    return _mm256_or_si256(_mm256_slli_epi64(x, K),
-                           _mm256_srli_epi64(x, 64 - K));
-  }
-  static __m256i load(const std::uint64_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static void store(std::uint64_t* p, __m256i v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-#endif
-
-  std::array<std::array<std::uint64_t, kWideLanes>, 4> state_;
+  State state_;
 };
 
 /// Buffered adapter over XoshiroWide: a single flat word stream that can

@@ -11,24 +11,19 @@ namespace antdense::sim {
 namespace {
 
 /// Calls on_hit(i), in order, for every i in [begin, end) where
-/// world.may_block(keys[i]).  The prefilter runs over a block of keys
-/// before any of its hits, with no branch per key; on_hit may rewrite
+/// filter.may_contain(keys[i]).  The filter tests a block of keys before
+/// any of its hits (KeyFilter::may_contain_block); on_hit may rewrite
 /// keys[i], since no hit reads another agent's key.
 template <class OnHit>
-void for_each_may_block(const graph::TimeVaryingWorld& world,
-                        std::span<const std::uint64_t> keys,
-                        std::size_t begin, std::size_t end, OnHit&& on_hit) {
-  constexpr std::size_t kBlock = 256;
-  // 16-bit indexes: storing them cannot alias the prefilter's state,
-  // so the compiler keeps that in registers across the block.
+void for_each_may_contain(const graph::detail::KeyFilter& filter,
+                          std::span<const std::uint64_t> keys,
+                          std::size_t begin, std::size_t end,
+                          OnHit&& on_hit) {
+  constexpr std::size_t kBlock = graph::detail::KeyFilter::kBlock;
   std::array<std::uint16_t, kBlock> hits;
   for (std::size_t b = begin; b < end; b += kBlock) {
-    const std::size_t m = std::min(kBlock, end - b);
-    std::size_t n = 0;
-    for (std::size_t j = 0; j < m; ++j) {
-      hits[n] = static_cast<std::uint16_t>(j);
-      n += world.may_block(keys[b + j]) ? 1 : 0;
-    }
+    const std::size_t n = filter.may_contain_block(
+        keys.data() + b, std::min(kBlock, end - b), hits.data());
     for (std::size_t k = 0; k < n; ++k) {
       on_hit(b + hits[k]);
     }
@@ -64,12 +59,15 @@ ChurnDynamics::ChurnDynamics(const graph::AnyTopology& topo, double p_edge,
       p_fail_(p_fail),
       mean_down_(mean_down),
       seed_(seed),
+      fresh_filter_(topo.num_nodes()),
       instruments_("churn") {
   ANTDENSE_CHECK(p_edge >= 0.0 && p_edge <= 1.0,
                  "churn p_edge must be in [0,1]");
   ANTDENSE_CHECK(p_fail >= 0.0 && p_fail <= 1.0,
                  "churn p_fail must be in [0,1]");
   ANTDENSE_CHECK(mean_down >= 1, "churn mean_down must be >= 1");
+  edge_events_ = rng::Binomial(p_edge);
+  fail_events_ = rng::Binomial(p_fail);
 }
 
 std::string ChurnDynamics::name() const {
@@ -92,8 +90,7 @@ void ChurnDynamics::mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
                        (world_.num_failed_nodes() + world_.num_down_edges()));
 
   if (p_edge_ > 0.0) {
-    const std::uint64_t churn_events =
-        rng::binomial(mut_gen, base.num_nodes(), p_edge_);
+    const std::uint64_t churn_events = edge_events_(mut_gen, base.num_nodes());
     std::uint64_t dropped = 0;
     for (std::uint64_t j = 0; j < churn_events; ++j) {
       const std::uint64_t u = base.random_node(mut_gen);
@@ -112,40 +109,57 @@ void ChurnDynamics::mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
     instruments_.add(instruments_.edge_drops, dropped);
   }
 
-  std::uint64_t failed = 0;
+  fresh_.clear();
   if (p_fail_ > 0.0) {
-    const std::uint64_t fail_events =
-        rng::binomial(mut_gen, base.num_nodes(), p_fail_);
+    const std::uint64_t fail_events = fail_events_(mut_gen, base.num_nodes());
     for (std::uint64_t j = 0; j < fail_events; ++j) {
-      failed += world_.fail_node(base.random_node(mut_gen)) ? 1 : 0;
+      const std::uint64_t u = base.random_node(mut_gen);
+      if (world_.fail_node(u)) {
+        fresh_.push_back(base.key(u));
+      }
     }
-    instruments_.add(instruments_.node_fails, failed);
+    instruments_.add(instruments_.node_fails, fresh_.size());
   }
 
   // Evict walkers standing on failed nodes, found by the engine's keys.
   // Deterministic: consumes no randomness.  rewrite_moves never moves a
-  // walker onto a failed node, so the scan is skipped unless a node
-  // failed in this tick, the last scan left a walker stranded (every
-  // neighbor blocked), or this tick does not follow the last one (a
-  // walk's first tick: a reused model may carry failures over).
+  // walker onto a failed node, so only walkers on this tick's fresh
+  // failures need moving, unless the last scan left a walker stranded
+  // (every neighbor blocked) or this tick does not follow the last one
+  // (a walk's first tick: a reused model may carry failures over).
+  // Then every failed node is scanned for.
   ANTDENSE_ASSERT(keys.size() == positions.size(),
                   "churn eviction needs one key per agent");
-  const bool scan = world_.num_failed_nodes() > 0 &&
-                    (failed > 0 || stranded_ || round != last_round_ + 1);
+  const bool every_failure = stranded_ || round != last_round_ + 1;
   last_round_ = round;
   stranded_ = false;
-  if (!scan) {
+  if (world_.num_failed_nodes() == 0 || (fresh_.empty() && !every_failure)) {
     return;
   }
-  // The blocked prefilter holds every failed node; node_failed sorts
-  // out the down-edge ends among its hits.
-  for_each_may_block(world_, keys, 0, keys.size(), [&](std::size_t i) {
+  const auto evict = [&](std::size_t i) {
     if (world_.node_failed(keys[i])) {
       const std::uint64_t to = world_.deflect(positions[i], scratch_);
       stranded_ = stranded_ || to == positions[i];
       positions[i] = to;
     }
-  });
+  };
+  if (every_failure) {
+    // The blocked prefilter holds every failed node; node_failed sorts
+    // out the down-edge ends among its hits.
+    for_each_may_contain(world_.blocked_filter(), keys, 0, keys.size(),
+                         evict);
+    return;
+  }
+  // A filter of the fresh keys alone; node_failed sorts out its false
+  // positives.  It is emptied again key by key, not by a reset.
+  if (fresh_filter_.outgrown_by(fresh_.size())) {
+    fresh_filter_.reset(fresh_.size());
+  }
+  for (const std::uint64_t key : fresh_) {
+    fresh_filter_.insert(key);
+  }
+  for_each_may_contain(fresh_filter_, keys, 0, keys.size(), evict);
+  fresh_filter_.erase(fresh_);
 }
 
 void ChurnDynamics::rewrite_moves(std::span<const std::uint64_t> prev,
@@ -165,19 +179,21 @@ void ChurnDynamics::rewrite_moves(std::span<const std::uint64_t> prev,
   thread_local std::vector<std::uint64_t> scratch;
   // A destination the prefilter clears is up and touches no down edge;
   // a lazy stay is always allowed.
-  for_each_may_block(world_, keys, begin, end, [&](std::size_t i) {
-    if (pos[i] == prev[i]) {
-      return;
-    }
-    const std::uint64_t from_key = base.key(prev[i]);
-    if (world_.edge_down(from_key, keys[i])) {
-      pos[i] = prev[i];  // the traversed edge is down: the move fails
-      keys[i] = from_key;
-    } else if (world_.node_failed(keys[i])) {
-      pos[i] = world_.deflect(prev[i], scratch);
-      keys[i] = base.key(pos[i]);
-    }
-  });
+  for_each_may_contain(
+      world_.blocked_filter(), keys, begin, end, [&](std::size_t i) {
+        const std::uint64_t from = prev[i - begin];
+        if (pos[i] == from) {
+          return;
+        }
+        const std::uint64_t from_key = base.key(from);
+        if (world_.edge_down(from_key, keys[i])) {
+          pos[i] = from;  // the traversed edge is down: the move fails
+          keys[i] = from_key;
+        } else if (world_.node_failed(keys[i])) {
+          pos[i] = world_.deflect(from, scratch);
+          keys[i] = base.key(pos[i]);
+        }
+      });
 }
 
 DriftDynamics::DriftDynamics(const graph::AnyTopology& topo,

@@ -96,7 +96,11 @@ class ChurnDynamics final : public WorldDynamics {
   double p_fail_;
   std::uint32_t mean_down_;
   std::uint64_t seed_;
+  rng::Binomial edge_events_;  // Binomial(num_nodes, p_edge) per tick
+  rng::Binomial fail_events_;  // Binomial(num_nodes, p_fail) per tick
   std::vector<std::uint64_t> scratch_;  // mutate-phase only (serial)
+  std::vector<std::uint64_t> fresh_;  // keys of this tick's new failures
+  graph::detail::KeyFilter fresh_filter_;  // holds fresh_ while scanning
   bool stranded_ = false;  // the last eviction scan left a walker in place
   std::uint32_t last_round_ = 0;  // round of the last mutate call
   DynamicsInstruments instruments_;

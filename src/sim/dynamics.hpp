@@ -9,7 +9,7 @@
 //
 //   round r (r >= 2):   mutate(r, mut_gen, positions, keys)   [serial]
 //                       step agents from the WALK stream      [unchanged]
-//                       rewrite_moves(prev, pos, keys, b, e)  [per shard]
+//                       rewrite_moves(prev, pos, keys, b, e)  [per block]
 //                       count agents with count_mask()        [per shard]
 //                       observer hooks                        [unchanged]
 //
@@ -81,10 +81,12 @@ class WorldDynamics {
   virtual bool rewrites_moves() const { return false; }
 
   /// Deterministically rewrites the moves of agents [begin, end): agent
-  /// i attempted prev[i] -> pos[i] on the *static* topology; the model
-  /// may veto or deflect the move in place, and sets keys[i] to the key
-  /// of the final pos[i].  Called only when rewrites_moves(), once per
-  /// shard.  Const.
+  /// i attempted prev[i - begin] -> pos[i] on the *static* topology (prev
+  /// holds the range's positions before the step); the model may veto
+  /// or deflect the move in place, and sets keys[i] to the key of the
+  /// final pos[i].  Called only when rewrites_moves(), once per block of
+  /// up to 4096 agents within a shard, right after the block steps.
+  /// Const.
   virtual void rewrite_moves(std::span<const std::uint64_t> prev,
                              std::span<std::uint64_t> pos,
                              std::span<std::uint64_t> keys,

@@ -17,7 +17,8 @@
 //      batched topology API (graph::random_neighbors, same stream as
 //      sequential calls), graph::vector_step when the shard stream is a
 //      rng::WideStream, or the per-agent Bernoulli/step loop for a lazy
-//      walk — and a dynamics model rewrites blocked moves;
+//      walk — and a dynamics model rewrites blocked moves, block by
+//      block right after each block steps;
 //   3. count: the shard's keys are recomputed and the round's occupancy
 //      counter is filled (masked by the model's alive slots), shard by
 //      shard, in shard order, and each shard's fill hooks run
@@ -211,7 +212,12 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
       dyn != nullptr
           ? rng::derive_mutation_stream(stream_seed, dyn->model_seed())
           : 0);
-  std::vector<node> prev(rewrites ? n_agents : 0);
+  // Moves are rewritten in blocks of this many agents: the block's
+  // positions, snapshot and keys stay in L2 between the step and the
+  // rewrite, and a batched sampler that sweeps per call (ba) still
+  // sweeps once per shard-sized block.
+  constexpr std::uint32_t kMoveBlock = 4096;
+  std::vector<node> prev(rewrites ? std::min(n_agents, kMoveBlock) : 0);
 
   std::uint32_t round = 0;
   const auto make_view = [&](std::uint32_t s) {
@@ -230,18 +236,8 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
                                    *gen};
   };
 
-  // Step: the shard's draws, then the dynamics rewrite of blocked moves.
-  const auto step_shard = [&](std::uint32_t s) {
-    const std::uint32_t b = plan.begin(s);
-    const std::uint32_t e = plan.end(s);
-    Gen& gen = gens[s];
-    if constexpr (kDynCapable) {
-      if (rewrites) {
-        // Taken after the mutation tick, which may relocate evicted or
-        // reborn agents.
-        std::copy(pos.begin() + b, pos.begin() + e, prev.begin() + b);
-      }
-    }
+  // Step agents [b, e) from `gen`, draw for draw as one pass.
+  const auto step_range = [&](Gen& gen, std::uint32_t b, std::uint32_t e) {
     if (lazy) {
       // Interleaved stay/step draws — must match the legacy stream, so
       // no batching here.
@@ -257,14 +253,31 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
     } else {
       graph::vector_step(topo, std::span<node>(pos).subspan(b, e - b), gen);
     }
+  };
+
+  // Step: the shard's draws, and the dynamics rewrite of blocked moves.
+  const auto step_shard = [&](std::uint32_t s) {
+    const std::uint32_t b = plan.begin(s);
+    const std::uint32_t e = plan.end(s);
     if constexpr (kDynCapable) {
       if (rewrites) {
-        // Deterministic post-step veto/deflection of moves blocked by
-        // the mutated world: the shard stream drew the step exactly as
-        // the static walk would have.  Keys the slice for the count.
-        dyn->rewrite_moves(prev, pos, keys, b, e);
+        // Block by block, while the block is cache-resident: snapshot
+        // it (after the mutation tick, which may relocate evicted or
+        // reborn agents), step it from the shard stream exactly as the
+        // static walk would, then let the model veto or deflect its
+        // blocked moves and key it for the count.  Blocks split the
+        // shard's draws, never reorder them.
+        for (std::uint32_t i = b, j = b; i < e; i = j) {
+          j = i + std::min(kMoveBlock, e - i);
+          std::copy(pos.begin() + i, pos.begin() + j, prev.begin());
+          step_range(gens[s], i, j);
+          dyn->rewrite_moves(std::span<const node>(prev).first(j - i), pos,
+                             keys, i, j);
+        }
+        return;
       }
     }
+    step_range(gens[s], b, e);
   };
 
   // Count: key the shard (a rewrite keyed it already), then fill this

@@ -12,7 +12,7 @@
 //     (tests/test_vector_walk.cpp), and the single/sharded streams are
 //     untouched.
 //   - Stepping goes through graph::vector_step: the word-step kernel
-//     ring/torus2d share with every engine (AVX2 when compiled in),
+//     ring/torus2d share with every engine (AVX2 on CPUs that have it),
 //     batched Lemire rejection for the pick families, the topology's
 //     own bulk sampler otherwise.
 //     All of it is sequential-equivalent over the WideStream, so the

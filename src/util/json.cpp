@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -21,21 +22,26 @@ namespace {
 /// artifact this repo emits comes anywhere near 64 levels.
 constexpr int kMaxNestingDepth = 64;
 
-std::string format_number(double v) {
+/// Appends v's spelling to `out`.  Integral values inside the
+/// double-exact range print as integers so counts stay counts; everything
+/// else gets 17 significant digits, enough to round-trip.  std::to_chars
+/// with a precision is defined to give printf's bytes ("%.0f", "%.17g"),
+/// so documents and the identity hashes taken over them keep the bytes
+/// an snprintf formatter wrote (tests/test_util_json.cpp pins it).
+void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     throw std::invalid_argument("json: cannot serialize non-finite number");
   }
-  // Integral values inside the double-exact range print as integers so
-  // counts stay counts; everything else gets enough digits to round-trip.
   constexpr double kExact = 9007199254740992.0;  // 2^53
-  if (v == std::floor(v) && std::fabs(v) < kExact) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  // The longest spelling: sign, 17 digits, '.', "e-308".
+  char buf[32];
+  const std::to_chars_result r =
+      v == std::floor(v) && std::fabs(v) < kExact
+          ? std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed,
+                          0)
+          : std::to_chars(buf, buf + sizeof(buf), v,
+                          std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 /// Recursive-descent parser over the raw text.
@@ -485,7 +491,7 @@ void JsonValue::dump_to(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       break;
     case Kind::kNumber:
-      out += format_number(num_);
+      append_number(out, num_);
       break;
     case Kind::kString:
       out += '"';

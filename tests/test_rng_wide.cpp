@@ -2,9 +2,10 @@
 //   - lane l of XoshiroWide(root) IS the scalar xoshiro256++ stream at
 //     derive_seed(root, kVectorLaneTag, l), bit for bit;
 //   - the emitted sequence is lane-interleaved in draw order;
-//   - generate() (whatever path was compiled: AVX2 or portable) equals
-//     generate_portable() word for word — the SIMD/fallback equality
-//     contract the vector engine's goldens rest on;
+//   - generate() (the AVX2 body on a CPU that has it, else the portable
+//     one) equals generate_portable() word for word — the SIMD/fallback
+//     equality contract the vector engine's goldens rest on
+//     (tests/test_simd_dispatch.cpp covers odd counts and buffer edges);
 //   - WideStream is one flat sequence: operator() and fill() pops in any
 //     mix produce the same words in the same order;
 //   - golden pin of the first words at a fixed seed, so a silent change

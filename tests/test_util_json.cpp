@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "rng/xoshiro256pp.hpp"
 
 namespace antdense::util {
 namespace {
@@ -15,6 +24,71 @@ TEST(JsonValue, DumpsScalars) {
   EXPECT_EQ(JsonValue(-7.0).dump(), "-7");
   EXPECT_EQ(JsonValue(0.5).dump(), "0.5");
   EXPECT_EQ(JsonValue("hi").dump(), "\"hi\"");
+}
+
+/// The spelling an snprintf formatter gives `v`: "%.0f" for integral
+/// values below 2^53 in magnitude, "%.17g" otherwise.
+std::string printf_spelling(double v) {
+  char buf[64];
+  const bool integral =
+      v == std::floor(v) && std::fabs(v) < 9007199254740992.0;
+  std::snprintf(buf, sizeof(buf), integral ? "%.0f" : "%.17g", v);
+  return buf;
+}
+
+TEST(JsonValue, NumbersKeepPrintfBytes) {
+  // Result documents and the identity hashes taken over them were
+  // written with snprintf; the formatter must keep every byte.
+  constexpr double kTwo53 = 9007199254740992.0;
+  std::vector<double> values = {
+      0.0, -0.0, 0.5, -7.0, 0.1, 1.0 / 3.0, 1e-5, 123456789.125,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      kTwo53 - 1.0, kTwo53, std::nextafter(kTwo53, 1e300), -(kTwo53 - 1.0),
+      -kTwo53, std::nextafter(kTwo53, 0.0) + 0.5, 1e300, -1e300, 1e-300,
+      -1e-300, 1e15, 1e16, 1e17, 1e21, 1e22};
+  rng::Xoshiro256pp gen(0x4A50u);
+  while (values.size() < 3'000'000) {
+    const std::uint64_t bits = gen();
+    double v = 0.0;
+    switch (values.size() % 5) {
+      case 0:  // any bit pattern (non-finite ones skipped)
+        v = std::bit_cast<double>(bits);
+        break;
+      case 1:  // uniform in [0, 1), either sign
+        v = static_cast<double>(bits >> 11) * 0x1.0p-53;
+        v = (bits & 1) != 0 ? -v : v;
+        break;
+      case 2:  // integral, at every magnitude up to 2^64
+        v = static_cast<double>(static_cast<std::int64_t>(bits) >>
+                                (gen() % 64));
+        break;
+      case 3:  // exponents 2^-150 .. 2^150
+        v = std::ldexp(static_cast<double>(bits >> 11) * 0x1.0p-53,
+                       static_cast<int>(gen() % 301) - 150);
+        break;
+      default:  // subnormal
+        v = std::bit_cast<double>(bits & 0x800FFFFFFFFFFFFFULL);
+        break;
+    }
+    if (std::isfinite(v)) {
+      values.push_back(v);
+    }
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string got = JsonValue(v).dump();
+    const std::string want = printf_spelling(v);
+    if (got != want && mismatches++ < 5) {
+      ADD_FAILURE() << "bits " << std::hex << std::bit_cast<std::uint64_t>(v)
+                    << ": dumped " << got << ", printf spells " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " numbers";
 }
 
 TEST(JsonValue, EscapesStrings) {
