@@ -18,9 +18,11 @@
 //
 // Besides the four explicit families, one cell per implicit family
 // (rgg2d / gnp / ba) rides along with a step budget scaled to its
-// honest per-step cost — O(deg) cell-window scan for rgg2d, O(n) row
-// scan for gnp, O(m) edge sweep for ba (per round on the batched paths,
-// per agent on the frozen legacy loop) — plus a resident-set column
+// honest per-step cost — O(deg) cell-window scan for rgg2d; O(n) row
+// scan for gnp, once per distinct row per walk on the batched paths
+// (the walk's row cache) and once per agent step on the frozen legacy
+// loop; O(m) edge sweep for ba, once per round on the batched paths and
+// once per agent step on the legacy loop — plus a resident-set column
 // that documents the O(agents) memory the implicit layer promises.
 //
 // A fifth path, "engine+obs", re-times the scalar engine with the full
@@ -52,6 +54,7 @@
 //   - engine/(engine/hash) <= 0.85 on every ring/torus2d cell (dense
 //     counting pays);
 //   - engine/legacy <= 0.1 on the ba cell (batched sampling);
+//   - engine/legacy <= 0.25 on the gnp cell (the walk's row cache);
 //   - any+dyn0/anytopology: geometric mean over the ring/torus2d cells
 //     <= 1.05, each cell <= 1.30;
 //   - any+churn/anytopology: geometric mean over the ring/torus2d
@@ -340,7 +343,7 @@ int main(int argc, char** argv) {
       "legacy (dormant telemetry), engine <= 0.85x engine/hash, "
       "any+dyn0 <= 1.05x anytopology (geomean; 1.30x per cell), "
       "any+churn <= 1.85x anytopology (geomean), step <= 3.5x draw; "
-      "ba: engine <= 0.1x legacy; "
+      "ba: engine <= 0.1x legacy; gnp: engine <= 0.25x legacy; "
       "BENCH_engine.json parses");
 
   const std::vector<std::uint32_t> agent_counts =
@@ -369,11 +372,15 @@ int main(int argc, char** argv) {
 
   // One cell per implicit family, step budget scaled to the family's
   // per-step cost so each path times in about a second.  rgg2d answers
-  // a step from one O(deg) cell-window scan (~10x a lattice step);
-  // gnp scans an O(n) row per step on every path (once per distinct
-  // node per round when batched).  ba's batched paths sweep the O(m)
-  // edge list once per round, but the frozen legacy loop steps agent
-  // by agent and sweeps once per step, so that path sets ba's budget.
+  // a step from one O(deg) cell-window scan (~10x a lattice step).
+  // gnp's batched paths scan each O(n) row once per walk (the walk's
+  // graph::RowCache) and then pay a lookup and a draw per step, but the
+  // frozen legacy loop scans a row every agent step, so that path sets
+  // gnp's budget; the walk is at least 200 rounds long, so the batched
+  // paths time row reuse as a real walk has it, not only first-visit
+  // scans.  ba's batched paths sweep the O(m) edge list once per round,
+  // but the legacy loop sweeps once per step, so that path sets ba's
+  // budget.
   {
     const std::uint32_t implicit_agents = tiny ? 200 : 1000;
     const auto rgg_nodes = static_cast<std::uint64_t>(implicit_agents) * 10;
@@ -386,10 +393,11 @@ int main(int argc, char** argv) {
                                  implicit_agents,
                                  std::max<std::uint64_t>(1, budget / 4),
                                  reps));
-    cells.push_back(measure_cell(graph::Gnp(2000, 0.004, 7),
-                                 implicit_agents,
-                                 std::max<std::uint64_t>(1, budget / 40),
-                                 reps));
+    cells.push_back(measure_cell(
+        graph::Gnp(2000, 0.004, 7), implicit_agents,
+        std::max<std::uint64_t>(budget / 100,
+                                std::uint64_t{implicit_agents} * 200),
+        reps));
     cells.push_back(measure_cell(graph::Ba(2000, 4, 7), implicit_agents,
                                  std::max<std::uint64_t>(1, budget / 5000),
                                  reps));

@@ -85,21 +85,30 @@ class AnyTopology {
   /// Advances every position one step in place, drawing from the wide
   /// stream — one virtual call per round, forwarding to the wrapped
   /// topology's graph::vector_step path (word-step kernel / batched
-  /// Lemire).
-  void step_nodes(std::span<node_type> pos, rng::WideStream& stream) const {
-    impl_->step_nodes_wide(pos, stream);
+  /// Lemire / row cache).
+  void step_nodes(std::span<node_type> pos, rng::WideStream& stream,
+                  RowCache& rows) const {
+    impl_->step_nodes_wide(pos, stream, rows);
   }
 
   /// Batched stepping — one virtual call for the whole round, forwarding
   /// to the wrapped topology's own batched member (same generator stream
-  /// as sequential random_neighbor calls, per the BulkTopology contract).
-  /// `out[i]` replaces `in[i]`; the spans may alias elementwise.
+  /// as sequential random_neighbor calls, per the BulkTopology contract)
+  /// with the walk's row cache.  `out[i]` replaces `in[i]`; the spans may
+  /// alias elementwise.
+  void random_neighbors(std::span<const node_type> in,
+                        std::span<node_type> out, rng::Xoshiro256pp& gen,
+                        RowCache& rows) const {
+    ANTDENSE_CHECK(in.size() == out.size(),
+                   "bulk neighbor sampling needs equal-sized spans");
+    impl_->random_neighbors(in, out, gen, rows);
+  }
+  /// The same through a fresh row cache.
   void random_neighbors(std::span<const node_type> in,
                         std::span<node_type> out,
                         rng::Xoshiro256pp& gen) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    impl_->random_neighbors(in, out, gen);
+    RowCache rows;
+    random_neighbors(in, out, gen, rows);
   }
 
   std::uint64_t key(node_type u) const { return impl_->key(u); }
@@ -142,12 +151,14 @@ class AnyTopology {
                                       rng::Xoshiro256pp& gen) const = 0;
     virtual void random_neighbors(std::span<const node_type> in,
                                   std::span<node_type> out,
-                                  rng::Xoshiro256pp& gen) const = 0;
+                                  rng::Xoshiro256pp& gen,
+                                  RowCache& rows) const = 0;
     virtual node_type random_node_wide(rng::WideStream& stream) const = 0;
     virtual node_type random_neighbor_wide(node_type u,
                                            rng::WideStream& stream) const = 0;
     virtual void step_nodes_wide(std::span<node_type> pos,
-                                 rng::WideStream& stream) const = 0;
+                                 rng::WideStream& stream,
+                                 RowCache& rows) const = 0;
     virtual std::uint64_t key(node_type u) const = 0;
     virtual void keys(std::span<const node_type> nodes,
                       std::span<std::uint64_t> out) const = 0;
@@ -176,10 +187,10 @@ class AnyTopology {
     }
 
     void random_neighbors(std::span<const node_type> in,
-                          std::span<node_type> out,
-                          rng::Xoshiro256pp& gen) const override {
+                          std::span<node_type> out, rng::Xoshiro256pp& gen,
+                          RowCache& rows) const override {
       if constexpr (std::same_as<wrapped_node, node_type>) {
-        graph::random_neighbors(topo, in, out, gen);
+        graph::random_neighbors(topo, in, out, gen, rows);
       } else {
         // Narrower node handles cannot view the uint64 spans directly;
         // step elementwise, which the BulkTopology contract guarantees
@@ -200,10 +211,10 @@ class AnyTopology {
           topo.random_neighbor(static_cast<wrapped_node>(u), stream));
     }
 
-    void step_nodes_wide(std::span<node_type> pos,
-                         rng::WideStream& stream) const override {
+    void step_nodes_wide(std::span<node_type> pos, rng::WideStream& stream,
+                         RowCache& rows) const override {
       if constexpr (std::same_as<wrapped_node, node_type>) {
-        graph::vector_step(topo, pos, stream);
+        graph::vector_step(topo, pos, stream, rows);
       } else {
         // Narrower node handles cannot view the uint64 span; step
         // elementwise — sequential-equivalent by the vector_step

@@ -16,12 +16,17 @@
 // exploit, so enumerating a row scans all n-1 candidate pairs — O(n),
 // not O(degree).  The scan hoists the row's own hash prefix: pairs
 // above u cost one SplitMix64 mix, pairs below it two (the (seed, tag)
-// prefix is hoisted into the constructor).  A step enumerates once, and
-// the batched sampler enumerates each distinct node of a batch once, so
-// a round costs O(n) per distinct occupied node.  G(n, p) is therefore
-// the exact-in-distribution reference family for small and moderate n
-// (differential tests, campaign sweeps), not the massive-scale one;
-// rgg2d fills that role.
+// prefix is hoisted into the constructor).  A single random_neighbor
+// call enumerates once; lazy walks and churn's deflect step that way,
+// one scan per call.  The batched sampler reads rows from the walk's
+// graph::RowCache instead, so a walk scans each node it visits once:
+// O(n) per distinct visited node over the whole walk, then a hash
+// lookup and one draw per agent-step.  That holds while the visited rows
+// fit detail::kImplicitRowBudget entries (about n * (1 + p * n) <= 2^16
+// when every node is visited); past it the cache restarts and rows are
+// scanned again.  G(n, p) is therefore the exact-in-distribution
+// reference family for small and moderate n (differential tests,
+// campaign sweeps), not the massive-scale one; rgg2d fills that role.
 //
 // Degree is Binomial(n-1, p): degree() reports the nominal mean for the
 // Topology concept, degree_of(u) the exact value.  Isolated nodes
@@ -32,8 +37,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "graph/implicit_hash.hpp"
 #include "graph/topology.hpp"
@@ -108,37 +111,29 @@ class Gnp {
     return detail::sample_enumerated_neighbor(*this, u, gen);
   }
 
-  /// Batched stepping, same generator stream as sequential calls: each
-  /// distinct node's row is scanned once per call and every agent on it
-  /// picks from the stored row.  Rows are stored flat, each as its length
-  /// followed by its neighbors; past detail::kImplicitRowBudget entries
-  /// the store restarts, so a call holds at most the budget plus one
-  /// row.  The spans may alias elementwise.
+  /// Batched stepping, same generator stream as sequential calls: every
+  /// agent picks from its node's row in `rows`, which enumerates the row
+  /// on first use and keeps it for the rest of the walk (see RowCache).
+  /// The spans may alias elementwise.
+  template <rng::BitGenerator64 G>
+  void random_neighbors(std::span<const node_type> in,
+                        std::span<node_type> out, G& gen,
+                        RowCache& rows) const {
+    ANTDENSE_CHECK(in.size() == out.size(),
+                   "bulk neighbor sampling needs equal-sized spans");
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const node_type u = in[i];
+      const std::uint64_t* row = rows.row(*this, u);
+      out[i] = row[0] == 0 ? u : row[1 + rng::uniform_below(gen, row[0])];
+    }
+  }
+
+  /// One batch through a fresh cache: each distinct row is scanned once.
   template <rng::BitGenerator64 G>
   void random_neighbors(std::span<const node_type> in,
                         std::span<node_type> out, G& gen) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    std::vector<node_type> rows;
-    std::unordered_map<node_type, std::size_t> row_at;
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      const node_type u = in[i];
-      auto found = row_at.find(u);
-      if (found == row_at.end()) {
-        if (rows.size() >= detail::kImplicitRowBudget) {
-          rows.clear();
-          row_at.clear();
-        }
-        found = row_at.emplace(u, rows.size()).first;
-        rows.push_back(0);
-        for_each_neighbor(u, [&rows](node_type v) { rows.push_back(v); });
-        rows[found->second] = rows.size() - found->second - 1;
-      }
-      const std::size_t at = found->second;
-      const std::uint64_t degree = rows[at];
-      out[i] =
-          degree == 0 ? u : rows[at + 1 + rng::uniform_below(gen, degree)];
-    }
+    RowCache rows;
+    random_neighbors(in, out, gen, rows);
   }
 
   std::uint64_t key(node_type u) const { return u; }

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "rng/random.hpp"
@@ -118,10 +119,12 @@ inline void step_word_blocks(const T& topo, std::span<const std::uint64_t> in,
   }
 }
 
-/// Entry budget of the scratch a batched implicit-family sampler (gnp,
-/// ba) holds within one call.  A batch whose rows would exceed it runs
-/// in agent-order chunks, so scratch is this many entries plus one row,
-/// never sized by the node or edge count.
+/// Entry budget of the rows a batched implicit-family sampler holds:
+/// gnp's walk-lifetime RowCache, and the in-rows ba gathers within one
+/// call.  Past it gnp's cache restarts and ba splits its batch into
+/// agent-order chunks, so either holds this many entries plus one row
+/// (512 KiB plus one row per walk), never sized by the node or edge
+/// count.
 inline constexpr std::size_t kImplicitRowBudget = std::size_t{1} << 16;
 
 /// One-pass neighbor sampling for the implicit families, whose rows are
@@ -142,25 +145,77 @@ inline typename T::node_type sample_enumerated_neighbor(
 
 }  // namespace detail
 
+/// Enumerated rows that outlive one batched call: the walk's row cache.
+/// The shard loop (sim/sharded_walk.hpp) owns one per walk and passes it
+/// down every batched step, so an implicit family whose rows cost O(n)
+/// to enumerate (gnp) scans each row once per walk, not once per round.
+/// Rows are stored flat, each as its length followed by its neighbors,
+/// with a node -> offset index; past detail::kImplicitRowBudget entries
+/// the cache restarts.  Rows are pure functions of the node, so what the
+/// cache holds never changes a draw.  Not thread-safe: one walk, one
+/// thread, one cache.
+class RowCache {
+ public:
+  /// u's row, enumerated by topo.for_each_neighbor on first use: its
+  /// length, then its neighbors.  Valid until the next call.
+  template <typename T>
+  const std::uint64_t* row(const T& topo, std::uint64_t u) {
+    auto found = at_.find(u);
+    if (found == at_.end()) {
+      if (rows_.size() >= detail::kImplicitRowBudget) {
+        rows_.clear();
+        at_.clear();
+      }
+      found = at_.emplace(u, rows_.size()).first;
+      rows_.push_back(0);
+      topo.for_each_neighbor(u,
+                             [this](std::uint64_t v) { rows_.push_back(v); });
+      rows_[found->second] = rows_.size() - found->second - 1;
+    }
+    return rows_.data() + found->second;
+  }
+
+  /// Entries held (row lengths included) and rows held.
+  std::size_t entries() const { return rows_.size(); }
+  std::size_t rows() const { return at_.size(); }
+
+ private:
+  std::vector<std::uint64_t> rows_;
+  std::unordered_map<std::uint64_t, std::size_t> at_;
+};
+
 /// Samples one neighbor for every node in `in`, writing to `out`
 /// (`out[i]` replaces `in[i]`; the spans may alias elementwise, so
 /// stepping a position array in place is fine).  Dispatches to the
-/// topology's batched member when it has one, else falls back to
-/// sequential random_neighbor calls — the generator stream is identical
-/// either way.
+/// topology's batched member when it has one — handing `rows` to the
+/// members that take a RowCache — else falls back to sequential
+/// random_neighbor calls.  The generator stream is identical either way.
 template <Topology T, rng::BitGenerator64 G>
 inline void random_neighbors(const T& topo,
                              std::span<const typename T::node_type> in,
-                             std::span<typename T::node_type> out, G& gen) {
+                             std::span<typename T::node_type> out, G& gen,
+                             RowCache& rows) {
   ANTDENSE_CHECK(in.size() == out.size(),
                  "bulk neighbor sampling needs equal-sized spans");
-  if constexpr (requires { topo.random_neighbors(in, out, gen); }) {
+  if constexpr (requires { topo.random_neighbors(in, out, gen, rows); }) {
+    topo.random_neighbors(in, out, gen, rows);
+  } else if constexpr (requires { topo.random_neighbors(in, out, gen); }) {
     topo.random_neighbors(in, out, gen);
   } else {
     for (std::size_t i = 0; i < in.size(); ++i) {
       out[i] = topo.random_neighbor(in[i], gen);
     }
   }
+}
+
+/// The same through a fresh row cache: one batch, rows shared only
+/// within it.
+template <Topology T, rng::BitGenerator64 G>
+inline void random_neighbors(const T& topo,
+                             std::span<const typename T::node_type> in,
+                             std::span<typename T::node_type> out, G& gen) {
+  RowCache rows;
+  random_neighbors(topo, in, out, gen, rows);
 }
 
 /// Computes `out[i] = topo.key(nodes[i])` for every node, dispatching to

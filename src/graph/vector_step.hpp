@@ -20,8 +20,9 @@
 //     run the word-step kernel every engine shares over bulk stream
 //     fills (graph::detail::step_word_blocks), and the implicit
 //     families (rgg2d/gnp/ba), whose row enumeration dominates, batch
-//     there too (gnp scans each distinct row once per call, ba sweeps
-//     its edge list once per call).
+//     there too (gnp reads its rows from the caller's RowCache, so a
+//     walk scans each distinct row once; ba sweeps its edge list once
+//     per call).
 //
 // Because the contract is sequential-equivalent, which lane/kernel/batch
 // path executed is unobservable in the results — pinned differentially
@@ -39,17 +40,18 @@
 namespace antdense::graph {
 
 /// Advances every position in `pos` one walk step in place, drawing from
-/// the wide stream.  Sequential-equivalent (see header comment): the
-/// result and the stream state match per-agent random_neighbor calls.
+/// the wide stream; `rows` is the walk's row cache (RowCache).
+/// Sequential-equivalent (see header comment): the result and the
+/// stream state match per-agent random_neighbor calls.
 template <Topology T>
 inline void vector_step(const T& topo,
                         std::span<typename T::node_type> pos,
-                        rng::WideStream& stream) {
+                        rng::WideStream& stream, RowCache& rows) {
   using node = typename T::node_type;
-  if constexpr (requires { topo.step_nodes(pos, stream); }) {
+  if constexpr (requires { topo.step_nodes(pos, stream, rows); }) {
     // Type-erased handles (graph::AnyTopology) carry their own virtual
     // wide-stepping entry point: one dispatch per round.
-    topo.step_nodes(pos, stream);
+    topo.step_nodes(pos, stream, rows);
   } else if constexpr (UniformPickTopology<T>) {
     constexpr std::size_t kBlock = 256;
     std::uint64_t picks[kBlock];
@@ -82,7 +84,8 @@ inline void vector_step(const T& topo,
     // Word-step families and implicit families: their own bulk samplers
     // fill words from the stream in bulk or amortise row enumeration
     // across the batch.
-    graph::random_neighbors(topo, std::span<const node>(pos), pos, stream);
+    graph::random_neighbors(topo, std::span<const node>(pos), pos, stream,
+                            rows);
   }
 }
 

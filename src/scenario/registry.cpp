@@ -355,8 +355,8 @@ Registry make_built_in() {
                     ",seed=" + std::to_string(v.u64s[2]);
            },
        .grammar = "gnp:n=NODES,p=PROB[,seed=S] (implicit Erdős–Rényi "
-                  "G(n, p), O(1) memory, O(n) per distinct node per "
-                  "step; e.g. gnp:n=2000,p=0.01,seed=1)"});
+                  "G(n, p), O(1) memory, each O(n) row scanned once "
+                  "per walk; e.g. gnp:n=2000,p=0.01,seed=1)"});
 
   const std::vector<KvField> ba_fields = {
       u64_field("n", true), u64_field("d", true), u64_field("seed", false, 1)};

@@ -18,6 +18,10 @@ namespace antdense::serve {
 
 namespace {
 
+/// How long the accept loop waits after a failed accept before it reaps
+/// and retries.
+constexpr int kAcceptBackoffMs = 50;
+
 /// The cacheable form of a result: the scenario document minus every
 /// per-invocation field — wall-clock timings, and the spec's `threads`
 /// resource knob (the server runs with its own budget; `threads` is
@@ -176,10 +180,22 @@ void Server::accept_loop() {
     // Each finished client would otherwise hold its fd and an unjoined
     // thread until stop(), and enough of them exhaust the fd limit.
     reap_finished();
-    util::Socket socket = listener_.accept_interruptible(wake_.read_fd());
+    int accept_error = 0;
+    util::Socket socket =
+        listener_.accept_interruptible(wake_.read_fd(), &accept_error);
     if (!socket.valid()) {
       if (stopping_.load(std::memory_order_acquire)) {
         return;
+      }
+      if (accept_error != 0) {
+        // accept failed (EMFILE, ENFILE: the fd table is full) and the
+        // connection is still queued, so poll would report it again at
+        // once.  Wait on the wake fd for a short back-off instead of
+        // spinning; the loop then reaps finished connections, which
+        // frees their fds, and retries.
+        pollfd wake{wake_.read_fd(), POLLIN, 0};
+        ::poll(&wake, 1, kAcceptBackoffMs);
+        continue;
       }
       wake_.drain();  // stray poke; go back to waiting
       continue;

@@ -18,7 +18,9 @@
 //      sequential calls), graph::vector_step when the shard stream is a
 //      rng::WideStream, or the per-agent Bernoulli/step loop for a lazy
 //      walk — and a dynamics model rewrites blocked moves, block by
-//      block right after each block steps;
+//      block right after each block steps.  Both batched paths read the
+//      walk's one graph::RowCache, so gnp enumerates a row once per
+//      walk, not once per round and shard;
 //   3. count: the shard's keys are recomputed and the round's occupancy
 //      counter is filled (masked by the model's alive slots), shard by
 //      shard, in shard order, and each shard's fill hooks run
@@ -191,6 +193,9 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
 
   std::vector<std::uint64_t> keys(n_agents);
   const bool lazy = cfg.lazy_probability > 0.0;
+  // The walk's row cache (graph::RowCache), read by every batched step
+  // of every shard.
+  graph::RowCache rows;
 
   // Dynamics plumbing (sim/dynamics.hpp): dormant — null model, no
   // copies, per-round branches only — for static walks, whose streams
@@ -249,9 +254,10 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
     } else if constexpr (kScalarGens) {
       graph::random_neighbors(
           topo, std::span<const node>(pos).subspan(b, e - b),
-          std::span<node>(pos).subspan(b, e - b), gen);
+          std::span<node>(pos).subspan(b, e - b), gen, rows);
     } else {
-      graph::vector_step(topo, std::span<node>(pos).subspan(b, e - b), gen);
+      graph::vector_step(topo, std::span<node>(pos).subspan(b, e - b), gen,
+                         rows);
     }
   };
 

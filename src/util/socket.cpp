@@ -148,7 +148,10 @@ ListenSocket::ListenSocket(std::uint16_t port) {
 
 ListenSocket::~ListenSocket() { close(); }
 
-Socket ListenSocket::accept_interruptible(int wake_fd) {
+Socket ListenSocket::accept_interruptible(int wake_fd, int* accept_error) {
+  if (accept_error != nullptr) {
+    *accept_error = 0;
+  }
   while (fd_ >= 0) {
     pollfd fds[2];
     fds[0].fd = fd_;
@@ -173,6 +176,9 @@ Socket ListenSocket::accept_interruptible(int wake_fd) {
       if (conn < 0) {
         if (errno == EINTR || errno == ECONNABORTED) {
           continue;  // the connection died in the backlog; keep serving
+        }
+        if (accept_error != nullptr) {
+          *accept_error = errno;
         }
         return Socket();
       }

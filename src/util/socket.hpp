@@ -73,8 +73,11 @@ class ListenSocket {
 
   /// Blocks until a connection arrives (returning it) or `wake_fd`
   /// becomes readable / the listener is closed (returning an invalid
-  /// Socket).  Pass wake_fd = -1 to wait on the listener alone.
-  Socket accept_interruptible(int wake_fd);
+  /// Socket).  Pass wake_fd = -1 to wait on the listener alone.  When
+  /// accept itself fails (EMFILE or ENFILE: no fd left for the
+  /// connection, which stays queued), returns an invalid Socket and
+  /// stores the errno in `*accept_error`; otherwise stores 0.
+  Socket accept_interruptible(int wake_fd, int* accept_error = nullptr);
 
   void close();
 

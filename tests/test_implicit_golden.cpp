@@ -212,5 +212,42 @@ TEST(ImplicitStreamPins, WalkEstimatesArePinned) {
   }
 }
 
+TEST(ImplicitStreamPins, GnpResultDocumentsArePinned) {
+  // Whole gnp result documents (to_json() minus the wall-clock fields,
+  // dumped compact) at the benchmark's gnp size: rows are revisited
+  // round after round, by one shard (single, vector), by three shards
+  // of one walk (9000 agents at the default 4096-agent grain) and block
+  // by block under churn.  How a batched sampler stores rows between
+  // calls must never show here.
+  const struct {
+    const char* json;
+    const char* hash;
+  } goldens[] = {
+      {R"({"topology":"gnp:n=2000,p=0.004,seed=1","workload":"density",
+           "agents":1000,"rounds":20,"seed":7,"engine":"single"})",
+       "813a568c450cd474"},
+      {R"({"topology":"gnp:n=2000,p=0.004,seed=1","workload":"density",
+           "agents":1000,"rounds":20,"seed":7,"engine":"vector"})",
+       "d0197589f718f65e"},
+      {R"({"topology":"gnp:n=2000,p=0.004,seed=1","workload":"density",
+           "agents":9000,"rounds":10,"seed":7,"engine":"sharded"})",
+       "579c83c9e3644b4c"},
+      {R"({"topology":"gnp:n=2000,p=0.004,seed=1","workload":"density",
+           "agents":1000,"rounds":20,"seed":7,"engine":"single",
+           "dynamics":"churn:p_edge=0.0005,p_fail=0.00025"})",
+       "1ce341a0bda7d941"},
+  };
+  for (const auto& g : goldens) {
+    const scenario::ScenarioResult result =
+        scenario::Experiment(
+            scenario::ScenarioSpec::from_json(util::JsonValue::parse(g.json)))
+            .run();
+    util::JsonValue doc = result.to_json();
+    doc.erase("elapsed_seconds");
+    doc.erase("elapsed_ns");
+    EXPECT_EQ(util::hex64(util::fnv1a64(doc.dump(0))), g.hash) << g.json;
+  }
+}
+
 }  // namespace
 }  // namespace antdense::graph

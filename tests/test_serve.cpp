@@ -3,9 +3,17 @@
 // the server/client round trip — including the acceptance contract that
 // a daemon-served result is byte-identical to a direct Experiment run
 // (modulo timing fields and the threads knob) cold, warm, and across a
-// restart.
+// restart — and the accept loop's back-off when the fd table is full.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -13,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -607,6 +616,149 @@ TEST(ServeServer, FinishedConnectionsReleaseTheirDescriptors) {
   // client or two may still hold a descriptor.
   EXPECT_LE(open_fd_count(), before + 4);
   server.stop();
+}
+
+/// The forked child of FullFdTableBacksOffInsteadOfSpinning: serves on
+/// a lowered fd limit (its own only), fills its fd table once the parent
+/// holds connection A, and times its own CPU against wall time while
+/// the parent's connection B waits in the backlog.  Talks to the parent
+/// over two pipes; returns the child's exit code.
+int full_fd_table_child(int to_parent, int from_parent) {
+  rlimit limit{};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) {
+    return 10;
+  }
+  limit.rlim_cur = std::min<rlim_t>(limit.rlim_cur, 64);
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) {
+    return 11;
+  }
+  char go = 0;
+  try {
+    Server server(test_options());
+    server.start();
+    const std::uint16_t port = server.port();
+    if (::write(to_parent, &port, sizeof port) != sizeof port ||
+        ::read(from_parent, &go, 1) != 1) {  // A is connected and served
+      return 12;
+    }
+    std::vector<int> filler;
+    for (int fd = ::dup(from_parent); fd >= 0; fd = ::dup(from_parent)) {
+      filler.push_back(fd);
+    }
+    if (errno != EMFILE) {
+      return 13;
+    }
+    if (::write(to_parent, "f", 1) != 1 ||
+        ::read(from_parent, &go, 1) != 1) {  // B waits in the backlog
+      return 14;
+    }
+    const auto cpu_seconds = [] {
+      rusage usage{};
+      ::getrusage(RUSAGE_SELF, &usage);
+      return static_cast<double>(usage.ru_utime.tv_sec +
+                                 usage.ru_stime.tv_sec) +
+             1e-6 * static_cast<double>(usage.ru_utime.tv_usec +
+                                        usage.ru_stime.tv_usec);
+    };
+    const double cpu_before = cpu_seconds();
+    const auto wall_before = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const double times[2] = {
+        cpu_seconds() - cpu_before,
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wall_before)
+            .count()};
+    if (::write(to_parent, times, sizeof times) != sizeof times ||
+        ::read(from_parent, &go, 1) != 1) {  // B was served
+      return 15;
+    }
+    for (const int fd : filler) {
+      ::close(fd);
+    }
+    server.stop();
+  } catch (const std::exception&) {
+    return 16;
+  }
+  return 0;
+}
+
+TEST(ServeServer, FullFdTableBacksOffInsteadOfSpinning) {
+  // With no fd left, accept fails (EMFILE) and the connection stays
+  // queued, so poll reports it again at once.  The accept loop must wait
+  // instead of spinning a core, then serve the queued client as soon as
+  // another connection closes and its fd is reaped.  The limit is
+  // lowered in a forked child so this process keeps its own.
+  int to_parent[2];
+  int to_child[2];
+  ASSERT_EQ(::pipe(to_parent), 0);
+  ASSERT_EQ(::pipe(to_child), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(to_parent[0]);
+    ::close(to_child[1]);
+    ::_exit(full_fd_table_child(to_parent[1], to_child[0]));
+  }
+  ::close(to_parent[1]);
+  ::close(to_child[0]);
+  const auto finish = [&](bool kill_child) {
+    if (kill_child) {
+      ::kill(pid, SIGKILL);
+    }
+    ::close(to_parent[0]);
+    ::close(to_child[1]);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    return status;
+  };
+  // A read that fails (the child died) or a stuck child fails the test
+  // instead of hanging it.
+  const auto read_child = [&](void* data, std::size_t size) {
+    pollfd ready{to_parent[0], POLLIN, 0};
+    return ::poll(&ready, 1, 20000) == 1 &&
+           ::read(to_parent[0], data, size) == static_cast<ssize_t>(size);
+  };
+  const timeval timeout{20, 0};
+  std::uint16_t port = 0;
+  if (!read_child(&port, sizeof port)) {
+    ADD_FAILURE() << "child exited with status " << finish(true);
+    return;
+  }
+  double times[2] = {0.0, 0.0};
+  std::string failure;
+  try {
+    auto a = std::make_unique<Client>(port);
+    char filled = 0;
+    if (envelope_type(a->server_info()) != "server_info" ||
+        ::write(to_child[1], "a", 1) != 1 || !read_child(&filled, 1)) {
+      failure = "the child did not fill its fd table";
+    } else {
+      Client b(port);  // completes in the kernel; accept cannot take it
+      ::setsockopt(b.socket().fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                   sizeof timeout);
+      if (::write(to_child[1], "b", 1) != 1 ||
+          !read_child(times, sizeof times)) {
+        failure = "the child did not time the wait";
+      } else {
+        a.reset();  // frees A's fd in the child once A's thread is reaped
+        if (envelope_type(b.server_info()) != "server_info" ||
+            ::write(to_child[1], "d", 1) != 1) {
+          failure = "the queued client was never served";
+        }
+      }
+    }
+  } catch (const std::exception& e) {
+    failure = e.what();
+  }
+  const int status = finish(!failure.empty());
+  ASSERT_TRUE(failure.empty()) << failure << " (child status " << status
+                               << ")";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "child status " << status;
+  EXPECT_GT(times[1], 0.4);
+  EXPECT_LT(times[0], 0.2 * times[1])
+      << "the accept loop burned " << times[0] << " s of CPU in "
+      << times[1] << " s of wall time with the fd table full";
 }
 
 TEST(ServeServer, ShutdownRequestStopsWait) {

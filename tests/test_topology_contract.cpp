@@ -281,8 +281,9 @@ void expect_word_steps_match_per_agent(const T& topo,
       ASSERT_EQ(out, sequential) << "round " << round;
     }
     if constexpr (std::is_same_v<G, rng::WideStream>) {
+      graph::RowCache rows;
       graph::vector_step(topo, std::span<std::uint64_t>(in_place),
-                         in_place_gen);
+                         in_place_gen, rows);
     } else {
       graph::random_neighbors(topo, std::span<const std::uint64_t>(in_place),
                               std::span<std::uint64_t>(in_place),

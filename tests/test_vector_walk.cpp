@@ -178,8 +178,9 @@ void expect_vector_step_sequential_equivalent(const T& topo,
     p = topo.random_node(stream_seq);
   }
   ASSERT_EQ(pos_vec, pos_seq);
+  graph::RowCache rows;  // one per walk, as the shard loop keeps it
   for (std::uint32_t r = 0; r < rounds; ++r) {
-    graph::vector_step(topo, std::span<node>(pos_vec), stream_vec);
+    graph::vector_step(topo, std::span<node>(pos_vec), stream_vec, rows);
     for (auto& p : pos_seq) {
       p = topo.random_neighbor(p, stream_seq);
     }
