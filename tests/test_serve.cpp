@@ -772,5 +772,133 @@ TEST(ServeServer, ShutdownRequestStopsWait) {
   server.stop();
 }
 
+
+// ---------------------------------------------------------------------------
+// Byte pins: the exact bytes the serve path puts on the wire and in its
+// journal.  A change to how payloads travel (parsed trees or verbatim
+// bytes) must leave every one of them unchanged.
+// ---------------------------------------------------------------------------
+
+/// Sends a run request on the client's socket and returns the response
+/// frame's payload exactly as received, with the wall-clock
+/// "elapsed_ns" digits replaced by 0.
+std::string raw_run_frame(Client& client, const util::JsonValue& spec) {
+  util::JsonValue envelope = make_envelope("run");
+  envelope.set("spec", spec);
+  EXPECT_TRUE(write_frame_json(client.socket(), envelope));
+  std::string payload;
+  EXPECT_EQ(read_frame(client.socket(), payload), FrameStatus::kOk);
+  const std::string key = "\"elapsed_ns\":";
+  const std::size_t at = payload.find(key);
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) {
+    const std::size_t digits = at + key.size();
+    std::size_t end = digits;
+    while (end < payload.size() && payload[end] >= '0' && payload[end] <= '9') {
+      ++end;
+    }
+    payload.replace(digits, end - digits, "0");
+  }
+  return payload;
+}
+
+/// small_spec(408), run on a one-thread daemon.
+constexpr const char* kPinnedSpecId = "6b9738a4948c8a4c";
+constexpr const char* kPinnedPayload =
+    R"pin({"schema":"antdense.scenario.v1","spec":{"topology":"ring:64",)pin"
+    R"pin("workload":"density","agents":12,"rounds":20,)pin"
+    R"pin("eps":0.20000000000000001,"delta":0.10000000000000001,"lazy":0,)pin"
+    R"pin("miss":0,"spurious":0,"trials":2,"seed":408,"engine":"single",)pin"
+    R"pin("property-fraction":0.25,"tracked":4,"checkpoints":8,)pin"
+    R"pin("radius":2},"topology":"ring(64)","num_nodes":64,)pin"
+    R"pin("workload":"density","rounds":20,"true_value":0.171875,)pin"
+    R"pin("summary":{"count":24,"mean":0.14166666666666672,)pin"
+    R"pin("stddev":0.17424786610050555,)pin"
+    R"pin("standard_error":0.035568196726253755,"min":0,)pin"
+    R"pin("max":0.59999999999999998,"within_eps":0.125},"estimates":[0,0,)pin"
+    R"pin(0,0.59999999999999998,0.20000000000000001,0.050000000000000003,)pin"
+    R"pin(0.55000000000000004,0.14999999999999999,0,0,0,0.25,)pin"
+    R"pin(0.10000000000000001,0,0,0.25,0,0.29999999999999999,0.25,0,0,)pin"
+    R"pin(0.20000000000000001,0.25,0.25],"checkpoints":[],"series":[]})pin";
+
+std::string pinned_frame(bool cache_hit) {
+  return std::string(
+             "{\"schema\":\"antdense.serve.v1\",\"type\":\"result\",\"id\":\"") +
+         kPinnedSpecId + "\",\"cache_hit\":" + (cache_hit ? "true" : "false") +
+         ",\"elapsed_ns\":0,\"result\":" + kPinnedPayload + "}";
+}
+
+std::string pinned_journal_line() {
+  return std::string(
+             "{\"schema\":\"antdense.campaign.v1\",\"campaign\":"
+             "\"antdense_serve\",\"id\":\"") +
+         kPinnedSpecId + "\",\"result\":" + kPinnedPayload + "}";
+}
+
+std::string read_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::string out;
+  if (f == nullptr) {
+    return out;
+  }
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
+    out.append(buf, got);
+  }
+  std::fclose(f);
+  return out;
+}
+
+TEST(ServeBytePins, ColdMemoryAndDiskFramesAndTheJournalLine) {
+  const std::string path = temp_path("serve_byte_pins.jsonl");
+  const util::JsonValue spec = small_spec(408);
+  {
+    Server server(test_options(path));
+    server.start();
+    Client client(server.port());
+    EXPECT_EQ(raw_run_frame(client, spec), pinned_frame(false)) << "cold";
+    EXPECT_EQ(raw_run_frame(client, spec), pinned_frame(true))
+        << "memory-warm";
+    server.stop();
+  }
+  EXPECT_EQ(read_file(path), pinned_journal_line() + "\n");
+  {
+    Server server(test_options(path));
+    server.start();
+    Client client(server.port());
+    EXPECT_EQ(raw_run_frame(client, spec), pinned_frame(true)) << "disk-warm";
+    EXPECT_EQ(client.cache_stats().find("stats")->find("hits_disk")->as_uint(),
+              1u);
+    server.stop();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ServeBytePins, PinnedJournalIsServedByteIdenticallyFromDisk) {
+  // The journal line above was written by the cache before result
+  // payloads travelled as bytes; a cache opened on it must serve the
+  // same payload without executing.
+  const std::string path = temp_path("serve_byte_pins_fixture.jsonl");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const std::string line = pinned_journal_line() + "\n";
+    ASSERT_EQ(std::fwrite(line.data(), 1, line.size(), f), line.size());
+    std::fclose(f);
+  }
+  ResultCache cache(path, 1 << 20);
+  EXPECT_EQ(cache.stats().warm_loaded, 1u);
+  const CacheOutcome out =
+      cache.get_or_run(kPinnedSpecId, []() -> std::string {
+        ADD_FAILURE() << "a pinned journal id must not re-execute";
+        return "";
+      });
+  EXPECT_TRUE(out.cache_hit);
+  EXPECT_EQ(out.payload, kPinnedPayload);
+  EXPECT_EQ(cache.stats().hits_disk, 1u);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace antdense::serve
