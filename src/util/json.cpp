@@ -1,11 +1,11 @@
 #include "util/json.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <stdexcept>
+#include <system_error>
 
 namespace antdense::util {
 
@@ -42,6 +42,41 @@ void append_number(std::string& out, double v) {
           : std::to_chars(buf, buf + sizeof(buf), v,
                           std::chars_format::general, 17);
   out.append(buf, r.ptr);
+}
+
+/// Appends `s` escaped for a JSON string body: quote, backslash, \n and
+/// \t get their short escapes, other control bytes \u00xx, and the runs
+/// between them are copied in one append each.
+void append_escaped(std::string& out, const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s, run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(esc, sizeof esc);
+      }
+    }
+  }
+  out.append(s, run, s.size() - run);
 }
 
 /// Recursive-descent parser over the raw text.
@@ -166,6 +201,15 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run up to the next quote, backslash or control byte in
+      // one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       if (pos_ >= text_.size()) {
         fail("unterminated string", pos_);
       }
@@ -173,12 +217,8 @@ class Parser {
       if (c == '"') {
         return out;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character in string", pos_ - 1);
-      }
       if (c != '\\') {
-        out += c;
-        continue;
+        fail("raw control character in string", pos_ - 1);
       }
       if (pos_ >= text_.size()) {
         fail("unterminated escape", pos_);
@@ -186,13 +226,9 @@ class Parser {
       const char e = text_[pos_++];
       switch (e) {
         case '"':
-          out += '"';
-          break;
         case '\\':
-          out += '\\';
-          break;
         case '/':
-          out += '/';
+          out += e;
           break;
         case 'b':
           out += '\b';
@@ -210,7 +246,7 @@ class Parser {
           out += '\t';
           break;
         case 'u':
-          out += parse_unicode_escape();
+          append_unicode_escape(out);
           break;
         default:
           fail("unknown escape", pos_ - 1);
@@ -218,7 +254,7 @@ class Parser {
     }
   }
 
-  std::string parse_unicode_escape() {
+  void append_unicode_escape(std::string& out) {
     if (pos_ + 4 > text_.size()) {
       fail("truncated \\u escape", pos_);
     }
@@ -240,7 +276,6 @@ class Parser {
       fail("surrogate-pair escapes are not supported", pos_ - 6);
     }
     // Encode the BMP code point as UTF-8.
-    std::string out;
     if (cp < 0x80) {
       out += static_cast<char>(cp);
     } else if (cp < 0x800) {
@@ -251,72 +286,132 @@ class Parser {
       out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
       out += static_cast<char>(0x80 | (cp & 0x3F));
     }
-    return out;
   }
 
+  bool digit_at(std::size_t i) const {
+    return i < text_.size() && text_[i] >= '0' && text_[i] <= '9';
+  }
+
+  /// The bytes a number token may contain; a malformed token is reported
+  /// as the whole run of them.
+  bool number_byte_at(std::size_t i) const {
+    return digit_at(i) || (i < text_.size() &&
+                           (text_[i] == '.' || text_[i] == 'e' ||
+                            text_[i] == 'E' || text_[i] == '+' ||
+                            text_[i] == '-'));
+  }
+
+  [[noreturn]] void fail_number(std::size_t start) {
+    std::size_t end = start;
+    while (number_byte_at(end)) {
+      ++end;
+    }
+    fail("malformed number '" + text_.substr(start, end - start) + "'",
+         start);
+  }
+
+  /// RFC 8259 number grammar, checked in place:
+  /// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? — from_chars alone
+  /// would also accept "01", "1." or "1e5e5"'s prefix.  The token must
+  /// also end the run of number bytes.
   JsonValue parse_number() {
     const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+    std::size_t i = pos_;
+    if (i < text_.size() && text_[i] == '-') {
+      ++i;
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    if (!matches_number_grammar(token)) {
-      fail("malformed number '" + token + "'", start);
+    if (!digit_at(i)) {
+      fail_number(start);
     }
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      fail("malformed number '" + token + "'", start);
+    if (text_[i] == '0') {
+      ++i;  // a leading zero must stand alone
+    } else {
+      while (digit_at(i)) {
+        ++i;
+      }
     }
+    if (i < text_.size() && text_[i] == '.') {
+      ++i;
+      if (!digit_at(i)) {
+        fail_number(start);
+      }
+      while (digit_at(i)) {
+        ++i;
+      }
+    }
+    if (i < text_.size() && (text_[i] == 'e' || text_[i] == 'E')) {
+      ++i;
+      if (i < text_.size() && (text_[i] == '+' || text_[i] == '-')) {
+        ++i;
+      }
+      if (!digit_at(i)) {
+        fail_number(start);
+      }
+      while (digit_at(i)) {
+        ++i;
+      }
+    }
+    if (number_byte_at(i)) {
+      fail_number(start);
+    }
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + i;
+    double v = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, v);
+    if (r.ec == std::errc::result_out_of_range) {
+      v = out_of_range_value(first, last);
+    } else if (r.ec != std::errc() || r.ptr != last) {
+      fail_number(start);
+    }
+    pos_ = i;
     return JsonValue(v);
   }
 
-  /// RFC 8259 number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
-  /// — strtod alone would also accept "01", "-.5", or "1.".
-  static bool matches_number_grammar(const std::string& token) {
-    std::size_t i = 0;
-    const auto digit = [&](std::size_t j) {
-      return j < token.size() &&
-             std::isdigit(static_cast<unsigned char>(token[j])) != 0;
-    };
-    if (i < token.size() && token[i] == '-') {
-      ++i;
+  /// strtod's answer for a grammatical token outside double range:
+  /// ±inf when its magnitude overflows, ±0 when it underflows.  The two
+  /// cases sit on either side of 1 by hundreds of decades, so the
+  /// decimal exponent of the first significant digit tells them apart.
+  static double out_of_range_value(const char* p, const char* last) {
+    const bool negative = *p == '-';
+    p += negative ? 1 : 0;
+    long lead = -1;  // decimal exponent of the first nonzero digit
+    long place = 0;  // exponent of the digit at p
+    const char* int_end = p;
+    while (int_end != last && *int_end >= '0' && *int_end <= '9') {
+      ++int_end;
     }
-    if (!digit(i)) {
-      return false;
+    place = static_cast<long>(int_end - p) - 1;
+    bool found = false;
+    for (; p != last && *p != 'e' && *p != 'E'; ++p) {
+      if (*p == '.') {
+        continue;
+      }
+      if (*p != '0') {
+        lead = place;
+        found = true;
+        break;
+      }
+      --place;
     }
-    if (token[i] == '0') {
-      ++i;  // a leading zero must stand alone
-    } else {
-      while (digit(i)) {
-        ++i;
-      }
+    while (p != last && *p != 'e' && *p != 'E') {
+      ++p;
     }
-    if (i < token.size() && token[i] == '.') {
-      ++i;
-      if (!digit(i)) {
-        return false;
+    long exponent = 0;
+    if (p != last) {
+      ++p;  // 'e' or 'E'
+      const bool exp_negative = *p == '-';
+      p += (*p == '-' || *p == '+') ? 1 : 0;
+      for (; p != last; ++p) {
+        // Saturate: any exponent past a million decades is out of range
+        // the same way.
+        exponent = std::min(exponent * 10 + (*p - '0'), 1'000'000L);
       }
-      while (digit(i)) {
-        ++i;
-      }
+      exponent = exp_negative ? -exponent : exponent;
     }
-    if (i < token.size() && (token[i] == 'e' || token[i] == 'E')) {
-      ++i;
-      if (i < token.size() && (token[i] == '+' || token[i] == '-')) {
-        ++i;
-      }
-      if (!digit(i)) {
-        return false;
-      }
-      while (digit(i)) {
-        ++i;
-      }
-    }
-    return i == token.size();
+    const bool overflow = found && lead + exponent > 0;
+    const double magnitude =
+        overflow ? std::numeric_limits<double>::infinity() : 0.0;
+    return negative ? -magnitude : magnitude;
   }
 
   /// Counts open containers; parse_object/parse_array hold one for
@@ -343,31 +438,7 @@ class Parser {
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_escaped(out, s);
   return out;
 }
 
@@ -472,17 +543,20 @@ bool JsonValue::erase(const std::string& key) {
 }
 
 void JsonValue::dump_to(std::string& out, int indent, int depth) const {
-  const std::string pad(indent > 0 ? static_cast<std::size_t>(indent) *
-                                         (static_cast<std::size_t>(depth) + 1)
-                                   : 0,
-                        ' ');
-  const std::string close_pad(
+  // Pretty-printing puts each member on its own line, indented one level
+  // deeper than the container's closing bracket.
+  const std::size_t close_pad =
       indent > 0 ? static_cast<std::size_t>(indent) *
                        static_cast<std::size_t>(depth)
-                 : 0,
-      ' ');
-  const char* nl = indent > 0 ? "\n" : "";
-  const char* kv_sep = indent > 0 ? ": " : ":";
+                 : 0;
+  const std::size_t pad =
+      indent > 0 ? close_pad + static_cast<std::size_t>(indent) : 0;
+  const auto newline_pad = [&](std::size_t n) {
+    if (indent > 0) {
+      out += '\n';
+      out.append(n, ' ');
+    }
+  };
   switch (kind_) {
     case Kind::kNull:
       out += "null";
@@ -495,8 +569,11 @@ void JsonValue::dump_to(std::string& out, int indent, int depth) const {
       break;
     case Kind::kString:
       out += '"';
-      out += json_escape(str_);
+      append_escaped(out, str_);
       out += '"';
+      break;
+    case Kind::kRaw:
+      out += str_;
       break;
     case Kind::kArray: {
       if (array_.empty()) {
@@ -504,16 +581,14 @@ void JsonValue::dump_to(std::string& out, int indent, int depth) const {
         break;
       }
       out += '[';
-      out += nl;
       for (std::size_t i = 0; i < array_.size(); ++i) {
-        out += pad;
-        array_[i].dump_to(out, indent, depth + 1);
-        if (i + 1 < array_.size()) {
+        if (i > 0) {
           out += ',';
         }
-        out += nl;
+        newline_pad(pad);
+        array_[i].dump_to(out, indent, depth + 1);
       }
-      out += close_pad;
+      newline_pad(close_pad);
       out += ']';
       break;
     }
@@ -523,20 +598,17 @@ void JsonValue::dump_to(std::string& out, int indent, int depth) const {
         break;
       }
       out += '{';
-      out += nl;
       for (std::size_t i = 0; i < object_.size(); ++i) {
-        out += pad;
-        out += '"';
-        out += json_escape(object_[i].first);
-        out += '"';
-        out += kv_sep;
-        object_[i].second.dump_to(out, indent, depth + 1);
-        if (i + 1 < object_.size()) {
+        if (i > 0) {
           out += ',';
         }
-        out += nl;
+        newline_pad(pad);
+        out += '"';
+        append_escaped(out, object_[i].first);
+        out += indent > 0 ? "\": " : "\":";
+        object_[i].second.dump_to(out, indent, depth + 1);
       }
-      out += close_pad;
+      newline_pad(close_pad);
       out += '}';
       break;
     }

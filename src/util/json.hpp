@@ -13,6 +13,21 @@
 // containers may nest at most 64 deep (pathological nesting raises the
 // same exception instead of overflowing the parser's recursion) and a
 // truncated document says so rather than failing cryptically.
+//
+// Numbers: the writer spells them with std::to_chars (printf's "%.0f" /
+// "%.17g" bytes), and the parser checks the RFC 8259 grammar inline and
+// reads the token with std::from_chars straight from the text — the
+// same correctly rounded double strtod gives.  A token out of double
+// range keeps strtod's answer: ±inf above it, ±0 below it.  Because
+// both directions are exact, dump(0) of a parsed dump(0) reproduces the
+// input byte for byte.
+//
+// Raw values: JsonValue::raw(bytes) holds an already serialized value
+// that dump() copies verbatim, so a cached result can be embedded in a
+// response or journal record without a parse/dump round trip.  The
+// bytes must be dump(0) output of some value (the caller's promise; not
+// checked), and they stay compact inside a pretty-printed dump.  A raw
+// value is opaque: every is_*() is false and the typed accessors throw.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +72,14 @@ class JsonValue {
     v.kind_ = Kind::kObject;
     return v;
   }
+  /// A value whose serialization is `bytes`, copied verbatim by dump().
+  /// Precondition: `bytes` is dump(0) output (see the header comment).
+  static JsonValue raw(std::string bytes) {
+    JsonValue v;
+    v.kind_ = Kind::kRaw;
+    v.str_ = std::move(bytes);
+    return v;
+  }
 
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_bool() const { return kind_ == Kind::kBool; }
@@ -89,7 +112,8 @@ class JsonValue {
   bool erase(const std::string& key);
 
   /// Serializes the value.  indent > 0 pretty-prints with that many
-  /// spaces per level; indent == 0 emits compact single-line JSON.
+  /// spaces per level; indent == 0 emits compact single-line JSON.  Raw
+  /// values are copied as they are at any indent.
   /// Throws std::invalid_argument on non-finite numbers (never emits
   /// NaN/Inf).
   std::string dump(int indent = 2) const;
@@ -99,7 +123,7 @@ class JsonValue {
   static JsonValue parse(const std::string& text);
 
  private:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject, kRaw };
 
   void dump_to(std::string& out, int indent, int depth) const;
 
