@@ -1,10 +1,44 @@
 #include "serve/cache.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 namespace antdense::serve {
+
+namespace {
+
+/// The key every record this cache writes ends with, just before its
+/// payload and the closing brace.
+constexpr std::string_view kResultKey = "\"result\":";
+
+/// The payload's length when `line` holds `record`'s result at the
+/// position the cache writes it (the line ends with "result": + the
+/// result's dump(0) + "}"), else 0.
+std::size_t canonical_payload_length(const util::JsonValue& result,
+                                     std::string_view line) {
+  std::string payload;
+  try {
+    payload = result.dump(0);
+  } catch (const std::invalid_argument&) {
+    return 0;  // a non-finite number: no dump(0) spells it
+  }
+  const std::size_t tail = kResultKey.size() + payload.size() + 1;
+  if (line.size() < tail || line.back() != '}' ||
+      line.substr(line.size() - tail, kResultKey.size()) != kResultKey ||
+      line.substr(line.size() - 1 - payload.size(), payload.size()) !=
+          payload) {
+    return 0;
+  }
+  return payload.size();
+}
+
+}  // namespace
 
 util::JsonValue CacheStats::to_json() const {
   util::JsonValue doc = util::JsonValue::object();
@@ -65,6 +99,11 @@ ResultCache::ResultCache(std::string journal_path,
   // this, every line in the file is complete, so the offset scan below
   // can trust line boundaries.
   journal_ = std::make_unique<campaign::Journal>(journal_path_);
+  journal_fd_ = ::open(journal_path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (journal_fd_ < 0) {
+    throw std::runtime_error("cannot open cache journal " + journal_path_ +
+                             " for reading");
+  }
   // Validate the records through the loader (throws on corruption), then
   // index byte ranges with a second cheap pass.  Two passes keep the
   // loader's validation authoritative without teaching it about offsets.
@@ -76,13 +115,22 @@ ResultCache::ResultCache(std::string journal_path,
   std::size_t record_index = 0;
   while (std::getline(in, line)) {
     if (!line.empty() && record_index < records.size()) {
+      // Only this cache's own records, in the layout it writes (see the
+      // header): anything else misses and is rerun.
       const util::JsonValue& record = records[record_index];
+      const util::JsonValue* campaign = record.find("campaign");
       const util::JsonValue* id = record.find("id");
       const util::JsonValue* result = record.find("result");
-      if (id != nullptr && id->is_string() && result != nullptr) {
-        // Last record wins on duplicate ids (an interrupted writer may
-        // have raced a restart); both copies hold identical payloads.
-        disk_index_[id->as_string()] = DiskSlot{offset, line.size()};
+      if (campaign != nullptr && campaign->is_string() &&
+          campaign->as_string() == cache_name_ && id != nullptr &&
+          id->is_string() && result != nullptr) {
+        const std::size_t length = canonical_payload_length(*result, line);
+        if (length > 0) {
+          // Last record wins on duplicate ids (an interrupted writer may
+          // have raced a restart); both copies hold identical payloads.
+          disk_index_[id->as_string()] =
+              DiskSlot{offset + line.size() - 1 - length, length};
+        }
       }
       ++record_index;
     }
@@ -91,6 +139,12 @@ ResultCache::ResultCache(std::string journal_path,
   file_end_ = offset;
   warm_loaded_ = disk_index_.size();
   journal_bytes_gauge_->set(static_cast<std::int64_t>(file_end_));
+}
+
+ResultCache::~ResultCache() {
+  if (journal_fd_ >= 0) {
+    ::close(journal_fd_);
+  }
 }
 
 void ResultCache::update_gauges_locked() {
@@ -127,25 +181,22 @@ void ResultCache::insert_memory_locked(const std::string& id,
 }
 
 std::string ResultCache::read_disk_slot(const DiskSlot& slot) const {
-  std::ifstream in(journal_path_, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cache journal " + journal_path_ +
-                             " disappeared");
+  std::string payload(slot.length, '\0');
+  std::size_t got = 0;
+  while (got < payload.size()) {
+    const ssize_t n =
+        ::pread(journal_fd_, payload.data() + got, payload.size() - got,
+                static_cast<off_t>(slot.offset + got));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      throw std::runtime_error("cache journal " + journal_path_ +
+                               " shrank under us");
+    }
+    got += static_cast<std::size_t>(n);
   }
-  std::string line(slot.length, '\0');
-  in.seekg(static_cast<std::streamoff>(slot.offset));
-  if (!in.read(line.data(), static_cast<std::streamsize>(slot.length))) {
-    throw std::runtime_error("cache journal " + journal_path_ +
-                             " shrank under us");
-  }
-  const util::JsonValue record = util::JsonValue::parse(line);
-  const util::JsonValue* result = record.find("result");
-  if (result == nullptr) {
-    throw std::runtime_error("cache journal record lost its result");
-  }
-  // dump(0) of the parsed subtree reproduces the canonical payload
-  // byte-for-byte (the writer's number formatting round-trips).
-  return result->dump(0);
+  return payload;
 }
 
 bool ResultCache::lookup(const std::string& id, std::string* payload) {
@@ -169,8 +220,9 @@ bool ResultCache::lookup(const std::string& id, std::string* payload) {
     }
     slot = dit->second;
   }
-  // Disk read outside the lock: concurrent readers each open their own
-  // stream, so one slow read never serializes the whole cache.
+  // Disk read outside the lock: pread keeps no file position, so
+  // concurrent readers share the descriptor and one slow read never
+  // serializes the whole cache.
   std::string loaded = read_disk_slot(slot);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -264,11 +316,12 @@ CacheOutcome ResultCache::get_or_run(
         record.set("schema", campaign::kJournalSchema);
         record.set("campaign", cache_name_);
         record.set("id", id);
-        record.set("result", util::JsonValue::parse(payload));
-        const std::string line = record.dump(0);
-        journal_->append(record);
-        disk_index_[id] = DiskSlot{file_end_, line.size()};
-        file_end_ += line.size() + 1;
+        record.set("result", util::JsonValue::raw(payload));
+        // The payload is the line's last value: it ends right before the
+        // closing '}' and the newline.
+        file_end_ += journal_->append(record);
+        disk_index_[id] = DiskSlot{file_end_ - 2 - payload.size(),
+                                   payload.size()};
       }
       insert_memory_locked(id, payload);
     }

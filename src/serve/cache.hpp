@@ -13,12 +13,18 @@
 // Tier 2 — disk: an append-only journal in the campaign-journal format
 // ("antdense.campaign.v1" JSONL, torn-tail tolerant), carrying the full
 // canonical result document under "result".  On construction the cache
-// indexes the journal by byte offset — restart warm-up is an index
-// scan, not a result re-computation — and a tier-2 hit seeks, re-parses
-// one line, and promotes the payload into tier 1.  Because records are
-// canonical compact dumps and the JSON writer's number formatting
-// round-trips exactly, a journal-warmed payload is byte-identical to
-// the cold one.
+// indexes the journal by the byte range of each payload — restart
+// warm-up is an index scan, not a result re-computation — and a tier-2
+// hit is one pread of that range on a descriptor opened once, with no
+// parse, and promotes the payload into tier 1.  The cache writes every
+// record as {"schema","campaign","id","result"} with the payload
+// spliced in verbatim, so a line ends with "result": + payload + "}".
+// The index takes only lines of that layout whose "campaign" is this
+// cache's name and whose "result" dumps back to exactly the bytes in
+// that position; any other line (an antdense_sweep record, whose
+// "result" is a summary computed under a derived seed, or a record
+// written some other way) is not indexed: its id misses, reruns, and is
+// journalled again in canonical form.
 //
 // Misses run under single-flight dedup: N concurrent requests for one
 // id coalesce onto a single execution, the rest block on its completion
@@ -96,12 +102,15 @@ class ResultCache {
               std::string cache_name = "antdense_serve",
               obs::Telemetry telemetry = {});
 
+  ~ResultCache();
+
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// The cache's one verb.  Returns the canonical payload for `id`,
-  /// executing `execute` (which must return that payload) only when no
-  /// tier holds it and no other request is already computing it.
+  /// executing `execute` (which must return that payload, as dump(0)
+  /// output: the journal splices it into its record verbatim) only when
+  /// no tier holds it and no other request is already computing it.
   /// `execute` runs outside all cache locks; if it throws, every
   /// coalesced waiter rethrows the same exception and the id stays
   /// uncached (the next request retries).
@@ -119,9 +128,10 @@ class ResultCache {
   CacheStats stats() const;
 
  private:
+  /// Where a payload's bytes sit in the journal.
   struct DiskSlot {
-    std::uint64_t offset = 0;  // byte offset of the record line
-    std::uint64_t length = 0;  // line length excluding '\n'
+    std::uint64_t offset = 0;  // byte offset of the payload in the file
+    std::uint64_t length = 0;  // payload bytes
   };
   struct InFlight {
     std::mutex mutex;
@@ -137,7 +147,7 @@ class ResultCache {
   /// Refreshes the level gauges from tier-1/in-flight state.  Caller
   /// holds mutex_.
   void update_gauges_locked();
-  /// Reads the record at `slot` and extracts its canonical payload.
+  /// Reads the payload bytes at `slot`.
   std::string read_disk_slot(const DiskSlot& slot) const;
 
   const std::string journal_path_;
@@ -172,6 +182,7 @@ class ResultCache {
   std::uint64_t bytes_ = 0;
   // Tier 2.
   std::unique_ptr<campaign::Journal> journal_;
+  int journal_fd_ = -1;  // read-only descriptor for disk hits
   std::unordered_map<std::string, DiskSlot> disk_index_;
   std::uint64_t file_end_ = 0;  // append offset (this cache is the sole writer)
   // Single-flight.

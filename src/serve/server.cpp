@@ -317,7 +317,7 @@ util::JsonValue Server::handle_run(Connection& conn,
   spec.threads = options_.threads;  // resource knob, server's call
 
   util::WallTimer timer;
-  const CacheOutcome outcome = cache_.get_or_run(id, [&]() -> std::string {
+  CacheOutcome outcome = cache_.get_or_run(id, [&]() -> std::string {
     scenario::Experiment experiment(spec, registry_);
     scenario::ProgressHooks hooks;
     hooks.round_stride = options_.progress_stride;
@@ -343,7 +343,9 @@ util::JsonValue Server::handle_run(Connection& conn,
   response.set("id", id);
   response.set("cache_hit", outcome.cache_hit);
   response.set("elapsed_ns", timer.elapsed_nanos());
-  response.set("result", util::JsonValue::parse(outcome.payload));
+  // The payload is dump(0) output, so it travels verbatim: the frame's
+  // bytes are those of the parsed-and-redumped tree, without the parse.
+  response.set("result", util::JsonValue::raw(std::move(outcome.payload)));
   return response;
 }
 

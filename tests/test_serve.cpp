@@ -28,6 +28,9 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/journal.hpp"
+#include "campaign/scheduler.hpp"
+#include "campaign/spec.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/spec.hpp"
 #include "serve/cache.hpp"
@@ -444,6 +447,39 @@ TEST(ServeServer, RestartWarmStartsFromJournal) {
     EXPECT_EQ(stats.find("stats")->find("warm_loaded")->as_uint(), 1u);
     server.stop();
   }
+  std::remove(path.c_str());
+}
+
+TEST(ServeServer, SweepJournalRecordsAreNotServedAsResults) {
+  // An antdense_sweep record shares the serve cache's id vocabulary but
+  // holds a summary computed under the campaign's derived seed, not a
+  // result document; a daemon on that journal must rerun the spec.
+  const std::string path = temp_path("serve_sweep_journal.jsonl");
+  const campaign::CampaignSpec camp =
+      campaign::CampaignSpec::from_json(util::JsonValue::parse(
+          R"({"name": "one", "seed": 3,
+              "base": {"workload": "density", "agents": 12, "rounds": 20,
+                       "trials": 2, "seed": 42},
+              "axes": [{"kind": "grid", "key": "topology",
+                        "values": ["ring:64"]}]})"));
+  campaign::RunOptions serial;
+  serial.threads = 1;
+  campaign::run_campaign(camp, path, serial);
+  const std::vector<util::JsonValue> records = campaign::Journal::load(path);
+  ASSERT_EQ(records.size(), 1u);
+  const util::JsonValue declared = *records[0].find("spec");
+
+  EXPECT_EQ(ResultCache(path, 1 << 20).stats().warm_loaded, 0u);
+  Server server(test_options(path));
+  server.start();
+  Client client(server.port());
+  const util::JsonValue reply = client.run(declared);
+  ASSERT_EQ(envelope_type(reply), "result");
+  EXPECT_EQ(reply.find("id")->as_string(), records[0].find("id")->as_string())
+      << "the sweep record and the request share one identity";
+  EXPECT_FALSE(reply.find("cache_hit")->as_bool());
+  EXPECT_EQ(reply.find("result")->dump(0), direct_canonical(declared));
+  server.stop();
   std::remove(path.c_str());
 }
 
