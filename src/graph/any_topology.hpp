@@ -67,7 +67,13 @@ class AnyTopology {
     return impl_->random_node(gen);
   }
   node_type random_neighbor(node_type u, rng::Xoshiro256pp& gen) const {
-    return impl_->random_neighbor(u, gen);
+    return impl_->random_neighbor(u, gen, nullptr);
+  }
+  /// One step through the walk's row cache (graph::random_neighbor on
+  /// the wrapped topology): the lazy walk's per-agent step.
+  node_type random_neighbor(node_type u, rng::Xoshiro256pp& gen,
+                            RowCache& rows) const {
+    return impl_->random_neighbor(u, gen, &rows);
   }
 
   /// Wide-stream overloads for the vector engine (sim/vector_walk.hpp),
@@ -79,7 +85,11 @@ class AnyTopology {
     return impl_->random_node_wide(stream);
   }
   node_type random_neighbor(node_type u, rng::WideStream& stream) const {
-    return impl_->random_neighbor_wide(u, stream);
+    return impl_->random_neighbor_wide(u, stream, nullptr);
+  }
+  node_type random_neighbor(node_type u, rng::WideStream& stream,
+                            RowCache& rows) const {
+    return impl_->random_neighbor_wide(u, stream, &rows);
   }
 
   /// Advances every position one step in place, drawing from the wide
@@ -147,15 +157,17 @@ class AnyTopology {
     virtual std::uint64_t num_nodes() const = 0;
     virtual std::uint64_t degree() const = 0;
     virtual node_type random_node(rng::Xoshiro256pp& gen) const = 0;
-    virtual node_type random_neighbor(node_type u,
-                                      rng::Xoshiro256pp& gen) const = 0;
+    /// `rows` null: a plain step; else one through the row cache.
+    virtual node_type random_neighbor(node_type u, rng::Xoshiro256pp& gen,
+                                      RowCache* rows) const = 0;
     virtual void random_neighbors(std::span<const node_type> in,
                                   std::span<node_type> out,
                                   rng::Xoshiro256pp& gen,
                                   RowCache& rows) const = 0;
     virtual node_type random_node_wide(rng::WideStream& stream) const = 0;
     virtual node_type random_neighbor_wide(node_type u,
-                                           rng::WideStream& stream) const = 0;
+                                           rng::WideStream& stream,
+                                           RowCache* rows) const = 0;
     virtual void step_nodes_wide(std::span<node_type> pos,
                                  rng::WideStream& stream,
                                  RowCache& rows) const = 0;
@@ -180,10 +192,9 @@ class AnyTopology {
     node_type random_node(rng::Xoshiro256pp& gen) const override {
       return static_cast<node_type>(topo.random_node(gen));
     }
-    node_type random_neighbor(node_type u,
-                              rng::Xoshiro256pp& gen) const override {
-      return static_cast<node_type>(
-          topo.random_neighbor(static_cast<wrapped_node>(u), gen));
+    node_type random_neighbor(node_type u, rng::Xoshiro256pp& gen,
+                              RowCache* rows) const override {
+      return step_one(u, gen, rows);
     }
 
     void random_neighbors(std::span<const node_type> in,
@@ -205,10 +216,17 @@ class AnyTopology {
     node_type random_node_wide(rng::WideStream& stream) const override {
       return static_cast<node_type>(topo.random_node(stream));
     }
-    node_type random_neighbor_wide(node_type u,
-                                   rng::WideStream& stream) const override {
+    node_type random_neighbor_wide(node_type u, rng::WideStream& stream,
+                                   RowCache* rows) const override {
+      return step_one(u, stream, rows);
+    }
+
+    template <typename G>
+    node_type step_one(node_type u, G& gen, RowCache* rows) const {
+      const auto w = static_cast<wrapped_node>(u);
       return static_cast<node_type>(
-          topo.random_neighbor(static_cast<wrapped_node>(u), stream));
+          rows != nullptr ? graph::random_neighbor(topo, w, gen, *rows)
+                          : topo.random_neighbor(w, gen));
     }
 
     void step_nodes_wide(std::span<node_type> pos, rng::WideStream& stream,

@@ -17,9 +17,10 @@
 // not O(degree).  The scan hoists the row's own hash prefix: pairs
 // above u cost one SplitMix64 mix, pairs below it two (the (seed, tag)
 // prefix is hoisted into the constructor).  A single random_neighbor
-// call enumerates once; lazy walks and churn's deflect step that way,
-// one scan per call.  The batched sampler reads rows from the walk's
-// graph::RowCache instead, so a walk scans each node it visits once:
+// call enumerates once; churn's deflect steps that way, one scan per
+// call.  The batched sampler and the lazy walk's single steps read rows
+// from the walk's graph::RowCache instead, so a walk scans each node it
+// visits once:
 // O(n) per distinct visited node over the whole walk, then a hash
 // lookup and one draw per agent-step.  That holds while the visited rows
 // fit detail::kImplicitRowBudget entries (about n * (1 + p * n) <= 2^16
@@ -111,10 +112,19 @@ class Gnp {
     return detail::sample_enumerated_neighbor(*this, u, gen);
   }
 
+  /// One step through the walk's row cache, same draw as
+  /// random_neighbor: u picks from its row in `rows`, which enumerates
+  /// the row on first use and keeps it for the rest of the walk (see
+  /// RowCache).
+  template <rng::BitGenerator64 G>
+  node_type random_neighbor(node_type u, G& gen, RowCache& rows) const {
+    const std::uint64_t* row = rows.row(*this, u);
+    return row[0] == 0 ? u : row[1 + rng::uniform_below(gen, row[0])];
+  }
+
   /// Batched stepping, same generator stream as sequential calls: every
-  /// agent picks from its node's row in `rows`, which enumerates the row
-  /// on first use and keeps it for the rest of the walk (see RowCache).
-  /// The spans may alias elementwise.
+  /// agent takes the cached single step above.  The spans may alias
+  /// elementwise.
   template <rng::BitGenerator64 G>
   void random_neighbors(std::span<const node_type> in,
                         std::span<node_type> out, G& gen,
@@ -122,9 +132,7 @@ class Gnp {
     ANTDENSE_CHECK(in.size() == out.size(),
                    "bulk neighbor sampling needs equal-sized spans");
     for (std::size_t i = 0; i < in.size(); ++i) {
-      const node_type u = in[i];
-      const std::uint64_t* row = rows.row(*this, u);
-      out[i] = row[0] == 0 ? u : row[1 + rng::uniform_below(gen, row[0])];
+      out[i] = random_neighbor(in[i], gen, rows);
     }
   }
 

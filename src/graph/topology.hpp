@@ -184,6 +184,22 @@ class RowCache {
   std::unordered_map<std::uint64_t, std::size_t> at_;
 };
 
+/// One step from `u` through the walk's row cache: a topology with a
+/// cached single-step member (gnp) picks from `rows`, every other family
+/// steps by its plain random_neighbor.  Draw for draw it equals
+/// topo.random_neighbor(u, gen); the shard loop's lazy path steps each
+/// agent this way.
+template <Topology T, rng::BitGenerator64 G>
+inline typename T::node_type random_neighbor(const T& topo,
+                                             typename T::node_type u, G& gen,
+                                             RowCache& rows) {
+  if constexpr (requires { topo.random_neighbor(u, gen, rows); }) {
+    return topo.random_neighbor(u, gen, rows);
+  } else {
+    return topo.random_neighbor(u, gen);
+  }
+}
+
 /// Samples one neighbor for every node in `in`, writing to `out`
 /// (`out[i]` replaces `in[i]`; the spans may alias elementwise, so
 /// stepping a position array in place is fine).  Dispatches to the

@@ -18,9 +18,10 @@
 //      sequential calls), graph::vector_step when the shard stream is a
 //      rng::WideStream, or the per-agent Bernoulli/step loop for a lazy
 //      walk — and a dynamics model rewrites blocked moves, block by
-//      block right after each block steps.  Both batched paths read the
-//      walk's one graph::RowCache, so gnp enumerates a row once per
-//      walk, not once per round and shard;
+//      block right after each block steps.  All three paths read the
+//      walk's one graph::RowCache (the lazy loop through
+//      graph::random_neighbor's single cached step), so gnp enumerates a
+//      row once per walk, not once per round, shard or lazy step;
 //   3. count: the shard's keys are recomputed and the round's occupancy
 //      counter is filled (masked by the model's alive slots), shard by
 //      shard, in shard order, and each shard's fill hooks run
@@ -193,8 +194,8 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
 
   std::vector<std::uint64_t> keys(n_agents);
   const bool lazy = cfg.lazy_probability > 0.0;
-  // The walk's row cache (graph::RowCache), read by every batched step
-  // of every shard.
+  // The walk's row cache (graph::RowCache), read by every batched and
+  // every lazy step of every shard.
   graph::RowCache rows;
 
   // Dynamics plumbing (sim/dynamics.hpp): dormant — null model, no
@@ -245,10 +246,10 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
   const auto step_range = [&](Gen& gen, std::uint32_t b, std::uint32_t e) {
     if (lazy) {
       // Interleaved stay/step draws — must match the legacy stream, so
-      // no batching here.
+      // no batching here; each step still reads the walk's row cache.
       for (std::uint32_t i = b; i < e; ++i) {
         if (!rng::bernoulli(gen, cfg.lazy_probability)) {
-          pos[i] = topo.random_neighbor(pos[i], gen);
+          pos[i] = graph::random_neighbor(topo, pos[i], gen, rows);
         }
       }
     } else if constexpr (kScalarGens) {

@@ -10,6 +10,9 @@
 //   - a walk whose rows fit the entry budget enumerates each visited
 //     row exactly once; a walk whose rows overflow it restarts the cache
 //     mid-walk and still matches;
+//   - a lazy walk, whose agents step one at a time through
+//     graph::random_neighbor and the walk's cache, equals sequential
+//     random_neighbor calls with the same stay/step draws;
 //   - concurrent trials share one const topology but never a cache:
 //     trials fanned out on 4 threads give the bytes of 1 thread (this
 //     suite runs under TSan in CI).
@@ -26,6 +29,7 @@
 #include "graph/gnp.hpp"
 #include "graph/topology.hpp"
 #include "graph/vector_step.hpp"
+#include "rng/random.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "rng/xoshiro_wide.hpp"
 #include "scenario/experiment.hpp"
@@ -146,6 +150,64 @@ TEST(RowCache, IsolatedNodesSelfLoopWithoutDrawing) {
   const graph::Gnp gnp(400, 0.00125, 3);
   expect_cached_walks_match<rng::Xoshiro256pp>(gnp, 200, 10, true);
   expect_cached_walks_match<rng::WideStream>(gnp, 200, 10, true);
+}
+
+/// A lazy walk's rounds: each agent draws its stay/step Bernoulli, then
+/// steps by `step(u, gen)` — the shard loop's lazy path.  Returns every
+/// round's positions and the generator's next word.
+template <typename G, typename Step>
+Reference lazy_walk(std::vector<std::uint64_t> pos, int rounds, Step step) {
+  G gen(0x1A2F);
+  Reference ref;
+  ref.rounds.push_back(pos);
+  for (int r = 0; r < rounds; ++r) {
+    for (std::uint64_t& p : pos) {
+      if (!rng::bernoulli(gen, 0.3)) {
+        p = step(p, gen);
+      }
+    }
+    ref.rounds.push_back(pos);
+  }
+  ref.next_word = gen();
+  return ref;
+}
+
+template <typename G>
+void expect_lazy_cached_walks_match(const graph::Gnp& gnp, int rounds) {
+  SCOPED_TRACE(gnp.name());
+  const std::vector<std::uint64_t> start = start_nodes(gnp, 500);
+  const Reference ref = lazy_walk<G>(
+      start, rounds,
+      [&](std::uint64_t u, G& gen) { return gnp.random_neighbor(u, gen); });
+  const graph::AnyTopology any(gnp);
+  graph::RowCache concrete_rows;
+  graph::RowCache any_rows;
+  const Reference concrete = lazy_walk<G>(
+      start, rounds, [&](std::uint64_t u, G& gen) {
+        return graph::random_neighbor(gnp, u, gen, concrete_rows);
+      });
+  const Reference erased = lazy_walk<G>(
+      start, rounds, [&](std::uint64_t u, G& gen) {
+        return graph::random_neighbor(any, u, gen, any_rows);
+      });
+  for (const Reference* walk : {&concrete, &erased}) {
+    EXPECT_EQ(walk->rounds, ref.rounds);
+    EXPECT_EQ(walk->next_word, ref.next_word);
+  }
+  EXPECT_GT(concrete_rows.rows(), 0u) << "the lazy steps read the cache";
+  EXPECT_EQ(any_rows.rows(), concrete_rows.rows());
+}
+
+TEST(RowCache, LazyGnpStepsThroughTheCacheMatchSequentialSteps) {
+  expect_lazy_cached_walks_match<rng::Xoshiro256pp>(
+      graph::Gnp(2000, 0.004, 1), 20);
+  expect_lazy_cached_walks_match<rng::WideStream>(graph::Gnp(2000, 0.004, 1),
+                                                  20);
+  // Past the budget and with isolated nodes.
+  expect_lazy_cached_walks_match<rng::Xoshiro256pp>(
+      graph::Gnp(8000, 0.0125, 2), 2);
+  expect_lazy_cached_walks_match<rng::WideStream>(graph::Gnp(400, 0.00125, 3),
+                                                  10);
 }
 
 TEST(RowCache, ParallelTrialsOnOneGnpTopologyAreThreadInvariant) {
