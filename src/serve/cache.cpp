@@ -17,9 +17,8 @@ namespace {
 /// payload and the closing brace.
 constexpr std::string_view kResultKey = "\"result\":";
 
-/// The payload's length when `line` holds `record`'s result at the
-/// position the cache writes it (the line ends with "result": + the
-/// result's dump(0) + "}"), else 0.
+/// The payload's length when `line` ends with "result": + the result's
+/// dump(0) + "}" (the layout the cache writes), else 0.
 std::size_t canonical_payload_length(const util::JsonValue& result,
                                      std::string_view line) {
   std::string payload;
@@ -99,11 +98,6 @@ ResultCache::ResultCache(std::string journal_path,
   // this, every line in the file is complete, so the offset scan below
   // can trust line boundaries.
   journal_ = std::make_unique<campaign::Journal>(journal_path_);
-  journal_fd_ = ::open(journal_path_.c_str(), O_RDONLY | O_CLOEXEC);
-  if (journal_fd_ < 0) {
-    throw std::runtime_error("cannot open cache journal " + journal_path_ +
-                             " for reading");
-  }
   // Validate the records through the loader (throws on corruption), then
   // index byte ranges with a second cheap pass.  Two passes keep the
   // loader's validation authoritative without teaching it about offsets.
@@ -139,6 +133,13 @@ ResultCache::ResultCache(std::string journal_path,
   file_end_ = offset;
   warm_loaded_ = disk_index_.size();
   journal_bytes_gauge_->set(static_cast<std::int64_t>(file_end_));
+  // Opened last: nothing after it throws, so the destructor (which a
+  // throwing constructor never reaches) always owns it.
+  journal_fd_ = ::open(journal_path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (journal_fd_ < 0) {
+    throw std::runtime_error("cannot open cache journal " + journal_path_ +
+                             " for reading");
+  }
 }
 
 ResultCache::~ResultCache() {
@@ -192,7 +193,8 @@ std::string ResultCache::read_disk_slot(const DiskSlot& slot) const {
     }
     if (n <= 0) {
       throw std::runtime_error("cache journal " + journal_path_ +
-                               " shrank under us");
+                               " lost a cached payload (truncated or "
+                               "unreadable)");
     }
     got += static_cast<std::size_t>(n);
   }

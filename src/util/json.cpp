@@ -310,10 +310,10 @@ class Parser {
          start);
   }
 
-  /// RFC 8259 number grammar, checked in place:
-  /// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? — from_chars alone
-  /// would also accept "01", "1." or "1e5e5"'s prefix.  The token must
-  /// also end the run of number bytes.
+  /// RFC 8259 number grammar, checked in place before from_chars reads
+  /// the token: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, and the
+  /// token must end the run of number bytes ("01" and "1e5e5" are
+  /// malformed, not a number followed by garbage).
   JsonValue parse_number() {
     const std::size_t start = pos_;
     std::size_t i = pos_;
@@ -369,48 +369,31 @@ class Parser {
 
   /// strtod's answer for a grammatical token outside double range:
   /// ±inf when its magnitude overflows, ±0 when it underflows.  The two
-  /// cases sit on either side of 1 by hundreds of decades, so the
-  /// decimal exponent of the first significant digit tells them apart.
+  /// cases lie hundreds of decades either side of 1, so the sign of the
+  /// first significant digit's decimal exponent tells them apart (a
+  /// zero mantissa is never out of range).
   static double out_of_range_value(const char* p, const char* last) {
     const bool negative = *p == '-';
     p += negative ? 1 : 0;
-    long lead = -1;  // decimal exponent of the first nonzero digit
-    long place = 0;  // exponent of the digit at p
-    const char* int_end = p;
-    while (int_end != last && *int_end >= '0' && *int_end <= '9') {
-      ++int_end;
+    const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+    long lead = std::find_if_not(p, last, is_digit) - p - 1;
+    for (; p != last && (*p == '0' || *p == '.'); ++p) {
+      lead -= *p == '0' ? 1 : 0;
     }
-    place = static_cast<long>(int_end - p) - 1;
-    bool found = false;
-    for (; p != last && *p != 'e' && *p != 'E'; ++p) {
-      if (*p == '.') {
-        continue;
-      }
-      if (*p != '0') {
-        lead = place;
-        found = true;
-        break;
-      }
-      --place;
-    }
-    while (p != last && *p != 'e' && *p != 'E') {
-      ++p;
-    }
+    p = std::find_if(p, last, [](char c) { return c == 'e' || c == 'E'; });
     long exponent = 0;
     if (p != last) {
-      ++p;  // 'e' or 'E'
+      ++p;
       const bool exp_negative = *p == '-';
       p += (*p == '-' || *p == '+') ? 1 : 0;
       for (; p != last; ++p) {
-        // Saturate: any exponent past a million decades is out of range
-        // the same way.
+        // Saturate: past a million decades every exponent is the same.
         exponent = std::min(exponent * 10 + (*p - '0'), 1'000'000L);
       }
       exponent = exp_negative ? -exponent : exponent;
     }
-    const bool overflow = found && lead + exponent > 0;
     const double magnitude =
-        overflow ? std::numeric_limits<double>::infinity() : 0.0;
+        lead + exponent > 0 ? std::numeric_limits<double>::infinity() : 0.0;
     return negative ? -magnitude : magnitude;
   }
 
