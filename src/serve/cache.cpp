@@ -13,28 +13,19 @@ namespace antdense::serve {
 
 namespace {
 
-/// The key every record this cache writes ends with, just before its
-/// payload and the closing brace.
-constexpr std::string_view kResultKey = "\"result\":";
-
 /// The payload's length when `line` ends with "result": + the result's
 /// dump(0) + "}" (the layout the cache writes), else 0.
 std::size_t canonical_payload_length(const util::JsonValue& result,
                                      std::string_view line) {
-  std::string payload;
+  constexpr std::string_view kKey = "\"result\":";
+  std::string tail(kKey);
   try {
-    payload = result.dump(0);
+    tail += result.dump(0);
   } catch (const std::invalid_argument&) {
     return 0;  // a non-finite number: no dump(0) spells it
   }
-  const std::size_t tail = kResultKey.size() + payload.size() + 1;
-  if (line.size() < tail || line.back() != '}' ||
-      line.substr(line.size() - tail, kResultKey.size()) != kResultKey ||
-      line.substr(line.size() - 1 - payload.size(), payload.size()) !=
-          payload) {
-    return 0;
-  }
-  return payload.size();
+  tail += '}';
+  return line.ends_with(tail) ? tail.size() - kKey.size() - 1 : 0;
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <memory>
 #include <stdexcept>
@@ -480,6 +481,8 @@ TEST(ServeServer, SweepJournalRecordsAreNotServedAsResults) {
   EXPECT_FALSE(reply.find("cache_hit")->as_bool());
   EXPECT_EQ(reply.find("result")->dump(0), direct_canonical(declared));
   server.stop();
+  EXPECT_EQ(ResultCache(path, 1 << 20).stats().warm_loaded, 1u)
+      << "the rerun is journalled in canonical form and indexed";
   std::remove(path.c_str());
 }
 
@@ -872,18 +875,8 @@ std::string pinned_journal_line() {
 }
 
 std::string read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  std::string out;
-  if (f == nullptr) {
-    return out;
-  }
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    out.append(buf, got);
-  }
-  std::fclose(f);
-  return out;
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 TEST(ServeBytePins, ColdMemoryAndDiskFramesAndTheJournalLine) {
@@ -916,13 +909,7 @@ TEST(ServeBytePins, PinnedJournalIsServedByteIdenticallyFromDisk) {
   // payloads travelled as bytes; a cache opened on it must serve the
   // same payload without executing.
   const std::string path = temp_path("serve_byte_pins_fixture.jsonl");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const std::string line = pinned_journal_line() + "\n";
-    ASSERT_EQ(std::fwrite(line.data(), 1, line.size(), f), line.size());
-    std::fclose(f);
-  }
+  std::ofstream(path, std::ios::binary) << pinned_journal_line() << "\n";
   ResultCache cache(path, 1 << 20);
   EXPECT_EQ(cache.stats().warm_loaded, 1u);
   const CacheOutcome out =
