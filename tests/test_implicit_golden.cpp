@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -18,6 +17,7 @@
 #include "graph/ba.hpp"
 #include "graph/gnp.hpp"
 #include "graph/rgg2d.hpp"
+#include "estimates_digest.hpp"
 #include "rng/stream.hpp"
 #include "scenario/experiment.hpp"
 #include "util/hash.hpp"
@@ -152,20 +152,7 @@ TEST(ImplicitGolden, BaAttachmentChainsArePinned) {
 // neighbor enumeration order (local density walks graph balls).
 // ---------------------------------------------------------------------
 
-/// FNV-1a over the hex bit patterns of a scenario's pooled estimates:
-/// exact to the last bit and independent of float formatting.
-std::string estimates_digest(const std::string& json) {
-  const scenario::ScenarioResult result =
-      scenario::Experiment(
-          scenario::ScenarioSpec::from_json(util::JsonValue::parse(json)))
-          .run();
-  std::string bits;
-  for (const double e : result.estimates) {
-    bits += util::hex64(std::bit_cast<std::uint64_t>(e));
-  }
-  return std::to_string(result.estimates.size()) + ":" +
-         util::hex64(util::fnv1a64(bits));
-}
+using testing::estimates_digest;
 
 TEST(ImplicitStreamPins, WalkEstimatesArePinned) {
   const struct {

@@ -26,10 +26,12 @@
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "estimates_digest.hpp"
 #include "graph/any_topology.hpp"
 #include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
@@ -58,8 +60,59 @@ const FamilyCase kFamilies[] = {
     {"ba:n=120,d=3,seed=4", false},
 };
 
+/// Stream pins for the regular families (the implicit ones are pinned in
+/// tests/test_implicit_golden.cpp): whole density walks through the
+/// scenario API on every engine, as estimates_digest.  300 agents, so a
+/// batched step spans one full 256-agent block and a partial one; the
+/// lazy rows send every step through the single-step
+/// random_neighbor(u, gen, rows) path instead.  Any change to a family's
+/// draws, their order or the batched-step dispatch shifts these digests.
+struct WalkPin {
+  const char* topology;
+  const char* engine;
+  bool lazy;  // "lazy":0.3
+  const char* digest;
+};
+
+const WalkPin kWalkPins[] = {
+    {"ring:1009", "single", false, "300:2796cb930d981af8"},
+    {"ring:1009", "sharded", false, "300:7b7bd8f4a7e406cf"},
+    {"ring:1009", "vector", false, "300:3c78c536d665e590"},
+    {"torus2d:32x32", "single", false, "300:99b729639aa037df"},
+    {"torus2d:32x32", "sharded", false, "300:00aa0a1611637ed2"},
+    {"torus2d:32x32", "vector", false, "300:33ac26e4630c8612"},
+    {"toruskd:3x8", "single", false, "300:b76752e6d1fc80b3"},
+    {"toruskd:3x8", "sharded", false, "300:9d3819bfc5fb2d28"},
+    {"toruskd:3x8", "vector", false, "300:6fece5e1e609cafd"},
+    {"hypercube:10", "single", false, "300:b28a4af686fc8b09"},
+    {"hypercube:10", "sharded", false, "300:80bfe297f8b3fab0"},
+    {"hypercube:10", "vector", false, "300:12540874266b7b24"},
+    {"complete:512", "single", false, "300:6953b474928aab7b"},
+    {"complete:512", "sharded", false, "300:fd6b582566fd8767"},
+    {"complete:512", "vector", false, "300:f9b51eeb407862d9"},
+    {"expander:d=4,n=512,seed=3", "single", false, "300:32945db8f9271ca0"},
+    {"expander:d=4,n=512,seed=3", "sharded", false, "300:71ebe0c2bc393a73"},
+    {"expander:d=4,n=512,seed=3", "vector", false, "300:62fe261767cc3315"},
+    {"toruskd:3x8", "single", true, "300:7a93a1aa3cab17dd"},
+    {"toruskd:3x8", "sharded", true, "300:a66e7cd95c4c5f98"},
+    {"toruskd:3x8", "vector", true, "300:86a13ceeabd59c66"},
+};
+
 graph::AnyTopology build(const FamilyCase& c) {
   return scenario::Registry::built_in().make(c.spec);
+}
+
+TEST(TopologyContract, WalkEstimatesArePinned) {
+  for (const WalkPin& p : kWalkPins) {
+    // Every pin shares the walk; only the topology, engine and laziness
+    // vary.
+    const std::string json =
+        std::string(R"({"workload":"density","agents":300,"rounds":12,)") +
+        R"("seed":5,"threads":2,"topology":")" + p.topology +
+        R"(","engine":")" + p.engine + '"' +
+        (p.lazy ? R"(,"lazy":0.3})" : "}");
+    EXPECT_EQ(testing::estimates_digest(json), p.digest) << json;
+  }
 }
 
 TEST(TopologyContract, NeighborIndicesStayInRange) {
