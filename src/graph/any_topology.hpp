@@ -7,15 +7,21 @@
 // & Lynch, PODC 2016, arXiv:1603.02981, Section 4), so the erasure
 // boundary sits exactly at the Topology concept.  The hot path stays
 // fast because the walk engine drives topologies through the *batched*
-// calls — random_neighbors for stepping and keys for occupancy — so a
-// type-erased round costs two virtual calls total, not one per agent
-// step (see docs/ARCHITECTURE.md, "The scenario layer").
+// calls — graph::random_neighbors for stepping and keys for occupancy —
+// so a type-erased round costs two virtual calls total, not one per
+// agent step (see docs/ARCHITECTURE.md, "The scenario layer").
 //
-// AnyTopology satisfies Topology and BulkTopology, so every templated
-// driver (run_density_walk, run_property_walk, run_trajectory,
-// trial_runner) accepts it unchanged, and walks through the handle are
-// bit-identical to walks through the wrapped concrete topology at a
-// fixed seed (tests/test_any_topology.cpp pins this differentially).
+// The virtual interface is typed on concrete generators, so each
+// stepping operation is one virtual overloaded on the two the engines
+// draw from — rng::Xoshiro256pp (single, sharded) and rng::WideStream
+// (vector) — with both overloads sharing one template body that calls
+// the wrapped topology's own dispatch.
+//
+// AnyTopology satisfies Topology, so every templated driver
+// (run_density_walk, run_property_walk, run_trajectory, trial_runner)
+// accepts it unchanged, and walks through the handle are bit-identical
+// to walks through the wrapped concrete topology at a fixed seed
+// (tests/test_any_topology.cpp pins this differentially).
 //
 // Node handles are widened to uint64 (every concrete node_type fits).
 // Copies share the immutable wrapped topology; all calls are const and
@@ -31,12 +37,17 @@
 #include <vector>
 
 #include "graph/topology.hpp"
-#include "graph/vector_step.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "rng/xoshiro_wide.hpp"
 #include "util/check.hpp"
 
 namespace antdense::graph {
+
+/// The generators an AnyTopology steps and places with: one virtual
+/// overload each.
+template <typename G>
+concept StepGenerator = std::same_as<G, rng::Xoshiro256pp> ||
+                        std::same_as<G, rng::WideStream>;
 
 class AnyTopology {
  public:
@@ -63,62 +74,32 @@ class AnyTopology {
   std::uint64_t num_nodes() const { return impl_->num_nodes(); }
   std::uint64_t degree() const { return impl_->degree(); }
 
-  node_type random_node(rng::Xoshiro256pp& gen) const {
+  template <StepGenerator G>
+  node_type random_node(G& gen) const {
     return impl_->random_node(gen);
   }
-  node_type random_neighbor(node_type u, rng::Xoshiro256pp& gen) const {
+  template <StepGenerator G>
+  node_type random_neighbor(node_type u, G& gen) const {
     return impl_->random_neighbor(u, gen, nullptr);
   }
   /// One step through the walk's row cache (graph::random_neighbor on
   /// the wrapped topology): the lazy walk's per-agent step.
-  node_type random_neighbor(node_type u, rng::Xoshiro256pp& gen,
-                            RowCache& rows) const {
+  template <StepGenerator G>
+  node_type random_neighbor(node_type u, G& gen, RowCache& rows) const {
     return impl_->random_neighbor(u, gen, &rows);
   }
 
-  /// Wide-stream overloads for the vector engine (sim/vector_walk.hpp),
-  /// which the shard loop (sim/sharded_walk.hpp) steps and places with.
-  /// The virtual interface is typed on the concrete scalar generator, so
-  /// the wide word source needs its own entry points; they obey the same
-  /// sequential-equivalence contract as graph::vector_step.
-  node_type random_node(rng::WideStream& stream) const {
-    return impl_->random_node_wide(stream);
-  }
-  node_type random_neighbor(node_type u, rng::WideStream& stream) const {
-    return impl_->random_neighbor_wide(u, stream, nullptr);
-  }
-  node_type random_neighbor(node_type u, rng::WideStream& stream,
-                            RowCache& rows) const {
-    return impl_->random_neighbor_wide(u, stream, &rows);
-  }
-
-  /// Advances every position one step in place, drawing from the wide
-  /// stream — one virtual call per round, forwarding to the wrapped
-  /// topology's graph::vector_step path (word-step kernel / batched
-  /// Lemire / row cache).
-  void step_nodes(std::span<node_type> pos, rng::WideStream& stream,
-                  RowCache& rows) const {
-    impl_->step_nodes_wide(pos, stream, rows);
-  }
-
   /// Batched stepping — one virtual call for the whole round, forwarding
-  /// to the wrapped topology's own batched member (same generator stream
-  /// as sequential random_neighbor calls, per the BulkTopology contract)
-  /// with the walk's row cache.  `out[i]` replaces `in[i]`; the spans may
-  /// alias elementwise.
+  /// to graph::random_neighbors on the wrapped topology with the walk's
+  /// row cache (same generator stream as sequential random_neighbor
+  /// calls).  `out[i]` replaces `in[i]`; the spans may alias elementwise.
+  template <StepGenerator G>
   void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out, rng::Xoshiro256pp& gen,
+                        std::span<node_type> out, G& gen,
                         RowCache& rows) const {
     ANTDENSE_CHECK(in.size() == out.size(),
                    "bulk neighbor sampling needs equal-sized spans");
     impl_->random_neighbors(in, out, gen, rows);
-  }
-  /// The same through a fresh row cache.
-  void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out,
-                        rng::Xoshiro256pp& gen) const {
-    RowCache rows;
-    random_neighbors(in, out, gen, rows);
   }
 
   std::uint64_t key(node_type u) const { return impl_->key(u); }
@@ -157,20 +138,20 @@ class AnyTopology {
     virtual std::uint64_t num_nodes() const = 0;
     virtual std::uint64_t degree() const = 0;
     virtual node_type random_node(rng::Xoshiro256pp& gen) const = 0;
+    virtual node_type random_node(rng::WideStream& gen) const = 0;
     /// `rows` null: a plain step; else one through the row cache.
     virtual node_type random_neighbor(node_type u, rng::Xoshiro256pp& gen,
+                                      RowCache* rows) const = 0;
+    virtual node_type random_neighbor(node_type u, rng::WideStream& gen,
                                       RowCache* rows) const = 0;
     virtual void random_neighbors(std::span<const node_type> in,
                                   std::span<node_type> out,
                                   rng::Xoshiro256pp& gen,
                                   RowCache& rows) const = 0;
-    virtual node_type random_node_wide(rng::WideStream& stream) const = 0;
-    virtual node_type random_neighbor_wide(node_type u,
-                                           rng::WideStream& stream,
-                                           RowCache* rows) const = 0;
-    virtual void step_nodes_wide(std::span<node_type> pos,
-                                 rng::WideStream& stream,
-                                 RowCache& rows) const = 0;
+    virtual void random_neighbors(std::span<const node_type> in,
+                                  std::span<node_type> out,
+                                  rng::WideStream& gen,
+                                  RowCache& rows) const = 0;
     virtual std::uint64_t key(node_type u) const = 0;
     virtual void keys(std::span<const node_type> nodes,
                       std::span<std::uint64_t> out) const = 0;
@@ -190,35 +171,33 @@ class AnyTopology {
     std::uint64_t degree() const override { return topo.degree(); }
 
     node_type random_node(rng::Xoshiro256pp& gen) const override {
-      return static_cast<node_type>(topo.random_node(gen));
+      return place(gen);
+    }
+    node_type random_node(rng::WideStream& gen) const override {
+      return place(gen);
     }
     node_type random_neighbor(node_type u, rng::Xoshiro256pp& gen,
                               RowCache* rows) const override {
       return step_one(u, gen, rows);
     }
-
+    node_type random_neighbor(node_type u, rng::WideStream& gen,
+                              RowCache* rows) const override {
+      return step_one(u, gen, rows);
+    }
     void random_neighbors(std::span<const node_type> in,
                           std::span<node_type> out, rng::Xoshiro256pp& gen,
                           RowCache& rows) const override {
-      if constexpr (std::same_as<wrapped_node, node_type>) {
-        graph::random_neighbors(topo, in, out, gen, rows);
-      } else {
-        // Narrower node handles cannot view the uint64 spans directly;
-        // step elementwise, which the BulkTopology contract guarantees
-        // consumes the generator exactly as the batched member would.
-        for (std::size_t i = 0; i < in.size(); ++i) {
-          out[i] = static_cast<node_type>(topo.random_neighbor(
-              static_cast<wrapped_node>(in[i]), gen));
-        }
-      }
+      step_all(in, out, gen, rows);
+    }
+    void random_neighbors(std::span<const node_type> in,
+                          std::span<node_type> out, rng::WideStream& gen,
+                          RowCache& rows) const override {
+      step_all(in, out, gen, rows);
     }
 
-    node_type random_node_wide(rng::WideStream& stream) const override {
-      return static_cast<node_type>(topo.random_node(stream));
-    }
-    node_type random_neighbor_wide(node_type u, rng::WideStream& stream,
-                                   RowCache* rows) const override {
-      return step_one(u, stream, rows);
+    template <typename G>
+    node_type place(G& gen) const {
+      return static_cast<node_type>(topo.random_node(gen));
     }
 
     template <typename G>
@@ -229,17 +208,18 @@ class AnyTopology {
                           : topo.random_neighbor(w, gen));
     }
 
-    void step_nodes_wide(std::span<node_type> pos, rng::WideStream& stream,
-                         RowCache& rows) const override {
+    template <typename G>
+    void step_all(std::span<const node_type> in, std::span<node_type> out,
+                  G& gen, RowCache& rows) const {
       if constexpr (std::same_as<wrapped_node, node_type>) {
-        graph::vector_step(topo, pos, stream, rows);
+        graph::random_neighbors(topo, in, out, gen, rows);
       } else {
-        // Narrower node handles cannot view the uint64 span; step
-        // elementwise — sequential-equivalent by the vector_step
-        // contract, so the stream state matches either way.
-        for (node_type& p : pos) {
-          p = static_cast<node_type>(
-              topo.random_neighbor(static_cast<wrapped_node>(p), stream));
+        // Narrower node handles (ExplicitTopology's uint32) cannot view
+        // the uint64 spans; step elementwise, which consumes the
+        // generator exactly as graph::random_neighbors would.
+        for (std::size_t i = 0; i < in.size(); ++i) {
+          out[i] = static_cast<node_type>(topo.random_neighbor(
+              static_cast<wrapped_node>(in[i]), gen));
         }
       }
     }
@@ -283,6 +263,5 @@ class AnyTopology {
 };
 
 static_assert(Topology<AnyTopology>);
-static_assert(BulkTopology<AnyTopology>);
 
 }  // namespace antdense::graph

@@ -221,6 +221,5 @@ class Ba {
 };
 
 static_assert(Topology<Ba>);
-static_assert(BulkTopology<Ba>);
 
 }  // namespace antdense::graph

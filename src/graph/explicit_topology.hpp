@@ -12,7 +12,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "graph/graph.hpp"
@@ -65,28 +64,6 @@ class ExplicitTopology {
     return graph_->neighbor(u, i);
   }
 
-  /// Batched stepping, same generator stream as sequential
-  /// random_neighbor calls.  `out[i]` replaces `in[i]`; the spans may
-  /// alias elementwise.
-  template <rng::BitGenerator64 G>
-  void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out, G& gen) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      const auto pick = static_cast<std::uint32_t>(
-          rng::uniform_below(gen, graph_->degree(in[i])));
-      out[i] = graph_->neighbor(in[i], pick);
-    }
-  }
-
-  /// VariablePickTopology factoring of random_neighbor: pick below the
-  /// node's own degree, then index its adjacency slice.
-  std::uint64_t pick_bound(node_type u) const { return graph_->degree(u); }
-  node_type pick_step(node_type u, std::uint64_t pick) const {
-    return graph_->neighbor(u, static_cast<std::uint32_t>(pick));
-  }
-
   std::uint64_t key(node_type u) const { return u; }
 
   template <typename Fn>
@@ -113,7 +90,5 @@ class ExplicitTopology {
 };
 
 static_assert(Topology<ExplicitTopology>);
-static_assert(BulkTopology<ExplicitTopology>);
-static_assert(VariablePickTopology<ExplicitTopology>);
 
 }  // namespace antdense::graph

@@ -18,11 +18,10 @@
 // above u cost one SplitMix64 mix, pairs below it two (the (seed, tag)
 // prefix is hoisted into the constructor).  A single random_neighbor
 // call enumerates once; churn's deflect steps that way, one scan per
-// call.  The batched sampler and the lazy walk's single steps read rows
-// from the walk's graph::RowCache instead, so a walk scans each node it
-// visits once:
-// O(n) per distinct visited node over the whole walk, then a hash
-// lookup and one draw per agent-step.  That holds while the visited rows
+// call.  Walk steps, batched or lazy, take the cached single step, which
+// reads rows from the walk's graph::RowCache instead, so a walk scans
+// each node it visits once: O(n) per distinct visited node over the
+// whole walk, then a hash lookup and one draw per agent-step.  That holds while the visited rows
 // fit detail::kImplicitRowBudget entries (about n * (1 + p * n) <= 2^16
 // when every node is visited); past it the cache restarts and rows are
 // scanned again.  G(n, p) is therefore the exact-in-distribution
@@ -122,28 +121,6 @@ class Gnp {
     return row[0] == 0 ? u : row[1 + rng::uniform_below(gen, row[0])];
   }
 
-  /// Batched stepping, same generator stream as sequential calls: every
-  /// agent takes the cached single step above.  The spans may alias
-  /// elementwise.
-  template <rng::BitGenerator64 G>
-  void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out, G& gen,
-                        RowCache& rows) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = random_neighbor(in[i], gen, rows);
-    }
-  }
-
-  /// One batch through a fresh cache: each distinct row is scanned once.
-  template <rng::BitGenerator64 G>
-  void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out, G& gen) const {
-    RowCache rows;
-    random_neighbors(in, out, gen, rows);
-  }
-
   std::uint64_t key(node_type u) const { return u; }
 
   void keys(std::span<const node_type> nodes,
@@ -195,6 +172,5 @@ class Gnp {
 };
 
 static_assert(Topology<Gnp>);
-static_assert(BulkTopology<Gnp>);
 
 }  // namespace antdense::graph

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "graph/topology.hpp"
@@ -39,21 +38,6 @@ class Hypercube {
     return u ^ (std::uint64_t{1} << bit);
   }
 
-  /// Batched stepping, same generator stream as sequential
-  /// random_neighbor calls.  The bit-flip choice needs Lemire rejection
-  /// (variable draw count), so batching cannot prefetch raw words here;
-  /// the gain is the single inlined loop the engine drives.
-  /// `out[i]` replaces `in[i]`; the spans may alias elementwise.
-  template <rng::BitGenerator64 G>
-  void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out, G& gen) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = in[i] ^ (std::uint64_t{1} << rng::uniform_below(gen, k_));
-    }
-  }
-
   /// UniformPickTopology factoring of random_neighbor: pick the bit to
   /// flip, then a pure XOR step.
   std::uint64_t pick_bound() const { return k_; }
@@ -82,7 +66,6 @@ class Hypercube {
 };
 
 static_assert(Topology<Hypercube>);
-static_assert(BulkTopology<Hypercube>);
 static_assert(UniformPickTopology<Hypercube>);
 
 }  // namespace antdense::graph

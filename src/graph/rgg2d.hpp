@@ -142,9 +142,9 @@ class Rgg2D {
   }
 
   /// Batched stepping: same generator stream as sequential
-  /// random_neighbor calls (the BulkTopology contract).  Agents rarely
-  /// share a node at the sizes rgg2d exists for, so rows are not shared
-  /// across the batch.  The spans may alias elementwise.
+  /// random_neighbor calls, as graph::random_neighbors requires.  Agents
+  /// rarely share a node at the sizes rgg2d exists for, so rows are not
+  /// shared across the batch.  The spans may alias elementwise.
   template <rng::BitGenerator64 G>
   void random_neighbors(std::span<const node_type> in,
                         std::span<node_type> out, G& gen) const {
@@ -279,6 +279,5 @@ class Rgg2D {
 };
 
 static_assert(Topology<Rgg2D>);
-static_assert(BulkTopology<Rgg2D>);
 
 }  // namespace antdense::graph

@@ -102,6 +102,5 @@ class Ring {
 };
 
 static_assert(Topology<Ring>);
-static_assert(BulkTopology<Ring>);
 
 }  // namespace antdense::graph

@@ -17,6 +17,9 @@
 //   CompleteGraph— the independent-sampling reference (Section 1.1)
 //   ExplicitTopology — any regular CSR graph, e.g. random-regular
 //                  expanders (Section 4.4)
+//   Rgg2D, Gnp, Ba — implicit random geometric, Erdős–Rényi and
+//                  Barabási–Albert graphs whose rows are recomputed on
+//                  demand (graph/rgg2d.hpp, gnp.hpp, ba.hpp)
 //
 // A concept rather than a virtual base keeps the per-step cost inlined;
 // benches push billions of steps through these calls.
@@ -51,21 +54,9 @@ concept Topology = requires(const T& t, const typename T::node_type& u,
   { t.name() } -> std::convertible_to<std::string>;
 };
 
-/// A topology with a batched neighbor-sampling member.  The member must
-/// consume the generator exactly as in.size() sequential random_neighbor
-/// calls would (same draws, same order), so batched and per-agent
-/// stepping are interchangeable bit-for-bit at a fixed seed.
-template <typename T>
-concept BulkTopology =
-    Topology<T> &&
-    requires(const T& t, std::span<const typename T::node_type> in,
-             std::span<typename T::node_type> out, rng::Xoshiro256pp& g) {
-      { t.random_neighbors(in, out, g) } -> std::same_as<void>;
-    };
-
 /// A topology whose neighbor draw factors into "uniform pick below a
 /// node-independent bound, then a pure function of (node, pick)".  The
-/// contract, relied on by the vector engine's batched Lemire stepping:
+/// contract, relied on by random_neighbors' pick stepping:
 ///   random_neighbor(u, g) == pick_step(u, uniform_below(g, pick_bound()))
 /// consuming the generator identically.
 template <typename T>
@@ -73,16 +64,6 @@ concept UniformPickTopology =
     Topology<T> && requires(const T& t, const typename T::node_type& u,
                             std::uint64_t pick) {
       { t.pick_bound() } -> std::convertible_to<std::uint64_t>;
-      { t.pick_step(u, pick) } -> std::same_as<typename T::node_type>;
-    };
-
-/// Same factoring with a per-node pick bound (irregular-degree families):
-///   random_neighbor(u, g) == pick_step(u, uniform_below(g, pick_bound(u)))
-template <typename T>
-concept VariablePickTopology =
-    Topology<T> && requires(const T& t, const typename T::node_type& u,
-                            std::uint64_t pick) {
-      { t.pick_bound(u) } -> std::convertible_to<std::uint64_t>;
       { t.pick_step(u, pick) } -> std::same_as<typename T::node_type>;
     };
 
@@ -202,21 +183,58 @@ inline typename T::node_type random_neighbor(const T& topo,
 
 /// Samples one neighbor for every node in `in`, writing to `out`
 /// (`out[i]` replaces `in[i]`; the spans may alias elementwise, so
-/// stepping a position array in place is fine).  Dispatches to the
-/// topology's batched member when it has one — handing `rows` to the
-/// members that take a RowCache — else falls back to sequential
-/// random_neighbor calls.  The generator stream is identical either way.
+/// stepping a position array in place is fine) — the one batched-step
+/// entry point, for every generator.  It takes the first that applies:
+///   1. the topology's own batched member (ring, torus2d, rgg2d, ba;
+///      graph::AnyTopology forwards to this function on the wrapped
+///      topology), handed `rows` when it takes a RowCache;
+///   2. the cached single step random_neighbor(u, gen, rows) (gnp), agent
+///      by agent;
+///   3. for a UniformPickTopology (toruskd, hypercube, complete): picks
+///      mapped through pick_step, drawn in blocks by
+///      rng::uniform_below_batch when `gen` has a bulk fill()
+///      (rng::WideStream), one uniform_below per agent otherwise — the
+///      block pays on the wide stream and costs on a scalar one;
+///   4. per-agent random_neighbor calls.
+/// Every path consumes the generator exactly as in.size() sequential
+/// random_neighbor calls would (same draws, same order), so which one
+/// ran never shows in a result.
 template <Topology T, rng::BitGenerator64 G>
 inline void random_neighbors(const T& topo,
                              std::span<const typename T::node_type> in,
                              std::span<typename T::node_type> out, G& gen,
                              RowCache& rows) {
+  using node = typename T::node_type;
   ANTDENSE_CHECK(in.size() == out.size(),
                  "bulk neighbor sampling needs equal-sized spans");
   if constexpr (requires { topo.random_neighbors(in, out, gen, rows); }) {
     topo.random_neighbors(in, out, gen, rows);
   } else if constexpr (requires { topo.random_neighbors(in, out, gen); }) {
     topo.random_neighbors(in, out, gen);
+  } else if constexpr (requires(node u) {
+                         topo.random_neighbor(u, gen, rows);
+                       }) {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      out[i] = topo.random_neighbor(in[i], gen, rows);
+    }
+  } else if constexpr (UniformPickTopology<T>) {
+    const std::uint64_t bound = topo.pick_bound();
+    if constexpr (requires { gen.fill(std::span<std::uint64_t>()); }) {
+      constexpr std::size_t kBlock = 256;
+      std::uint64_t picks[kBlock];
+      for (std::size_t done = 0; done < in.size();) {
+        const std::size_t m = std::min(kBlock, in.size() - done);
+        rng::uniform_below_batch(gen, bound, {picks, m});
+        for (std::size_t j = 0; j < m; ++j) {
+          out[done + j] = topo.pick_step(in[done + j], picks[j]);
+        }
+        done += m;
+      }
+    } else {
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        out[i] = topo.pick_step(in[i], rng::uniform_below(gen, bound));
+      }
+    }
   } else {
     for (std::size_t i = 0; i < in.size(); ++i) {
       out[i] = topo.random_neighbor(in[i], gen);

@@ -174,6 +174,5 @@ class Torus2D {
 };
 
 static_assert(Topology<Torus2D>);
-static_assert(BulkTopology<Torus2D>);
 
 }  // namespace antdense::graph

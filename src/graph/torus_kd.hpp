@@ -9,7 +9,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -77,22 +76,6 @@ class TorusKD {
     return step(u, dim, forward);
   }
 
-  /// Batched stepping, same generator stream as sequential
-  /// random_neighbor calls (the 2k-way direction draw keeps Lemire
-  /// rejection, so raw words cannot be prefetched).  `out[i]` replaces
-  /// `in[i]`; the spans may alias elementwise.
-  template <rng::BitGenerator64 G>
-  void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out, G& gen) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      const std::uint64_t pick = rng::uniform_below(gen, 2ULL * k_);
-      out[i] = step(in[i], static_cast<std::uint32_t>(pick >> 1),
-                    (pick & 1) != 0);
-    }
-  }
-
   /// UniformPickTopology factoring of random_neighbor: a 2k-way pick
   /// (dimension in the high bits, direction in bit 0) then a pure step.
   std::uint64_t pick_bound() const { return 2ULL * k_; }
@@ -142,7 +125,6 @@ class TorusKD {
 };
 
 static_assert(Topology<TorusKD>);
-static_assert(BulkTopology<TorusKD>);
 static_assert(UniformPickTopology<TorusKD>);
 
 }  // namespace antdense::graph

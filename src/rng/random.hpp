@@ -121,45 +121,6 @@ inline void uniform_below_batch(G& gen, std::uint64_t bound,
   }
 }
 
-/// Batched uniform_below with per-element bounds (irregular-degree
-/// families): out[i] gets what uniform_below(gen, bounds[i]) would
-/// produce sequentially.  Same optimistic-block / sequential-replay
-/// scheme as the shared-bound overload; the per-element threshold is
-/// only computed on the rare low < bound path, so the fast path does
-/// one multiply and one compare per element.
-template <BitGenerator64 G>
-inline void uniform_below_batch(G& gen, std::span<const std::uint64_t> bounds,
-                                std::span<std::uint64_t> out) {
-  ANTDENSE_CHECK(bounds.size() == out.size(),
-                 "uniform_below_batch needs equal-sized spans");
-  constexpr std::size_t kBlock = 256;
-  std::uint64_t words[kBlock];
-  for (std::size_t done = 0; done < out.size();) {
-    const std::size_t m = std::min(kBlock, out.size() - done);
-    detail::fill_words(gen, {words, m});
-    bool reject = false;
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint64_t bound = bounds[done + j];
-#ifndef NDEBUG
-      ANTDENSE_ASSERT(bound >= 1, "uniform_below_batch requires bounds >= 1");
-#endif
-      const __uint128_t prod = static_cast<__uint128_t>(words[j]) * bound;
-      const auto low = static_cast<std::uint64_t>(prod);
-      out[done + j] = static_cast<std::uint64_t>(prod >> 64);
-      if (low < bound) [[unlikely]] {
-        reject |= bound == 0 || low < (0 - bound) % bound;
-      }
-    }
-    if (reject) [[unlikely]] {
-      detail::ReplayThenGen<G> src{words, m, 0, &gen};
-      for (std::size_t j = 0; j < m; ++j) {
-        out[done + j] = uniform_below(src, bounds[done + j]);
-      }
-    }
-    done += m;
-  }
-}
-
 /// Uniform integer in [lo, hi] inclusive.  The span hi - lo + 1 must not
 /// wrap to zero, i.e. the full 64-bit range [INT64_MIN, INT64_MAX] is
 /// excluded — that span violates uniform_below's bound >= 1 precondition.

@@ -15,13 +15,13 @@
 //   1. counter.begin_round(), then the observers' begin_round hooks;
 //   2. step: every shard's agents step from the shard stream — the
 //      batched topology API (graph::random_neighbors, same stream as
-//      sequential calls), graph::vector_step when the shard stream is a
-//      rng::WideStream, or the per-agent Bernoulli/step loop for a lazy
-//      walk — and a dynamics model rewrites blocked moves, block by
-//      block right after each block steps.  All three paths read the
-//      walk's one graph::RowCache (the lazy loop through
-//      graph::random_neighbor's single cached step), so gnp enumerates a
-//      row once per walk, not once per round, shard or lazy step;
+//      sequential calls, whichever generator the shard stream is), or
+//      the per-agent Bernoulli/step loop for a lazy walk — and a
+//      dynamics model rewrites blocked moves, block by block right after
+//      each block steps.  Both paths read the walk's one graph::RowCache
+//      (the lazy loop through graph::random_neighbor's single cached
+//      step), so gnp enumerates a row once per walk, not once per round,
+//      shard or lazy step;
 //   3. count: the shard's keys are recomputed and the round's occupancy
 //      counter is filled (masked by the model's alive slots), shard by
 //      shard, in shard order, and each shard's fill hooks run
@@ -79,7 +79,6 @@
 #include <vector>
 
 #include "graph/topology.hpp"
-#include "graph/vector_step.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/random.hpp"
 #include "rng/stream.hpp"
@@ -148,8 +147,8 @@ inline constexpr PhaseLayout kSinglePhases{
     .step = 0, .count = 1, .observe = 2, .mutate = 3};
 
 /// The shard round loop (see the header comment).  `gens[s]` is shard
-/// s's generator: a Xoshiro256pp steps through graph::random_neighbors,
-/// a rng::WideStream through graph::vector_step.  `view_gen` is the
+/// s's generator, a Xoshiro256pp or a rng::WideStream; either steps
+/// through graph::random_neighbors.  `view_gen` is the
 /// generator every view hands the observers; null means each shard's
 /// own, which only a Xoshiro256pp shard stream can be.  `counter` is
 /// fresh and holds the round's occupancy.  The entry points
@@ -252,13 +251,10 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
           pos[i] = graph::random_neighbor(topo, pos[i], gen, rows);
         }
       }
-    } else if constexpr (kScalarGens) {
+    } else {
       graph::random_neighbors(
           topo, std::span<const node>(pos).subspan(b, e - b),
           std::span<node>(pos).subspan(b, e - b), gen, rows);
-    } else {
-      graph::vector_step(topo, std::span<node>(pos).subspan(b, e - b), gen,
-                         rows);
     }
   };
 

@@ -11,10 +11,11 @@
 //     *identity* choice: engine=vector has its own golden streams
 //     (tests/test_vector_walk.cpp), and the single/sharded streams are
 //     untouched.
-//   - Stepping goes through graph::vector_step: the word-step kernel
-//     ring/torus2d share with every engine (AVX2 on CPUs that have it),
-//     batched Lemire rejection for the pick families, the topology's
-//     own bulk sampler otherwise.
+//   - Stepping goes through graph::random_neighbors, as on every engine:
+//     the word-step kernel ring/torus2d share (AVX2 on CPUs that have
+//     it) over bulk stream fills, batched Lemire rejection for the pick
+//     families (the stream's fill() selects it), the topology's own
+//     bulk sampler otherwise.
 //     All of it is sequential-equivalent over the WideStream, so the
 //     vector stream is *defined* by "per-agent draws from the wide
 //     stream" and every acceleration path is unobservable.  Placement

@@ -392,7 +392,8 @@ TEST(ChurnDynamics, EvictionSkipStrandsNobodyAFullScanWouldMove) {
     quiet_rescues += !fresh_failure && pos != before ? 1 : 0;
 
     const std::vector<std::uint64_t> prev = pos;
-    topo.random_neighbors(prev, pos, walk_gen);
+    graph::random_neighbors(topo, std::span<const std::uint64_t>(prev),
+                            std::span<std::uint64_t>(pos), walk_gen);
     model.rewrite_moves(prev, std::span<std::uint64_t>(pos), keys, 0,
                         static_cast<std::uint32_t>(pos.size()));
   }

@@ -22,13 +22,11 @@
 #include <set>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "graph/any_topology.hpp"
 #include "graph/gnp.hpp"
 #include "graph/topology.hpp"
-#include "graph/vector_step.hpp"
 #include "rng/random.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "rng/xoshiro_wide.hpp"
@@ -71,12 +69,8 @@ graph::RowCache cached_walk_matches(const T& topo, const Reference& ref) {
   graph::RowCache rows;
   std::vector<std::uint64_t> pos = ref.rounds.front();
   for (std::size_t r = 1; r < ref.rounds.size(); ++r) {
-    if constexpr (std::is_same_v<G, rng::WideStream>) {
-      graph::vector_step(topo, std::span<std::uint64_t>(pos), gen, rows);
-    } else {
-      graph::random_neighbors(topo, std::span<const std::uint64_t>(pos),
-                              std::span<std::uint64_t>(pos), gen, rows);
-    }
+    graph::random_neighbors(topo, std::span<const std::uint64_t>(pos),
+                            std::span<std::uint64_t>(pos), gen, rows);
     EXPECT_EQ(pos, ref.rounds[r]) << "round " << r;
     if (pos != ref.rounds[r]) {
       break;

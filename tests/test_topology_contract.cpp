@@ -7,8 +7,8 @@
 //     neighbor set (support agreement between random_neighbor and
 //     append_neighbors)
 //   - a fixed seed fixes the walk (determinism)
-//   - batched random_neighbors equals sequential calls draw-for-draw,
-//     leaving the generator in the identical state (the BulkTopology
+//   - batched graph::random_neighbors equals sequential calls
+//     draw-for-draw, leaving the generator in the identical state (the
 //     bit-stream contract the engines rely on) — also in place, for
 //     empty and one-node batches, and at the implicit families' edges:
 //     isolated nodes, and batches past the scratch entry budget
@@ -16,6 +16,7 @@
 //   - the ring and torus2d word-step kernel, which every engine steps
 //     through, equals per-agent random_neighbor calls on both the
 //     scalar and the wide generator, also on tori past 2^31 per side
+//   - pinned walk estimates for the regular families on every engine
 //
 // Families are built through the scenario Registry, so this suite also
 // exercises every registered spec string end to end.
@@ -27,7 +28,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,7 +35,6 @@
 #include "graph/any_topology.hpp"
 #include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
-#include "graph/vector_step.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "rng/xoshiro_wide.hpp"
 #include "scenario/registry.hpp"
@@ -193,8 +192,8 @@ TEST(TopologyContract, FixedSeedFixesTheWalk) {
   }
 }
 
-/// Steps `nodes` once through the batched member, both into a separate
-/// output and in place (in == out), and once through sequential
+/// Steps `nodes` once through graph::random_neighbors, both into a
+/// separate output and in place (in == out), and once through sequential
 /// random_neighbor calls: all three must agree, leaving the generators
 /// in the identical state.
 void expect_batched_equals_sequential(const graph::AnyTopology& topo,
@@ -203,11 +202,11 @@ void expect_batched_equals_sequential(const graph::AnyTopology& topo,
   rng::Xoshiro256pp in_place_gen(0xBA7C4);
   rng::Xoshiro256pp sequential_gen(0xBA7C4);
   std::vector<std::uint64_t> batched(nodes.size());
-  topo.random_neighbors(std::span<const std::uint64_t>(nodes),
-                        std::span<std::uint64_t>(batched), batched_gen);
+  graph::random_neighbors(topo, std::span<const std::uint64_t>(nodes),
+                          std::span<std::uint64_t>(batched), batched_gen);
   std::vector<std::uint64_t> in_place = nodes;
-  topo.random_neighbors(std::span<const std::uint64_t>(in_place),
-                        std::span<std::uint64_t>(in_place), in_place_gen);
+  graph::random_neighbors(topo, std::span<const std::uint64_t>(in_place),
+                          std::span<std::uint64_t>(in_place), in_place_gen);
   std::vector<std::uint64_t> sequential(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     sequential[i] = topo.random_neighbor(nodes[i], sequential_gen);
@@ -276,12 +275,12 @@ TEST(TopologyContract, ImplicitBatchesMatchSequentialAtTheEdges) {
     rng::Xoshiro256pp whole_gen(0xBA7C4);
     rng::Xoshiro256pp split_gen(0xBA7C4);
     std::vector<std::uint64_t> whole(nodes.size());
-    topo.random_neighbors(std::span<const std::uint64_t>(nodes),
-                          std::span<std::uint64_t>(whole), whole_gen);
+    graph::random_neighbors(topo, std::span<const std::uint64_t>(nodes),
+                            std::span<std::uint64_t>(whole), whole_gen);
     std::vector<std::uint64_t> split(nodes.size());
     for (std::size_t lo = 0; lo < nodes.size(); lo += 2000) {
-      topo.random_neighbors(
-          std::span<const std::uint64_t>(nodes).subspan(lo, 2000),
+      graph::random_neighbors(
+          topo, std::span<const std::uint64_t>(nodes).subspan(lo, 2000),
           std::span<std::uint64_t>(split).subspan(lo, 2000), split_gen);
     }
     EXPECT_EQ(whole, split);
@@ -307,20 +306,15 @@ TEST(TopologyContract, BatchedKeysEqualScalarKeys) {
   }
 }
 
-/// Steps `nodes` three rounds three ways from equal generators: the
-/// batched path into a separate output (where `topo` offers one for G),
-/// the batched path in place — graph::vector_step on a WideStream — and
-/// per-agent random_neighbor calls.  All must agree, draw for draw.
+/// Steps `nodes` three rounds three ways from equal G generators:
+/// graph::random_neighbors into a separate output, the same in place,
+/// and per-agent random_neighbor calls.  All must agree, draw for draw.
 template <typename G, typename T>
 void expect_word_steps_match_per_agent(const T& topo,
                                        std::vector<std::uint64_t> nodes) {
   G out_gen(0x5EB);
   G in_place_gen(0x5EB);
   G sequential_gen(0x5EB);
-  constexpr bool kDistinctSpans = requires(
-      std::span<const std::uint64_t> in, std::span<std::uint64_t> out) {
-    topo.random_neighbors(in, out, out_gen);
-  };
   std::vector<std::uint64_t> out(nodes.size());
   std::vector<std::uint64_t> in_place = nodes;
   for (int round = 0; round < 3; ++round) {
@@ -328,27 +322,17 @@ void expect_word_steps_match_per_agent(const T& topo,
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       sequential[i] = topo.random_neighbor(nodes[i], sequential_gen);
     }
-    if constexpr (kDistinctSpans) {
-      topo.random_neighbors(std::span<const std::uint64_t>(nodes),
+    graph::random_neighbors(topo, std::span<const std::uint64_t>(nodes),
                             std::span<std::uint64_t>(out), out_gen);
-      ASSERT_EQ(out, sequential) << "round " << round;
-    }
-    if constexpr (std::is_same_v<G, rng::WideStream>) {
-      graph::RowCache rows;
-      graph::vector_step(topo, std::span<std::uint64_t>(in_place),
-                         in_place_gen, rows);
-    } else {
-      graph::random_neighbors(topo, std::span<const std::uint64_t>(in_place),
-                              std::span<std::uint64_t>(in_place),
-                              in_place_gen);
-    }
+    ASSERT_EQ(out, sequential) << "round " << round;
+    graph::random_neighbors(topo, std::span<const std::uint64_t>(in_place),
+                            std::span<std::uint64_t>(in_place),
+                            in_place_gen);
     ASSERT_EQ(in_place, sequential) << "round " << round;
     nodes = sequential;
   }
   const std::uint64_t next = sequential_gen();
-  if constexpr (kDistinctSpans) {
-    EXPECT_EQ(out_gen(), next);
-  }
+  EXPECT_EQ(out_gen(), next);
   EXPECT_EQ(in_place_gen(), next);
 }
 

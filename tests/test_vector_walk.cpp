@@ -1,9 +1,9 @@
 // The vector engine's contract suite (sim/vector_walk.hpp, run on the
 // shard loop):
-//   - sequential equivalence: graph::vector_step (word-step kernel, batched
-//     Lemire, bulk fallback) == per-agent random_neighbor draws from an
-//     equal-seeded WideStream, on every explicit family and through the
-//     type-erased AnyTopology handle;
+//   - sequential equivalence: graph::random_neighbors (word-step kernel,
+//     batched Lemire, bulk fallback) == per-agent random_neighbor draws
+//     from an equal-seeded WideStream or Xoshiro256pp, on every explicit
+//     family and through the type-erased AnyTopology handle;
 //   - dense/hash counter equality: which occupancy counter a walk used
 //     is unobservable in its results;
 //   - golden pins: the vector engine's own streams at fixed seeds (the
@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,8 +38,8 @@
 #include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
 #include "graph/torus_kd.hpp"
-#include "graph/vector_step.hpp"
 #include "obs/telemetry.hpp"
+#include "rng/xoshiro256pp.hpp"
 #include "rng/xoshiro_wide.hpp"
 #include "scenario/experiment.hpp"
 #include "sim/dense_counter.hpp"
@@ -160,53 +161,69 @@ TEST(VectorEngine, CounterChoiceIsUnobservable) {
   EXPECT_EQ(dense.collision_counts, observer.counts());
 }
 
-// --- Sequential equivalence of vector_step ----------------------------
+// --- Sequential equivalence of batched stepping ------------------------
 
-template <graph::Topology T>
-void expect_vector_step_sequential_equivalent(const T& topo,
-                                              std::uint32_t agents,
-                                              std::uint32_t rounds) {
+/// Walks `agents` agents `rounds` rounds twice from equal G generators:
+/// through graph::random_neighbors in place, and through per-agent
+/// random_neighbor calls.  Positions and generator state must agree.
+template <typename G, graph::Topology T>
+void expect_batched_step_sequential_equivalent(const T& topo,
+                                               std::uint32_t agents,
+                                               std::uint32_t rounds) {
   using node = typename T::node_type;
-  rng::WideStream stream_vec(kSeed);
-  rng::WideStream stream_seq(kSeed);
-  std::vector<node> pos_vec(agents);
-  for (auto& p : pos_vec) {
-    p = topo.random_node(stream_vec);
+  G gen_batch(kSeed);
+  G gen_seq(kSeed);
+  std::vector<node> pos_batch(agents);
+  for (auto& p : pos_batch) {
+    p = topo.random_node(gen_batch);
   }
   std::vector<node> pos_seq(agents);
   for (auto& p : pos_seq) {
-    p = topo.random_node(stream_seq);
+    p = topo.random_node(gen_seq);
   }
-  ASSERT_EQ(pos_vec, pos_seq);
+  ASSERT_EQ(pos_batch, pos_seq);
   graph::RowCache rows;  // one per walk, as the shard loop keeps it
   for (std::uint32_t r = 0; r < rounds; ++r) {
-    graph::vector_step(topo, std::span<node>(pos_vec), stream_vec, rows);
+    graph::random_neighbors(topo, std::span<const node>(pos_batch),
+                            std::span<node>(pos_batch), gen_batch, rows);
     for (auto& p : pos_seq) {
-      p = topo.random_neighbor(p, stream_seq);
+      p = topo.random_neighbor(p, gen_seq);
     }
-    ASSERT_EQ(pos_vec, pos_seq) << topo.name() << " round " << r;
+    ASSERT_EQ(pos_batch, pos_seq) << topo.name() << " round " << r;
   }
   // Same words consumed overall.
-  EXPECT_EQ(stream_vec(), stream_seq()) << topo.name();
+  EXPECT_EQ(gen_batch(), gen_seq()) << topo.name();
+}
+
+template <graph::Topology T>
+void expect_sequential_equivalent_on_both_generators(const T& topo) {
+  // 300 agents straddles the 256-word block boundary, so partial blocks
+  // and full blocks are both exercised.
+  expect_batched_step_sequential_equivalent<rng::WideStream>(topo, 300, 12);
+  expect_batched_step_sequential_equivalent<rng::Xoshiro256pp>(topo, 300,
+                                                               12);
 }
 
 TEST(VectorStep, SequentialEquivalenceAllExplicitFamilies) {
-  // 300 agents straddles the 256-word block boundary, so partial blocks
-  // and full blocks are both exercised.
-  expect_vector_step_sequential_equivalent(graph::Ring(997), 300, 12);
-  expect_vector_step_sequential_equivalent(graph::Torus2D(48, 32), 300, 12);
-  expect_vector_step_sequential_equivalent(graph::TorusKD(3, 7), 300, 12);
-  expect_vector_step_sequential_equivalent(graph::Hypercube(11), 300, 12);
-  expect_vector_step_sequential_equivalent(graph::CompleteGraph(512), 300,
-                                           12);
   const graph::Graph expander = graph::make_random_regular_graph(128, 8, 7);
-  expect_vector_step_sequential_equivalent(
-      graph::ExplicitTopology(expander, "expander"), 300, 12);
+  const graph::ExplicitTopology explicit_expander(expander, "expander");
+  expect_sequential_equivalent_on_both_generators(graph::Ring(997));
+  expect_sequential_equivalent_on_both_generators(graph::Torus2D(48, 32));
+  expect_sequential_equivalent_on_both_generators(graph::TorusKD(3, 7));
+  expect_sequential_equivalent_on_both_generators(graph::Hypercube(11));
+  expect_sequential_equivalent_on_both_generators(graph::CompleteGraph(512));
+  expect_sequential_equivalent_on_both_generators(explicit_expander);
+  // Through the handle: the pick path behind a virtual, and the
+  // elementwise path of a narrower (uint32) node type.
+  expect_sequential_equivalent_on_both_generators(
+      graph::AnyTopology(graph::TorusKD(3, 7)));
+  expect_sequential_equivalent_on_both_generators(
+      graph::AnyTopology(explicit_expander));
 }
 
 TEST(VectorStep, ErasedMatchesConcrete) {
   // Through graph::AnyTopology the same walks must be bit-identical:
-  // the wide virtuals forward to the same vector_step contract.
+  // the WideStream virtuals forward to the same graph::random_neighbors.
   DensityConfig cfg;
   cfg.num_agents = 80;
   cfg.rounds = 60;
