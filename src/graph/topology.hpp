@@ -231,9 +231,13 @@ inline void random_neighbors(const T& topo,
         done += m;
       }
     } else {
+      // A local copy keeps the state in registers; stores to `out`
+      // could alias it in memory.
+      G local = gen;
       for (std::size_t i = 0; i < in.size(); ++i) {
-        out[i] = topo.pick_step(in[i], rng::uniform_below(gen, bound));
+        out[i] = topo.pick_step(in[i], rng::uniform_below(local, bound));
       }
+      gen = local;
     }
   } else {
     for (std::size_t i = 0; i < in.size(); ++i) {
