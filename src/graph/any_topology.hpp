@@ -171,10 +171,10 @@ class AnyTopology {
     std::uint64_t degree() const override { return topo.degree(); }
 
     node_type random_node(rng::Xoshiro256pp& gen) const override {
-      return place(gen);
+      return static_cast<node_type>(topo.random_node(gen));
     }
     node_type random_node(rng::WideStream& gen) const override {
-      return place(gen);
+      return static_cast<node_type>(topo.random_node(gen));
     }
     node_type random_neighbor(node_type u, rng::Xoshiro256pp& gen,
                               RowCache* rows) const override {
@@ -193,11 +193,6 @@ class AnyTopology {
                           std::span<node_type> out, rng::WideStream& gen,
                           RowCache& rows) const override {
       step_all(in, out, gen, rows);
-    }
-
-    template <typename G>
-    node_type place(G& gen) const {
-      return static_cast<node_type>(topo.random_node(gen));
     }
 
     template <typename G>
