@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 
 #include "graph/ba.hpp"
@@ -199,17 +200,33 @@ TEST(ImplicitStreamPins, WalkEstimatesArePinned) {
   }
 }
 
+struct DocumentPin {
+  const char* json;
+  const char* hash;
+};
+
+/// Runs each spec and checks the FNV-1a hash of its whole result
+/// document (to_json() minus the wall-clock fields, dumped compact).
+void expect_documents_pinned(std::span<const DocumentPin> pins) {
+  for (const DocumentPin& pin : pins) {
+    const scenario::ScenarioResult result =
+        scenario::Experiment(
+            scenario::ScenarioSpec::from_json(util::JsonValue::parse(pin.json)))
+            .run();
+    util::JsonValue doc = result.to_json();
+    doc.erase("elapsed_seconds");
+    doc.erase("elapsed_ns");
+    EXPECT_EQ(util::hex64(util::fnv1a64(doc.dump(0))), pin.hash) << pin.json;
+  }
+}
+
 TEST(ImplicitStreamPins, GnpResultDocumentsArePinned) {
-  // Whole gnp result documents (to_json() minus the wall-clock fields,
-  // dumped compact) at the benchmark's gnp size: rows are revisited
-  // round after round, by one shard (single, vector), by three shards
-  // of one walk (9000 agents at the default 4096-agent grain) and block
-  // by block under churn.  How a batched sampler stores rows between
-  // calls must never show here.
-  const struct {
-    const char* json;
-    const char* hash;
-  } goldens[] = {
+  // Whole gnp result documents at the benchmark's gnp size: rows are
+  // revisited round after round, by one shard (single, vector), by three
+  // shards of one walk (9000 agents at the default 4096-agent grain) and
+  // block by block under churn.  How a batched sampler stores rows
+  // between calls must never show here.
+  const DocumentPin pins[] = {
       {R"({"topology":"gnp:n=2000,p=0.004,seed=1","workload":"density",
            "agents":1000,"rounds":20,"seed":7,"engine":"single"})",
        "813a568c450cd474"},
@@ -224,16 +241,39 @@ TEST(ImplicitStreamPins, GnpResultDocumentsArePinned) {
            "dynamics":"churn:p_edge=0.0005,p_fail=0.00025"})",
        "1ce341a0bda7d941"},
   };
-  for (const auto& g : goldens) {
-    const scenario::ScenarioResult result =
-        scenario::Experiment(
-            scenario::ScenarioSpec::from_json(util::JsonValue::parse(g.json)))
-            .run();
-    util::JsonValue doc = result.to_json();
-    doc.erase("elapsed_seconds");
-    doc.erase("elapsed_ns");
-    EXPECT_EQ(util::hex64(util::fnv1a64(doc.dump(0))), g.hash) << g.json;
-  }
+  expect_documents_pinned(pins);
+}
+
+TEST(ImplicitStreamPins, BaResultDocumentsArePinned) {
+  // Whole ba result documents at the benchmark's ba size: one round on
+  // every engine (the benchmark's ops), 200 rounds on one shard, three
+  // shards of one walk, a lazy walk (each agent steps alone) and a churn
+  // walk.  How a sampler gathers ba's rows must never show here.
+  const DocumentPin pins[] = {
+      {R"({"topology":"ba:n=2000,d=4,seed=1","workload":"density",
+           "agents":1000,"rounds":1,"seed":7,"engine":"single"})",
+       "61dc8ef9a9f01671"},
+      {R"({"topology":"ba:n=2000,d=4,seed=1","workload":"density",
+           "agents":1000,"rounds":1,"seed":7,"engine":"sharded"})",
+       "d5fc5f7851ae34c1"},
+      {R"({"topology":"ba:n=2000,d=4,seed=1","workload":"density",
+           "agents":1000,"rounds":1,"seed":7,"engine":"vector"})",
+       "dd930407aa1a8f53"},
+      {R"({"topology":"ba:n=2000,d=4,seed=1","workload":"density",
+           "agents":1000,"rounds":200,"seed":7,"engine":"single"})",
+       "b4f7c4f8aa224f1b"},
+      {R"({"topology":"ba:n=2000,d=4,seed=1","workload":"density",
+           "agents":9000,"rounds":10,"seed":7,"engine":"sharded"})",
+       "63910796df6497e5"},
+      {R"({"topology":"ba:n=2000,d=4,seed=1","workload":"density",
+           "agents":200,"rounds":5,"seed":7,"lazy":0.3,"engine":"single"})",
+       "e5c6f524875af194"},
+      {R"({"topology":"ba:n=2000,d=4,seed=1","workload":"density",
+           "agents":1000,"rounds":20,"seed":7,"engine":"single",
+           "dynamics":"churn:p_edge=0.0005,p_fail=0.00025"})",
+       "839e8bd4d89fe103"},
+  };
+  expect_documents_pinned(pins);
 }
 
 }  // namespace
