@@ -1,8 +1,11 @@
 // Shared helpers for the experiment benches: uniform headers, measured
-// epsilon-at-confidence for a density-estimation configuration, and
-// power-law fit reporting.
+// epsilon-at-confidence for a density-estimation configuration,
+// power-law fit reporting, and the ns/agent-round timers of the perf
+// benches (bench_engine, bench_shard).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -79,6 +82,41 @@ inline std::vector<std::uint32_t> powers_of_two(std::uint32_t start,
     out.push_back(v);
   }
   return out;
+}
+
+/// Best-of-`reps` ns/agent-round for one stepping path; `run(rep)`
+/// runs the whole walk once.
+template <typename RunFn>
+double time_path(RunFn&& run, std::uint64_t agents, std::uint64_t rounds,
+                 int reps) {
+  double best = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    util::WallTimer timer;
+    run(static_cast<std::uint64_t>(rep));
+    const double ns = timer.elapsed_seconds() * 1e9 /
+                      (static_cast<double>(agents) * rounds);
+    best = ns < best ? ns : best;
+  }
+  return best;
+}
+
+/// Median ns/agent-round of each path over `reps` reps, the paths timed
+/// alternately (a, b, ..., a, b, ...) so all see the same host noise.
+/// Rows that share a gate are timed this way.
+template <typename... RunFns>
+std::array<double, sizeof...(RunFns)> time_interleaved(
+    int reps, std::uint64_t agents, std::uint64_t rounds, RunFns&&... runs) {
+  std::array<std::vector<double>, sizeof...(RunFns)> ns;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::size_t k = 0;
+    (ns[k++].push_back(time_path(runs, agents, rounds, 1)), ...);
+  }
+  std::array<double, sizeof...(RunFns)> medians{};
+  for (std::size_t k = 0; k < ns.size(); ++k) {
+    std::nth_element(ns[k].begin(), ns[k].begin() + reps / 2, ns[k].end());
+    medians[k] = ns[k][static_cast<std::size_t>(reps / 2)];
+  }
+  return medians;
 }
 
 }  // namespace antdense::bench

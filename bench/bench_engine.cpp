@@ -18,12 +18,13 @@
 //
 // Besides the four explicit families, one cell per implicit family
 // (rgg2d / gnp / ba) rides along with a step budget scaled to its
-// honest per-step cost — O(deg) cell-window scan for rgg2d; O(n) row
-// scan for gnp, once per distinct row per walk on the batched paths
-// (the walk's row cache) and once per agent step on the frozen legacy
-// loop; O(m) edge sweep for ba, once per round on the batched paths and
-// once per agent step on the legacy loop — plus a resident-set column
-// that documents the O(agents) memory the implicit layer promises.
+// honest per-step cost — O(deg) cell-window scan for rgg2d; for gnp
+// and ba, one pass over the edges per walk on the batched paths (the
+// walk's row cache holds the whole graph: gnp once a third of its rows
+// are needed, ba from the first step) and an O(n) row scan (gnp) or an
+// O(m) edge sweep (ba) per agent step on the frozen legacy loop — plus a
+// resident-set column that documents the O(agents) memory the implicit
+// layer promises.
 //
 // A fifth path, "engine+obs", re-times the scalar engine with the full
 // telemetry ambient installed (metrics registry + trace recorder), so
@@ -53,7 +54,7 @@
 //     telemetry costs nothing);
 //   - engine/(engine/hash) <= 0.85 on every ring/torus2d cell (dense
 //     counting pays);
-//   - engine/legacy <= 0.1 on the ba cell (batched sampling);
+//   - engine/legacy <= 0.1 on the ba cell (the walk's row cache);
 //   - engine/legacy <= 0.25 on the gnp cell (the walk's row cache);
 //   - any+dyn0/anytopology: geometric mean over the ring/torus2d cells
 //     <= 1.05, each cell <= 1.30;
@@ -160,39 +161,11 @@ std::vector<std::uint64_t> run_single_on_hash(const T& topo,
   return observer.take_counts();
 }
 
-/// Best-of-`reps` ns/agent-round for one stepping path.
-template <typename RunFn>
-double time_path(RunFn&& run, std::uint64_t agents, std::uint64_t rounds,
-                 int reps) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    util::WallTimer timer;
-    run(static_cast<std::uint64_t>(rep));
-    const double ns = timer.elapsed_seconds() * 1e9 /
-                      (static_cast<double>(agents) * rounds);
-    best = ns < best ? ns : best;
-  }
-  return best;
-}
+using bench::time_interleaved;
+using bench::time_path;
 
-/// Median ns/agent-round of each path over 9 reps, the paths timed
-/// alternately (a, b, ..., a, b, ...) so all see the same host noise.
-template <typename... RunFns>
-std::array<double, sizeof...(RunFns)> time_interleaved(
-    std::uint64_t agents, std::uint64_t rounds, RunFns&&... runs) {
-  constexpr int kReps = 9;
-  std::array<std::vector<double>, sizeof...(RunFns)> ns;
-  for (int rep = 0; rep < kReps; ++rep) {
-    std::size_t k = 0;
-    (ns[k++].push_back(time_path(runs, agents, rounds, 1)), ...);
-  }
-  std::array<double, sizeof...(RunFns)> medians{};
-  for (std::size_t k = 0; k < ns.size(); ++k) {
-    std::nth_element(ns[k].begin(), ns[k].begin() + kReps / 2, ns[k].end());
-    medians[k] = ns[k][kReps / 2];
-  }
-  return medians;
-}
+/// Rows that share a gate: the median of this many alternating reps.
+constexpr int kInterleavedReps = 9;
 
 template <graph::Topology T>
 Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
@@ -270,7 +243,7 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
   sim::ChurnDynamics idle_dyn(any, 0.0, 0.0, 10, 0);
   std::tie(cell.any_ns, cell.dyn_ns, cell.churn_ns) = std::tuple_cat(
       time_interleaved(
-          agents, cfg.rounds,
+          kInterleavedReps, agents, cfg.rounds,
           [&](std::uint64_t) {
             sink = sink + sim::run_density_walk(any, cfg, 0xBE7C)
                               .collision_counts[0];
@@ -298,7 +271,7 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
       p = topo.random_node(gen);
     }
     std::tie(cell.step_ns, cell.draw_ns) = std::tuple_cat(time_interleaved(
-        agents, cfg.rounds,
+        kInterleavedReps, agents, cfg.rounds,
         [&](std::uint64_t) {
           for (std::uint32_t r = 0; r < cfg.rounds; ++r) {
             graph::random_neighbors(topo, std::span<const std::uint64_t>(pos),
@@ -373,14 +346,12 @@ int main(int argc, char** argv) {
   // One cell per implicit family, step budget scaled to the family's
   // per-step cost so each path times in about a second.  rgg2d answers
   // a step from one O(deg) cell-window scan (~10x a lattice step).
-  // gnp's batched paths scan each O(n) row once per walk (the walk's
-  // graph::RowCache) and then pay a lookup and a draw per step, but the
-  // frozen legacy loop scans a row every agent step, so that path sets
-  // gnp's budget; the walk is at least 200 rounds long, so the batched
-  // paths time row reuse as a real walk has it, not only first-visit
-  // scans.  ba's batched paths sweep the O(m) edge list once per round,
-  // but the legacy loop sweeps once per step, so that path sets ba's
-  // budget.
+  // gnp's and ba's batched paths fill the walk's graph::RowCache with
+  // the whole graph in one pass over its edges and then pay a draw per
+  // step, but the frozen legacy loop scans a gnp row (O(n)) or sweeps
+  // ba's edges (O(m)) every agent step, so that path sets their budgets;
+  // the gnp walk is at least 200 rounds long, so the batched paths time
+  // row reuse as a real walk has it, not only the first pass.
   {
     const std::uint32_t implicit_agents = tiny ? 200 : 1000;
     const auto rgg_nodes = static_cast<std::uint64_t>(implicit_agents) * 10;

@@ -11,7 +11,7 @@
 // Flags:
 //   --out=PATH        JSON output path (default BENCH_shard.json)
 //   --tiny            CI smoke mode: small sizes, seconds total
-//   --reps=N          timing repetitions, best-of (default 3; 5 in tiny)
+//   --reps=N          alternating timing repetitions, median (default 9)
 //   --budget=STEPS    target agent-steps per timed run (default 2e7)
 //
 // Acceptance (the bench-smoke perf gate re-checks it from the JSON):
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -45,21 +46,6 @@ struct Cell {
   double sharded_ns = 0.0;  // engine=sharded, production grain
 };
 
-/// Best-of-`reps` ns/agent-round for one stepping path.
-template <typename RunFn>
-double time_path(RunFn&& run, std::uint64_t agents, std::uint64_t rounds,
-                 int reps) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    util::WallTimer timer;
-    run(static_cast<std::uint64_t>(rep));
-    const double ns = timer.elapsed_seconds() * 1e9 /
-                      (static_cast<double>(agents) * rounds);
-    best = ns < best ? ns : best;
-  }
-  return best;
-}
-
 Cell measure_cell(const graph::Torus2D& topo, std::uint32_t agents,
                   std::uint64_t budget, int reps) {
   sim::DensityConfig cfg;
@@ -71,25 +57,24 @@ Cell measure_cell(const graph::Torus2D& topo, std::uint32_t agents,
   cell.agents = agents;
   cell.rounds = cfg.rounds;
   static volatile std::uint64_t sink = 0;
-  cell.engine_ns = time_path(
-      [&](std::uint64_t rep) {
-        sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep)
-                          .collision_counts[0];
-      },
-      agents, cfg.rounds, reps);
-  cell.vector_ns = time_path(
-      [&](std::uint64_t rep) {
-        sink = sink + sim::run_density_walk_vector(topo, cfg, 0xBE7C + rep)
-                          .collision_counts[0];
-      },
-      agents, cfg.rounds, reps);
-  cell.sharded_ns = time_path(
-      [&](std::uint64_t rep) {
-        sink = sink + sim::run_density_walk_sharded(topo, cfg, 0xBE7C + rep,
-                                                    sim::ShardExec{})
-                          .collision_counts[0];
-      },
-      agents, cfg.rounds, reps);
+  // The three rows are timed alternately, so the gated pair (sharded/t1
+  // against engine) sees the same host noise.
+  std::tie(cell.engine_ns, cell.vector_ns, cell.sharded_ns) =
+      std::tuple_cat(bench::time_interleaved(
+          reps, agents, cfg.rounds,
+          [&](std::uint64_t) {
+            sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C)
+                              .collision_counts[0];
+          },
+          [&](std::uint64_t) {
+            sink = sink + sim::run_density_walk_vector(topo, cfg, 0xBE7C)
+                              .collision_counts[0];
+          },
+          [&](std::uint64_t) {
+            sink = sink + sim::run_density_walk_sharded(topo, cfg, 0xBE7C,
+                                                        sim::ShardExec{})
+                              .collision_counts[0];
+          }));
   return cell;
 }
 
@@ -100,12 +85,12 @@ int main(int argc, char** argv) {
   const bool tiny = args.get_bool("tiny", false);
   const std::string out_path = args.get_string("out", "BENCH_shard.json");
   // The tiny mode still feeds the CI perf gate's hard 1.10x bound, so
-  // it keeps a ~1M-agent-step budget and takes best-of-5: on a noisy
-  // shared runner only a systematic slowdown survives five attempts —
-  // upward jitter cannot fail the gate, a real regression still does.
+  // it keeps a ~1M-agent-step budget per rep.  Each row is the median of
+  // its alternating reps: host noise that hits one rep lands on every
+  // row alike, while a real regression still shows in the median.
   const std::uint64_t budget =
       args.get_uint("budget", tiny ? 1'000'000 : 20'000'000);
-  const int reps = static_cast<int>(args.get_uint("reps", tiny ? 5 : 3));
+  const int reps = static_cast<int>(args.get_uint("reps", 9));
   const unsigned hardware = util::default_thread_count();
 
   bench::print_banner(

@@ -22,13 +22,18 @@
 //
 // Honest complexity note: out-neighbors (the d attachments of u) cost
 // O(d) chains, but in-neighbors require scanning all m = n*d edge
-// targets, so enumerating one row is O(m).  A step enumerates once; the
-// batched sampler instead gathers the in-rows of all of a batch's
-// distinct nodes in one m-edge sweep, so a round costs O(m) in total
-// rather than O(m) per agent.  Chain steps hoist the (seed, tag) prefix
-// of their stream derivation into the constructor.  Like gnp, ba is an
-// exact-in-distribution family for small and moderate n; rgg2d is the
-// massive-scale one.
+// targets, so enumerating one row is O(m); a plain random_neighbor
+// call pays that.  A walk instead steps through its graph::RowCache:
+// its first step fills the cache with the whole graph in one pass in
+// edge order (fill_graph), one attachment draw per edge, and every
+// later step is one draw — O(m) per walk, not per step or per round.
+// That holds while the graph fits detail::kImplicitRowBudget (2n + 2m
+// words, so n * (1 + d) <= 2^15); past it a batched call gathers the
+// in-rows of its distinct nodes in one m-edge sweep per call, and a
+// lazy step enumerates its row.  Chain steps hoist the (seed, tag)
+// prefix of their stream derivation into the constructor.  Like gnp,
+// ba is an exact-in-distribution family for small and moderate n;
+// rgg2d is the massive-scale one.
 //
 // Degree is heavy-tailed: degree() reports the nominal mean 2d for the
 // Topology concept, degree_of(u) the exact value.
@@ -88,8 +93,7 @@ class Ba {
   node_type target_of(std::uint64_t edge) const {
     std::uint64_t j = edge;
     while (true) {
-      rng::SplitMix64 gen(rng::derive_seed(attach_root_, j));
-      const std::uint64_t r = rng::uniform_below(gen, 2 * j + 1);
+      const std::uint64_t r = attach_draw(j);
       if (r % 2 == 0) {
         return (r / 2) / d_;  // even slot holds edge (r/2)'s source
       }
@@ -118,14 +122,44 @@ class Ba {
     return detail::sample_enumerated_neighbor(*this, u, gen);
   }
 
-  /// Batched stepping, same generator stream as sequential calls.  Per
-  /// agent-order chunk, one sweep gathers the in-rows of the chunk's
-  /// distinct nodes; each agent then draws below d + its in-degree, and
-  /// a pick below d is resolved by one chain chase (its out-edge), one
-  /// above from the gathered in-row.  A chunk whose in-rows overflow
-  /// detail::kImplicitRowBudget is halved and swept again, down to a
-  /// single agent, whose one row may exceed the budget.  The spans may
-  /// alias elementwise.
+  /// One step through the walk's row cache, same draw as
+  /// random_neighbor: u picks from its row in the whole graph, which the
+  /// first step fills in (fill_graph).  A graph past the budget steps
+  /// by random_neighbor.
+  template <rng::BitGenerator64 G>
+  node_type random_neighbor(node_type u, G& gen, RowCache& rows) const {
+    return holds_graph(rows) ? pick(rows.graph_row(u), gen)
+                             : random_neighbor(u, gen);
+  }
+
+  /// Batched stepping through the walk's row cache, same draws as
+  /// sequential random_neighbor calls: every agent picks from its row in
+  /// the whole graph, which the first call fills in (fill_graph).  A
+  /// graph past the budget steps by the in-edge sweep below, once per
+  /// call.  The spans may alias elementwise.
+  template <rng::BitGenerator64 G>
+  void random_neighbors(std::span<const node_type> in,
+                        std::span<node_type> out, G& gen,
+                        RowCache& rows) const {
+    ANTDENSE_CHECK(in.size() == out.size(),
+                   "bulk neighbor sampling needs equal-sized spans");
+    if (!holds_graph(rows)) {
+      random_neighbors(in, out, gen);
+      return;
+    }
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      out[i] = pick(rows.graph_row(in[i]), gen);
+    }
+  }
+
+  /// Batched stepping without a row cache, same draws as sequential
+  /// calls.  Per agent-order chunk, one sweep gathers the in-rows of the
+  /// chunk's distinct nodes; each agent then draws below d + its
+  /// in-degree, and a pick below d is resolved by one chain chase (its
+  /// out-edge), one above from the gathered in-row.  A chunk whose
+  /// in-rows overflow detail::kImplicitRowBudget is halved and swept
+  /// again, down to a single agent, whose one row may exceed the budget.
+  /// The spans may alias elementwise.
   template <rng::BitGenerator64 G>
   void random_neighbors(std::span<const node_type> in,
                         std::span<node_type> out, G& gen) const {
@@ -153,6 +187,30 @@ class Ba {
                                  0xFFFFFFFFULL;
       }
     }
+  }
+
+  /// Fills `rows` with the whole graph by one pass in edge order: each
+  /// target takes exactly one attachment draw, since an odd slot copies
+  /// the target of an earlier, already resolved edge.  Rows are laid out
+  /// as for_each_neighbor enumerates them: out-targets in slot order,
+  /// then in-sources in ascending edge order, repeats kept.  The caller
+  /// checks the graph fits detail::kImplicitRowBudget.
+  void fill_graph(RowCache& rows) const {
+    std::vector<node_type> targets(m_);
+    std::vector<std::uint64_t> lengths(n_, d_);
+    for (std::uint64_t j = 0; j < m_; ++j) {
+      const std::uint64_t r = attach_draw(j);
+      targets[j] = r % 2 == 0 ? (r / 2) / d_ : targets[(r - 1) / 2];
+      ++lengths[targets[j]];
+    }
+    rows.hold_graph(std::move(lengths), [&](auto push) {
+      for (std::uint64_t j = 0; j < m_; ++j) {
+        push(source_of(j), targets[j]);
+      }
+      for (std::uint64_t j = 0; j < m_; ++j) {
+        push(targets[j], source_of(j));
+      }
+    });
   }
 
   std::uint64_t key(node_type u) const { return u; }
@@ -186,6 +244,29 @@ class Ba {
   }
 
  private:
+  /// Edge j's array position r, uniform in [0, 2j + 1): an even r holds
+  /// edge (r/2)'s source, an odd one edge ((r-1)/2)'s target.
+  std::uint64_t attach_draw(std::uint64_t j) const {
+    rng::SplitMix64 gen(rng::derive_seed(attach_root_, j));
+    return rng::uniform_below(gen, 2 * j + 1);
+  }
+
+  /// Whether `rows` holds the whole graph, filled on first use when it
+  /// fits detail::kImplicitRowBudget.
+  bool holds_graph(RowCache& rows) const {
+    if (!rows.holds_graph() && detail::graph_fits_row_budget(n_, 2 * m_)) {
+      fill_graph(rows);
+    }
+    return rows.holds_graph();
+  }
+
+  /// A uniform pick from `row` (length, then neighbors); every row holds
+  /// at least d >= 1 entries.
+  template <rng::BitGenerator64 G>
+  static node_type pick(const std::uint64_t* row, G& gen) {
+    return row[1 + rng::uniform_below(gen, row[0])];
+  }
+
   /// One sweep over all m edge targets: gathers every in-edge of the
   /// chunk's distinct nodes as (target << 32) | source, sorted, which
   /// groups each node's in-row in ascending edge order (sources are

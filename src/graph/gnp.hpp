@@ -19,24 +19,30 @@
 // prefix is hoisted into the constructor).  A single random_neighbor
 // call enumerates once; churn's deflect steps that way, one scan per
 // call.  Walk steps, batched or lazy, take the cached single step, which
-// reads rows from the walk's graph::RowCache instead, so a walk scans
-// each node it visits once: O(n) per distinct visited node over the
-// whole walk, then a hash lookup and one draw per agent-step.  That holds while the visited rows
-// fit detail::kImplicitRowBudget entries (about n * (1 + p * n) <= 2^16
-// when every node is visited); past it the cache restarts and rows are
-// scanned again.  G(n, p) is therefore the exact-in-distribution
-// reference family for small and moderate n (differential tests,
-// campaign sweeps), not the massive-scale one; rgg2d fills that role.
+// reads rows from the walk's graph::RowCache instead: a walk scans each
+// node it visits once, and once it needs a third of the rows it fills
+// the cache with the whole graph in one sweep of the upper triangle
+// (fill_graph), each pair hashed once — about n^2/2 mixes, which the
+// row scans (about 1.5n mixes each) would cost by then anyway.  After
+// that a step is one draw.  The whole graph is held only while it fits
+// detail::kImplicitRowBudget (2n + 2|E| words, about n * (2 + p * n) <=
+// 2^16); past it the walk keeps scanning visited rows, and the cache
+// restarts past the budget.  G(n, p) is therefore the
+// exact-in-distribution reference family for small and moderate n
+// (differential tests, campaign sweeps), not the massive-scale one;
+// rgg2d fills that role.
 //
 // Degree is Binomial(n-1, p): degree() reports the nominal mean for the
 // Topology concept, degree_of(u) the exact value.  Isolated nodes
 // self-loop so the walk stays total.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "graph/implicit_hash.hpp"
 #include "graph/topology.hpp"
@@ -112,13 +118,80 @@ class Gnp {
   }
 
   /// One step through the walk's row cache, same draw as
-  /// random_neighbor: u picks from its row in `rows`, which enumerates
-  /// the row on first use and keeps it for the rest of the walk (see
-  /// RowCache).
+  /// random_neighbor: u picks from its row in `rows` (see RowCache).
+  /// When u's row is the first past a third of the graph, the step
+  /// first fills the whole graph in (fill_graph).
   template <rng::BitGenerator64 G>
   node_type random_neighbor(node_type u, G& gen, RowCache& rows) const {
-    const std::uint64_t* row = rows.row(*this, u);
-    return row[0] == 0 ? u : row[1 + rng::uniform_below(gen, row[0])];
+    if (may_fill(rows) && 3 * (rows.rows() + 1) >= n_ && !rows.holds(u)) {
+      fill_graph(rows);
+    }
+    return pick(rows.row(*this, u), u, gen);
+  }
+
+  /// Batched stepping through the walk's row cache, same draws as
+  /// sequential random_neighbor calls.  Before any row is enumerated,
+  /// the batch fills the whole graph in once the rows the walk has
+  /// needed (held rows plus the batch's distinct unheld ones) reach a
+  /// third of the graph: from there the sweep costs no more than the
+  /// row scans it replaces.  The spans may alias elementwise.
+  template <rng::BitGenerator64 G>
+  void random_neighbors(std::span<const node_type> in,
+                        std::span<node_type> out, G& gen,
+                        RowCache& rows) const {
+    ANTDENSE_CHECK(in.size() == out.size(),
+                   "bulk neighbor sampling needs equal-sized spans");
+    if (may_fill(rows)) {
+      std::vector<node_type> unheld;
+      for (const node_type u : in) {
+        if (!rows.holds(u)) {
+          unheld.push_back(u);
+        }
+      }
+      std::sort(unheld.begin(), unheld.end());
+      const auto distinct = static_cast<std::uint64_t>(
+          std::unique(unheld.begin(), unheld.end()) - unheld.begin());
+      if (3 * (rows.rows() + distinct) >= n_) {
+        fill_graph(rows);
+      }
+    }
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      out[i] = pick(rows.row(*this, in[i]), in[i], gen);
+    }
+  }
+
+  /// Fills `rows` with the whole graph by one sweep of the upper
+  /// triangle, each pair hashed once with its row's prefix hoisted, so
+  /// rows come out ascending, as for_each_neighbor enumerates them.  A
+  /// graph past detail::kImplicitRowBudget stops the sweep and is
+  /// refused for the rest of the walk.
+  void fill_graph(RowCache& rows) const {
+    if (!detail::graph_fits_row_budget(n_, 0)) {
+      rows.refuse_graph();
+      return;
+    }
+    std::vector<std::uint64_t> lengths(n_);
+    std::vector<std::uint64_t> edges;  // (a << 32) | b for a < b
+    for (node_type a = 0; a < n_; ++a) {
+      const std::uint64_t prefix = row_prefix(a);
+      for (node_type b = a + 1; b < n_; ++b) {
+        if (is_edge(rng::derive_seed(prefix, b))) {
+          if (!detail::graph_fits_row_budget(n_, 2 * (edges.size() + 1))) {
+            rows.refuse_graph();
+            return;
+          }
+          edges.push_back((a << 32) | b);
+          ++lengths[a];
+          ++lengths[b];
+        }
+      }
+    }
+    rows.hold_graph(std::move(lengths), [&edges](auto push) {
+      for (const std::uint64_t e : edges) {
+        push(e >> 32, e & 0xFFFFFFFFULL);
+        push(e & 0xFFFFFFFFULL, e >> 32);
+      }
+    });
   }
 
   std::uint64_t key(node_type u) const { return u; }
@@ -154,6 +227,19 @@ class Gnp {
   }
 
  private:
+  /// Whether the walk may still fill `rows` with the whole graph: it
+  /// has not yet, and the graph's offsets and lengths alone fit.
+  bool may_fill(const RowCache& rows) const {
+    return rows.may_hold_graph() && detail::graph_fits_row_budget(n_, 0);
+  }
+
+  /// A uniform pick from `row` (length, then neighbors); an empty row
+  /// self-loops without drawing.
+  template <rng::BitGenerator64 G>
+  static node_type pick(const std::uint64_t* row, node_type u, G& gen) {
+    return row[0] == 0 ? u : row[1 + rng::uniform_below(gen, row[0])];
+  }
+
   /// Hash prefix shared by every pair {a, b} with a < b.
   std::uint64_t row_prefix(node_type a) const {
     return rng::derive_seed(edge_root_, a);

@@ -100,13 +100,24 @@ inline void step_word_blocks(const T& topo, std::span<const std::uint64_t> in,
   }
 }
 
-/// Entry budget of the rows a batched implicit-family sampler holds:
-/// gnp's walk-lifetime RowCache, and the in-rows ba gathers within one
-/// call.  Past it gnp's cache restarts and ba splits its batch into
-/// agent-order chunks, so either holds this many entries plus one row
-/// (512 KiB plus one row per walk), never sized by the node or edge
+/// Word budget of the rows an implicit family holds for a walk
+/// (graph::RowCache).  A whole graph is held only if its row offsets,
+/// row lengths and entries fit it (two words per node plus two per
+/// edge); else gnp caches the rows the walk visits and restarts past
+/// this many entries, and ba gathers in-rows per call in agent-order
+/// chunks of at most this many entries.  Either way a walk holds at
+/// most 512 KiB of rows plus one row, never sized by the node or edge
 /// count.
 inline constexpr std::size_t kImplicitRowBudget = std::size_t{1} << 16;
+
+/// Whether a whole graph of `nodes` rows and `entries` entries fits
+/// kImplicitRowBudget: two words per row (its offset and its length)
+/// plus one per entry.
+constexpr bool graph_fits_row_budget(std::uint64_t nodes,
+                                     std::uint64_t entries) {
+  return nodes <= kImplicitRowBudget / 2 &&
+         entries <= kImplicitRowBudget - 2 * nodes;
+}
 
 /// One-pass neighbor sampling for the implicit families, whose rows are
 /// enumerated (for_each_neighbor) rather than indexed: u's row goes once
@@ -128,19 +139,27 @@ inline typename T::node_type sample_enumerated_neighbor(
 
 /// Enumerated rows that outlive one batched call: the walk's row cache.
 /// The shard loop (sim/sharded_walk.hpp) owns one per walk and passes it
-/// down every batched step, so an implicit family whose rows cost O(n)
-/// to enumerate (gnp) scans each row once per walk, not once per round.
-/// Rows are stored flat, each as its length followed by its neighbors,
-/// with a node -> offset index; past detail::kImplicitRowBudget entries
-/// the cache restarts.  Rows are pure functions of the node, so what the
-/// cache holds never changes a draw.  Not thread-safe: one walk, one
-/// thread, one cache.
+/// down every batched and lazy step.  It holds rows one of two ways:
+///   - the whole graph, when the family fills it (hold_graph) from one
+///     pass over its edges: ba on first use, gnp once the walk needs a
+///     third of its rows; a dense node -> offset array indexes it;
+///   - else the rows the walk visits, each enumerated by
+///     for_each_neighbor on first use, with a node -> offset map;
+///     past detail::kImplicitRowBudget entries the cache restarts.
+/// Rows are stored flat, each as its length followed by its neighbors
+/// in for_each_neighbor order.  They are pure functions of the node, so
+/// what the cache holds never changes a draw.  Not thread-safe: one
+/// walk, one thread, one cache.
 class RowCache {
  public:
-  /// u's row, enumerated by topo.for_each_neighbor on first use: its
-  /// length, then its neighbors.  Valid until the next call.
+  /// u's row: its length, then its neighbors.  Without the whole graph,
+  /// enumerated by topo.for_each_neighbor on first use.  Valid until the
+  /// next call.
   template <typename T>
   const std::uint64_t* row(const T& topo, std::uint64_t u) {
+    if (holds_graph()) {
+      return rows_.data() + offset_[u];
+    }
     auto found = at_.find(u);
     if (found == at_.end()) {
       if (rows_.size() >= detail::kImplicitRowBudget) {
@@ -156,18 +175,61 @@ class RowCache {
     return rows_.data() + found->second;
   }
 
+  /// u's row in the whole graph; needs holds_graph().
+  const std::uint64_t* graph_row(std::uint64_t u) const {
+    return rows_.data() + offset_[u];
+  }
+
+  /// Whether u's row is held.
+  bool holds(std::uint64_t u) const {
+    return holds_graph() || at_.contains(u);
+  }
+
+  /// Holds the whole graph from now on, row u taking lengths[u] entries
+  /// (the caller checks the words fit the budget): lays the rows out,
+  /// then calls fill(push), where push(u, v) appends v to row u.
+  template <typename Fill>
+  void hold_graph(std::vector<std::uint64_t> lengths, Fill fill) {
+    at_.clear();
+    offset_.resize(lengths.size());
+    std::size_t words = 0;
+    for (std::size_t u = 0; u < lengths.size(); ++u) {
+      offset_[u] = words;
+      words += 1 + lengths[u];
+    }
+    rows_.assign(words, 0);
+    // lengths[u] becomes row u's next free slot.
+    for (std::size_t u = 0; u < lengths.size(); ++u) {
+      rows_[offset_[u]] = lengths[u];
+      lengths[u] = offset_[u] + 1;
+    }
+    fill([&](std::uint64_t u, std::uint64_t v) { rows_[lengths[u]++] = v; });
+  }
+
+  /// Records that the family's whole graph overflowed the budget, so the
+  /// walk keeps caching visited rows.
+  void refuse_graph() { refused_ = true; }
+
+  bool holds_graph() const { return !offset_.empty(); }
+  /// Whether a family may still fill the whole graph.
+  bool may_hold_graph() const { return !holds_graph() && !refused_; }
+
   /// Entries held (row lengths included) and rows held.
   std::size_t entries() const { return rows_.size(); }
-  std::size_t rows() const { return at_.size(); }
+  std::size_t rows() const {
+    return holds_graph() ? offset_.size() : at_.size();
+  }
 
  private:
   std::vector<std::uint64_t> rows_;
   std::unordered_map<std::uint64_t, std::size_t> at_;
+  std::vector<std::uint64_t> offset_;  // whole graph: node -> row offset
+  bool refused_ = false;
 };
 
 /// One step from `u` through the walk's row cache: a topology with a
-/// cached single-step member (gnp) picks from `rows`, every other family
-/// steps by its plain random_neighbor.  Draw for draw it equals
+/// cached single-step member (gnp, ba) picks from `rows`, every other
+/// family steps by its plain random_neighbor.  Draw for draw it equals
 /// topo.random_neighbor(u, gen); the shard loop's lazy path steps each
 /// agent this way.
 template <Topology T, rng::BitGenerator64 G>
@@ -185,17 +247,15 @@ inline typename T::node_type random_neighbor(const T& topo,
 /// (`out[i]` replaces `in[i]`; the spans may alias elementwise, so
 /// stepping a position array in place is fine) — the one batched-step
 /// entry point, for every generator.  It takes the first that applies:
-///   1. the topology's own batched member (ring, torus2d, rgg2d, ba;
-///      graph::AnyTopology forwards to this function on the wrapped
+///   1. the topology's own batched member (ring, torus2d, rgg2d, gnp,
+///      ba; graph::AnyTopology forwards to this function on the wrapped
 ///      topology), handed `rows` when it takes a RowCache;
-///   2. the cached single step random_neighbor(u, gen, rows) (gnp), agent
-///      by agent;
-///   3. for a UniformPickTopology (toruskd, hypercube, complete): picks
+///   2. for a UniformPickTopology (toruskd, hypercube, complete): picks
 ///      mapped through pick_step, drawn in blocks by
 ///      rng::uniform_below_batch when `gen` has a bulk fill()
 ///      (rng::WideStream), one uniform_below per agent otherwise — the
 ///      block pays on the wide stream and costs on a scalar one;
-///   4. per-agent random_neighbor calls.
+///   3. per-agent random_neighbor calls.
 /// Every path consumes the generator exactly as in.size() sequential
 /// random_neighbor calls would (same draws, same order), so which one
 /// ran never shows in a result.
@@ -204,19 +264,12 @@ inline void random_neighbors(const T& topo,
                              std::span<const typename T::node_type> in,
                              std::span<typename T::node_type> out, G& gen,
                              RowCache& rows) {
-  using node = typename T::node_type;
   ANTDENSE_CHECK(in.size() == out.size(),
                  "bulk neighbor sampling needs equal-sized spans");
   if constexpr (requires { topo.random_neighbors(in, out, gen, rows); }) {
     topo.random_neighbors(in, out, gen, rows);
   } else if constexpr (requires { topo.random_neighbors(in, out, gen); }) {
     topo.random_neighbors(in, out, gen);
-  } else if constexpr (requires(node u) {
-                         topo.random_neighbor(u, gen, rows);
-                       }) {
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = topo.random_neighbor(in[i], gen, rows);
-    }
   } else if constexpr (UniformPickTopology<T>) {
     const std::uint64_t bound = topo.pick_bound();
     if constexpr (requires { gen.fill(std::span<std::uint64_t>()); }) {

@@ -20,8 +20,8 @@
 //      dynamics model rewrites blocked moves, block by block right after
 //      each block steps.  Both paths read the walk's one graph::RowCache
 //      (the lazy loop through graph::random_neighbor's single cached
-//      step), so gnp enumerates a row once per walk, not once per round,
-//      shard or lazy step;
+//      step), so gnp and ba enumerate their rows once per walk, not once
+//      per round, shard or lazy step;
 //   3. count: the shard's keys are recomputed and the round's occupancy
 //      counter is filled (masked by the model's alive slots), shard by
 //      shard, in shard order, and each shard's fill hooks run
@@ -219,8 +219,8 @@ void run_shard_loop(const T& topo, const WalkConfig& cfg,
           : 0);
   // Moves are rewritten in blocks of this many agents: the block's
   // positions, snapshot and keys stay in L2 between the step and the
-  // rewrite, and a batched sampler that sweeps per call (ba) still
-  // sweeps once per shard-sized block.
+  // rewrite, and a batched sampler that sweeps per call (ba past the
+  // row budget) still sweeps once per shard-sized block.
   constexpr std::uint32_t kMoveBlock = 4096;
   std::vector<node> prev(rewrites ? std::min(n_agents, kMoveBlock) : 0);
 
