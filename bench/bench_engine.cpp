@@ -75,7 +75,6 @@
 // The JSON must parse and carry one record per (path, topology, agents)
 // cell.
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
