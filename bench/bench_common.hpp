@@ -17,6 +17,7 @@
 #include "sim/trial_runner.hpp"
 #include "stats/concentration.hpp"
 #include "stats/regression.hpp"
+#include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
@@ -102,10 +103,11 @@ double time_path(RunFn&& run, std::uint64_t agents, std::uint64_t rounds,
 
 /// Median ns/agent-round of each path over `reps` reps, the paths timed
 /// alternately (a, b, ..., a, b, ...) so all see the same host noise.
-/// Rows that share a gate are timed this way.
+/// Rows that share a gate are timed this way.  Needs reps >= 1.
 template <typename... RunFns>
 std::array<double, sizeof...(RunFns)> time_interleaved(
     int reps, std::uint64_t agents, std::uint64_t rounds, RunFns&&... runs) {
+  ANTDENSE_CHECK(reps >= 1, "a median needs at least one rep");
   std::array<std::vector<double>, sizeof...(RunFns)> ns;
   for (int rep = 0; rep < reps; ++rep) {
     std::size_t k = 0;

@@ -128,7 +128,7 @@ class Ba {
   /// by random_neighbor.
   template <rng::BitGenerator64 G>
   node_type random_neighbor(node_type u, G& gen, RowCache& rows) const {
-    return holds_graph(rows) ? pick(rows.graph_row(u), gen)
+    return holds_graph(rows) ? pick(rows.row(*this, u), gen)
                              : random_neighbor(u, gen);
   }
 
@@ -148,7 +148,7 @@ class Ba {
       return;
     }
     for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = pick(rows.graph_row(in[i]), gen);
+      out[i] = pick(rows.row(*this, in[i]), gen);
     }
   }
 

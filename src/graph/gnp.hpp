@@ -27,7 +27,9 @@
 // that a step is one draw.  The whole graph is held only while it fits
 // detail::kImplicitRowBudget (2n + 2|E| words, about n * (2 + p * n) <=
 // 2^16); past it the walk keeps scanning visited rows, and the cache
-// restarts past the budget.  G(n, p) is therefore the
+// restarts past the budget.  A graph expected to overflow it (p n (n-1)
+// entries) is refused before the sweep, so a walk on one pays no
+// sweep.  G(n, p) is therefore the
 // exact-in-distribution reference family for small and moderate n
 // (differential tests, campaign sweeps), not the massive-scale one;
 // rgg2d fills that role.
@@ -163,10 +165,14 @@ class Gnp {
   /// Fills `rows` with the whole graph by one sweep of the upper
   /// triangle, each pair hashed once with its row's prefix hoisted, so
   /// rows come out ascending, as for_each_neighbor enumerates them.  A
-  /// graph past detail::kImplicitRowBudget stops the sweep and is
-  /// refused for the rest of the walk.
+  /// graph past detail::kImplicitRowBudget is refused for the rest of
+  /// the walk: unswept when its expected entries, p n (n - 1), already
+  /// overflow the budget, else as soon as the sweep overflows it.
   void fill_graph(RowCache& rows) const {
-    if (!detail::graph_fits_row_budget(n_, 0)) {
+    if (!detail::graph_fits_row_budget(n_, 0) ||
+        !detail::graph_fits_row_budget(
+            n_, static_cast<std::uint64_t>(p_ * static_cast<double>(n_) *
+                                           static_cast<double>(n_ - 1)))) {
       rows.refuse_graph();
       return;
     }

@@ -175,11 +175,6 @@ class RowCache {
     return rows_.data() + found->second;
   }
 
-  /// u's row in the whole graph; needs holds_graph().
-  const std::uint64_t* graph_row(std::uint64_t u) const {
-    return rows_.data() + offset_[u];
-  }
-
   /// Whether u's row is held.
   bool holds(std::uint64_t u) const {
     return holds_graph() || at_.contains(u);

@@ -15,7 +15,7 @@
 //     rng::WideStream, batched and lazy;
 //   - a graph just past the budget keeps the per-row (gnp) or per-call
 //     (ba) paths and still matches; a gnp walk past the budget restarts
-//     its cache mid-walk and still matches;
+//     its cache mid-walk and still matches, batched and lazy;
 //   - a gnp walk that needs fewer than n/3 rows never sweeps, and
 //     enumerates each visited row exactly once;
 //   - concurrent trials share one const topology but never a cache:
@@ -209,7 +209,7 @@ std::size_t expect_graph_rows_match(const T& topo) {
   for (std::uint64_t u = 0; u < topo.num_nodes(); ++u) {
     std::vector<std::uint64_t> expected;
     topo.for_each_neighbor(u, [&](std::uint64_t v) { expected.push_back(v); });
-    const std::uint64_t* row = rows.graph_row(u);
+    const std::uint64_t* row = rows.row(topo, u);
     EXPECT_EQ(std::vector<std::uint64_t>(row + 1, row + 1 + row[0]), expected)
         << "row " << u;
     with_repeats +=
@@ -245,7 +245,7 @@ TEST(RowCache, GnpGraphRowsEqualEnumeratedRows) {
   sparse.fill_graph(rows);
   std::size_t empty = 0;
   for (std::uint64_t u = 0; u < sparse.num_nodes(); ++u) {
-    empty += rows.graph_row(u)[0] == 0;
+    empty += rows.row(sparse, u)[0] == 0;
   }
   EXPECT_GT(empty, 100u);
 }
@@ -260,8 +260,9 @@ TEST(RowCache, BaGraphRowsEqualEnumeratedRows) {
   with_repeats += expect_graph_rows_match(graph::Ba(500, 4, 1));
   EXPECT_GE(with_repeats, 4u);
   graph::RowCache rows;
-  graph::Ba(50, 1, 4).fill_graph(rows);
-  const std::uint64_t* row0 = rows.graph_row(0);
+  const graph::Ba ba(50, 1, 4);
+  ba.fill_graph(rows);
+  const std::uint64_t* row0 = rows.row(ba, 0);
   EXPECT_EQ(row0[1], 0u) << "node 0's out-edge is its self-loop";
 }
 
@@ -324,22 +325,26 @@ TEST(RowCache, GnpSweepsOnceTheWalkNeedsAThirdOfItsRows) {
 TEST(RowCache, GnpCacheRestartsPastTheBudgetMidWalk) {
   // Rows of ~101 entries: the budget holds ~650 of them, so the cache
   // restarts within the first round and again in every later one, and
-  // never needs a third of the graph at once.
+  // never needs a third of the graph at once — batched or lazy.
   const graph::Gnp gnp(8000, 0.0125, 2);
   expect_batched_walks_match<rng::Xoshiro256pp>(gnp, 1000, 3,
                                                 Held::kRestarted);
   expect_batched_walks_match<rng::WideStream>(gnp, 1000, 3, Held::kRestarted);
+  expect_lazy_walks_match<rng::Xoshiro256pp>(gnp, 1000, 2, Held::kRestarted);
 }
 
 TEST(RowCache, GraphsJustPastTheBudgetKeepTheirOldPaths) {
-  // gnp(2000, 0.016): about 32,000 edges, 2 * 2000 + 64,000 words, just
-  // past 2^16.  The walk needs a third of the rows, the sweep overflows
-  // and is refused, and the walk caches its visited rows as before.
+  // 2000 rows leave room for 61,536 entries.  gnp(2000, 0.016) expects
+  // about 64,000, so it is refused unswept; gnp(2000, 0.01538) expects
+  // 61,489: seed 4 draws 61,802 and is refused mid-sweep, seed 1 draws
+  // 61,272 and is held.  A refused walk needs a third of the rows and
+  // caches the rows it visits, as before.
   const graph::Gnp gnp(2000, 0.016, 1);
-  {
+  const graph::Gnp overflows(2000, 0.01538, 4);
+  for (const graph::Gnp* refused : {&gnp, &overflows}) {
     graph::RowCache rows;
-    gnp.fill_graph(rows);
-    EXPECT_FALSE(rows.holds_graph()) << "the sweep overflows the budget";
+    refused->fill_graph(rows);
+    EXPECT_FALSE(rows.holds_graph()) << "the graph overflows the budget";
     EXPECT_FALSE(rows.may_hold_graph()) << "and is not tried again";
     EXPECT_EQ(rows.rows(), 0u);
   }
@@ -347,6 +352,10 @@ TEST(RowCache, GraphsJustPastTheBudgetKeepTheirOldPaths) {
                                                 Held::kRefused);
   expect_batched_walks_match<rng::WideStream>(gnp, 1000, 2, Held::kRefused);
   expect_lazy_walks_match<rng::Xoshiro256pp>(gnp, 1000, 2, Held::kRefused);
+  expect_batched_walks_match<rng::Xoshiro256pp>(overflows, 1000, 2,
+                                                Held::kRefused);
+  expect_batched_walks_match<rng::Xoshiro256pp>(graph::Gnp(2000, 0.01538, 1),
+                                                1000, 2, Held::kGraph);
   // ba(3000, 10): 3000 * (2 + 2 * 10) = 66,000 words; ba(3000, 9) fits.
   // Past the budget every batch sweeps the in-edges and every lazy step
   // enumerates its row; nothing is held.
