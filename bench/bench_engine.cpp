@@ -125,6 +125,7 @@ struct Cell {
   std::string topology;
   std::uint64_t agents = 0;
   std::uint64_t rounds = 0;
+  std::uint64_t legacy_rounds = 0;  // the legacy row's own walk length
   double legacy_ns = 0.0;
   double engine_ns = 0.0;
   double engine_hash_ns = 0.0;  // engine on the hash counter
@@ -166,13 +167,20 @@ using bench::time_path;
 /// Rows that share a gate: the median of this many alternating reps.
 constexpr int kInterleavedReps = 9;
 
+/// `legacy_budget`, when nonzero, sizes the legacy row's walk apart
+/// from the others' `budget`.
 template <graph::Topology T>
 Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
-                  int reps) {
+                  int reps, std::uint64_t legacy_budget = 0) {
   sim::DensityConfig cfg;
   cfg.num_agents = agents;
   cfg.rounds = static_cast<std::uint32_t>(
       std::max<std::uint64_t>(1, budget / agents));
+  sim::DensityConfig legacy_cfg = cfg;
+  if (legacy_budget != 0) {
+    legacy_cfg.rounds = static_cast<std::uint32_t>(
+        std::max<std::uint64_t>(1, legacy_budget / agents));
+  }
 
   // The engine/hash row must time the engine's own walk: cross-check
   // the counts at a reduced round count before timing.
@@ -191,14 +199,16 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
   cell.topology = topo.name();
   cell.agents = agents;
   cell.rounds = cfg.rounds;
+  cell.legacy_rounds = legacy_cfg.rounds;
   // DoNotOptimize equivalent: fold a count into a volatile sink.
   static volatile std::uint64_t sink = 0;
   cell.legacy_ns = time_path(
       [&](std::uint64_t rep) {
-        sink = sink + sim::legacy::run_density_walk(topo, cfg, 0xBE7C + rep)
-                          .collision_counts[0];
+        sink = sink +
+               sim::legacy::run_density_walk(topo, legacy_cfg, 0xBE7C + rep)
+                   .collision_counts[0];
       },
-      agents, cfg.rounds, reps);
+      agents, legacy_cfg.rounds, reps);
   cell.engine_ns = time_path(
       [&](std::uint64_t rep) {
         sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep)
@@ -348,9 +358,10 @@ int main(int argc, char** argv) {
   // gnp's and ba's batched paths fill the walk's graph::RowCache with
   // the whole graph in one pass over its edges and then pay a draw per
   // step, but the frozen legacy loop scans a gnp row (O(n)) or sweeps
-  // ba's edges (O(m)) every agent step, so that path sets their budgets;
-  // the gnp walk is at least 200 rounds long, so the batched paths time
-  // row reuse as a real walk has it, not only the first pass.
+  // ba's edges (O(m)) every agent step, so that path sets their budgets.
+  // Both walks are at least 200 rounds long on the batched paths, so
+  // those time row reuse as a real walk has it, not the one-time fill;
+  // ba's legacy row keeps a walk of its own, a few rounds long.
   {
     const std::uint32_t implicit_agents = tiny ? 200 : 1000;
     const auto rgg_nodes = static_cast<std::uint64_t>(implicit_agents) * 10;
@@ -368,9 +379,11 @@ int main(int argc, char** argv) {
         std::max<std::uint64_t>(budget / 100,
                                 std::uint64_t{implicit_agents} * 200),
         reps));
-    cells.push_back(measure_cell(graph::Ba(2000, 4, 7), implicit_agents,
-                                 std::max<std::uint64_t>(1, budget / 5000),
-                                 reps));
+    cells.push_back(measure_cell(
+        graph::Ba(2000, 4, 7), implicit_agents,
+        std::max<std::uint64_t>(budget / 5000,
+                                std::uint64_t{implicit_agents} * 200),
+        reps, std::max<std::uint64_t>(1, budget / 5000)));
   }
 
   util::Table table({"topology", "agents", "rounds", "legacy ns/step",
@@ -406,14 +419,15 @@ int main(int argc, char** argv) {
     bench::BenchRecord base;
     base.topology = c.topology;
     base.agents = c.agents;
-    base.rounds = c.rounds;
     base.peak_rss_bytes = c.peak_rss;
     // Honest host width: perf claims in this artifact are meaningless
     // without knowing how wide the bench machine actually was.
     base.hardware_threads = std::thread::hardware_concurrency();
     base.name = "legacy";
+    base.rounds = c.legacy_rounds;
     base.ns_per_agent_round = c.legacy_ns;
     records.push_back(base);
+    base.rounds = c.rounds;
     base.name = "engine";
     base.ns_per_agent_round = c.engine_ns;
     records.push_back(base);

@@ -59,7 +59,8 @@ DensityEstimationResult estimate_density(const T& topo,
 /// Theorem 1's planning helper: a round budget sufficient for every agent
 /// to land within (1±ε)d with probability 1-δ, on the 2-D torus.  The
 /// paper leaves the constant unspecified; `constant` defaults to 1, which
-/// the E1 bench shows is already conservative for the measured process.
+/// the theorem1_budget campaign (examples/campaigns/) shows meets the
+/// (ε, δ) envelope on the measured process.
 inline std::uint64_t recommended_rounds(double epsilon, double density,
                                         double delta,
                                         double constant = 1.0) {

@@ -18,8 +18,8 @@
 // the wrapped topology's own dispatch.
 //
 // AnyTopology satisfies Topology, so every templated driver
-// (run_density_walk, run_property_walk, run_trajectory, trial_runner)
-// accepts it unchanged, and walks through the handle are bit-identical
+// (run_walk, run_density_walk, run_property_walk, run_trials) accepts
+// it unchanged, and walks through the handle are bit-identical
 // to walks through the wrapped concrete topology at a fixed seed
 // (tests/test_any_topology.cpp pins this differentially).
 //

@@ -1,10 +1,11 @@
-// Topology-generic local density: the scenario layer's counterpart of
-// sim::LocalDensityObserver (which is Torus2D-specific).  The ball
+// Topology-generic local density (Section 2.1.1), behind the
+// local-density workload.  The ball
 // around an agent is enumerated by breadth-first expansion through
 // AnyTopology::append_neighbors, so "agents within graph distance r"
 // works on every substrate the Registry can build; on the 2-D torus the
-// graph-distance ball *is* the wrap-aware L1 ball, and the two observers
-// agree exactly (tests/test_scenario.cpp pins this).
+// graph-distance ball *is* the wrap-aware L1 ball, and this observer
+// agrees exactly with the brute-force L1-ball oracle in
+// tests/local_density_oracle.hpp (tests/test_scenario.cpp pins this).
 //
 // Cost: one BFS per agent per checkpoint (O(agents x ball size)) — the
 // walk's hot loop is untouched; balls are only expanded at snapshots.

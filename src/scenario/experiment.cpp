@@ -289,7 +289,7 @@ ScenarioResult Experiment::run(const ProgressHooks& hooks) const {
     }
 
     case Workload::kTrajectory:
-      // run_trajectory's observers and tag 0x7124.
+      // Collision counts plus running-estimate snapshots, on tag 0x7124.
       result.checkpoints = spec_.checkpoint_rounds(spec_.rounds);
       result.estimates = fan_out([&](std::uint64_t seed,
                                      const sim::Exec& exec) {

@@ -24,8 +24,8 @@
 #include "rng/xoshiro256pp.hpp"
 #include "scenario/registry.hpp"
 #include "sim/density_sim.hpp"
-#include "sim/trajectory.hpp"
 #include "sim/trial_runner.hpp"
+#include "sim/walk_engine.hpp"
 
 namespace antdense {
 namespace {
@@ -168,16 +168,27 @@ TEST(AnyTopology, PayloadKeepsBorrowedGraphAlive) {
   EXPECT_EQ(a.collision_counts, b.collision_counts);
 }
 
+/// Three tracked agents' running estimates at `checkpoints` on `topo`:
+/// the trajectory workload's observer pair.
+template <graph::Topology T>
+std::vector<std::vector<double>> trajectory(
+    const T& topo, const std::vector<std::uint32_t>& checkpoints) {
+  sim::WalkConfig cfg;
+  cfg.num_agents = 40;
+  cfg.rounds = checkpoints.back();
+  sim::CollisionObserver collisions(cfg.num_agents);
+  sim::TrajectoryObserver snapshots(collisions, 3, checkpoints);
+  sim::run_walk(topo, cfg, kSeed, sim::SingleExec{},
+                static_cast<const std::vector<typename T::node_type>*>(nullptr),
+                collisions, snapshots);
+  return snapshots.take_estimates();
+}
+
 TEST(AnyTopology, TrajectoriesMatchConcrete) {
   const graph::Torus2D torus(20, 20);
   const graph::AnyTopology any(torus);
   const std::vector<std::uint32_t> checkpoints = {5, 10, 30};
-  const sim::TrajectoryResult concrete =
-      sim::run_trajectory(torus, 40, 3, checkpoints, kSeed);
-  const sim::TrajectoryResult erased =
-      sim::run_trajectory(any, 40, 3, checkpoints, kSeed);
-  EXPECT_EQ(concrete.estimates, erased.estimates);
-  EXPECT_EQ(concrete.checkpoints, erased.checkpoints);
+  EXPECT_EQ(trajectory(torus, checkpoints), trajectory(any, checkpoints));
 }
 
 TEST(AnyTopology, TrialRunnerIsThreadCountInvariant) {

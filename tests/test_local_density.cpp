@@ -1,11 +1,11 @@
-#include "sim/local_density.hpp"
+#include "local_density_oracle.hpp"
 
 #include <gtest/gtest.h>
 
 #include "rng/xoshiro256pp.hpp"
 #include "stats/accumulator.hpp"
 
-namespace antdense::sim {
+namespace antdense::testing {
 namespace {
 
 using graph::Torus2D;
@@ -87,4 +87,4 @@ TEST(LocalDensity, ClusteredPlacementDivergesFromGlobal) {
 }
 
 }  // namespace
-}  // namespace antdense::sim
+}  // namespace antdense::testing

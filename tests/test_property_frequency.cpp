@@ -1,87 +1,91 @@
-#include "core/property_frequency.hpp"
-
+// Section 5.2 property-frequency estimation through the `property`
+// workload: f~ = cp/c per agent, the truth f_P = carriers / (agents - 1),
+// the zero- and all-carrier edge cases, validation of the carrier
+// fraction, determinism in the seed, and concentration around f_P on a
+// dense torus.
 #include <gtest/gtest.h>
 
-#include "graph/torus2d.hpp"
-#include "stats/accumulator.hpp"
+#include <cstddef>
+#include <stdexcept>
+#include <string>
 
-namespace antdense::core {
+#include "scenario/experiment.hpp"
+#include "scenario/spec.hpp"
+
+namespace antdense {
 namespace {
 
-using graph::Torus2D;
+using scenario::Experiment;
+using scenario::ScenarioResult;
+using scenario::ScenarioSpec;
+using scenario::Workload;
 
-TEST(PropertyFrequency, ShapeAndTruths) {
-  const Torus2D torus(16, 16);
-  const auto r = estimate_property_frequency(torus, 20, 5, 50, 1);
-  EXPECT_EQ(r.density_estimates.size(), 20u);
-  EXPECT_EQ(r.property_estimates.size(), 20u);
-  EXPECT_EQ(r.frequency_estimates.size(), 20u);
-  EXPECT_DOUBLE_EQ(r.true_density, 19.0 / 256.0);
-  EXPECT_DOUBLE_EQ(r.true_property_density, 5.0 / 256.0);
-  EXPECT_NEAR(r.true_frequency, (5.0 / 256.0) / (19.0 / 256.0), 1e-12);
+ScenarioSpec tiny_spec(const std::string& topology, Workload workload) {
+  ScenarioSpec spec;
+  spec.topology = topology;
+  spec.workload = workload;
+  spec.agents = 40;
+  spec.rounds = 30;
+  spec.trials = 2;
+  spec.seed = 7;
+  return spec;
 }
 
-TEST(PropertyFrequency, ValidatesCounts) {
-  const Torus2D torus(8, 8);
-  EXPECT_THROW(estimate_property_frequency(torus, 1, 0, 10, 1),
-               std::invalid_argument);
-  EXPECT_THROW(estimate_property_frequency(torus, 5, 6, 10, 1),
-               std::invalid_argument);
-}
-
-TEST(PropertyFrequency, FrequenciesInUnitInterval) {
-  const Torus2D torus(16, 16);
-  const auto r = estimate_property_frequency(torus, 30, 10, 200, 2);
-  for (double f : r.frequency_estimates) {
-    EXPECT_GE(f, 0.0);
-    EXPECT_LE(f, 1.0);
-  }
-}
-
-TEST(PropertyFrequency, ZeroPropertyAgentsGiveZeroFrequency) {
-  const Torus2D torus(16, 16);
-  const auto r = estimate_property_frequency(torus, 12, 0, 100, 3);
-  for (double f : r.frequency_estimates) {
+TEST(PropertyFrequency, EdgeCases) {
+  // No carriers: every frequency is 0.
+  ScenarioSpec spec = tiny_spec("torus2d:16x16", Workload::kProperty);
+  spec.agents = 12;
+  spec.rounds = 100;
+  spec.property_fraction = 0.0;
+  ScenarioResult result = Experiment(spec).run();
+  EXPECT_DOUBLE_EQ(result.true_value, 0.0);
+  for (double f : result.estimates) {
     EXPECT_DOUBLE_EQ(f, 0.0);
   }
+  // Every agent a carrier: an agent that met anyone reads exactly 1,
+  // one that met no one reads 0.
+  spec.property_fraction = 1.0;
+  spec.rounds = 400;
+  result = Experiment(spec).run();
+  std::size_t ones = 0;
+  for (double f : result.estimates) {
+    EXPECT_TRUE(f == 0.0 || f == 1.0) << f;
+    ones += f == 1.0 ? 1 : 0;
+  }
+  EXPECT_GT(ones, result.estimates.size() / 2);
 }
 
-TEST(PropertyFrequency, AllPropertyAgentsGiveFrequencyOne) {
-  const Torus2D torus(16, 16);
-  const auto r = estimate_property_frequency(torus, 12, 12, 400, 4);
-  for (std::size_t i = 0; i < r.frequency_estimates.size(); ++i) {
-    if (r.density_estimates[i] > 0.0) {
-      EXPECT_DOUBLE_EQ(r.frequency_estimates[i], 1.0);
-    }
-  }
+TEST(PropertyFrequency, TruthAndValidation) {
+  // Truth is f_P = d_P / d = carriers / (agents - 1).
+  ScenarioSpec spec = tiny_spec("torus2d:16x16", Workload::kProperty);
+  spec.agents = 20;
+  spec.property_fraction = 0.25;
+  spec.rounds = 50;
+  const ScenarioResult result = Experiment(spec).run();
+  EXPECT_EQ(result.estimates.size(), 40u);  // agents x trials
+  EXPECT_DOUBLE_EQ(result.true_value, 5.0 / 19.0);
+  // Deterministic in the seed.
+  EXPECT_EQ(Experiment(spec).run().estimates, result.estimates);
+
+  spec.agents = 1;
+  EXPECT_THROW(Experiment{spec}, std::invalid_argument);
+  spec.agents = 20;
+  spec.property_fraction = 1.01;  // more carriers than agents
+  EXPECT_THROW(Experiment{spec}, std::invalid_argument);
 }
 
 TEST(PropertyFrequency, MeanFrequencyNearTruth) {
-  // Section 5.2's claim: f~ concentrates around f_P.  Pool many runs on a
-  // dense torus so most agents see collisions.
-  const Torus2D torus(24, 24);
-  constexpr std::uint32_t kAgents = 120;
-  constexpr std::uint32_t kProperty = 30;  // f_P ~ 0.25
-  stats::Accumulator acc;
-  for (std::uint64_t trial = 0; trial < 40; ++trial) {
-    const auto r = estimate_property_frequency(torus, kAgents, kProperty,
-                                               600, 700 + trial);
-    for (std::size_t i = 0; i < r.frequency_estimates.size(); ++i) {
-      if (r.density_estimates[i] > 0.0) {
-        acc.add(r.frequency_estimates[i]);
-      }
-    }
-  }
-  // Per-agent truth differs slightly by own membership; population value:
-  EXPECT_NEAR(acc.mean(), 0.25, 0.02);
-}
-
-TEST(PropertyFrequency, DeterministicInSeed) {
-  const Torus2D torus(16, 16);
-  const auto a = estimate_property_frequency(torus, 20, 5, 50, 9);
-  const auto b = estimate_property_frequency(torus, 20, 5, 50, 9);
-  EXPECT_EQ(a.frequency_estimates, b.frequency_estimates);
+  // Section 5.2's claim: f~ concentrates around f_P.  Pool many trials
+  // on a dense torus so nearly every agent sees collisions.
+  ScenarioSpec spec = tiny_spec("torus2d:24x24", Workload::kProperty);
+  spec.agents = 120;
+  spec.property_fraction = 0.25;
+  spec.rounds = 600;
+  spec.trials = 40;
+  spec.seed = 700;
+  const ScenarioResult result = Experiment(spec).run();
+  EXPECT_NEAR(result.summary.mean, result.true_value, 0.02);
 }
 
 }  // namespace
-}  // namespace antdense::core
+}  // namespace antdense

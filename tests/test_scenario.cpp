@@ -2,7 +2,7 @@
 // errors), ScenarioSpec validation and JSON round-trip, Theorem-1 round
 // resolution through core::plan_rounds, Experiment results for all four
 // workloads, and the generic BallDensityObserver pinned against the
-// Torus2D-specific LocalDensityObserver in the same walk.
+// brute-force L1-ball oracle on the 2-D torus in the same walk.
 #include "scenario/experiment.hpp"
 
 #include <gtest/gtest.h>
@@ -18,10 +18,10 @@
 
 #include "core/density_estimator.hpp"
 #include "graph/torus2d.hpp"
+#include "local_density_oracle.hpp"
 #include "scenario/ball_density.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
-#include "sim/local_density.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/json.hpp"
 
@@ -651,7 +651,7 @@ TEST(Experiment, ResultJsonParsesAndCarriesTheSchema) {
 }
 
 // ---------------------------------------------------------------------
-// BallDensityObserver vs the Torus2D-specific LocalDensityObserver
+// BallDensityObserver vs the L1-ball oracle
 // ---------------------------------------------------------------------
 
 TEST(BallDensity, MatchesTorus2DLocalDensityObserverExactly) {
@@ -664,7 +664,7 @@ TEST(BallDensity, MatchesTorus2DLocalDensityObserverExactly) {
   for (const std::uint32_t radius : {1u, 2u, 5u}) {
     SCOPED_TRACE(radius);
     const std::vector<std::uint32_t> checkpoints = {1, 4, 9};
-    sim::LocalDensityObserver specialized(torus, radius, checkpoints);
+    testing::LocalDensityObserver specialized(torus, radius, checkpoints);
     scenario::BallDensityObserver generic(any, radius, checkpoints, 35);
     sim::WalkConfig cfg;
     cfg.num_agents = 35;

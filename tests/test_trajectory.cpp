@@ -1,78 +1,150 @@
-#include "sim/trajectory.hpp"
-
+// Anytime density estimates: the `trajectory` workload's snapshot series
+// (running c/r at each checkpoint, error shrinking along the run) and the
+// TrajectoryObserver it rides on (last snapshot equal to the walk's c/t,
+// argument validation).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/torus2d.hpp"
-#include "stats/accumulator.hpp"
+#include "scenario/experiment.hpp"
+#include "scenario/spec.hpp"
+#include "sim/density_sim.hpp"
+#include "sim/walk_engine.hpp"
 
-namespace antdense::sim {
+namespace antdense {
 namespace {
 
 using graph::Torus2D;
+using scenario::Experiment;
+using scenario::ScenarioResult;
+using scenario::ScenarioSpec;
+using scenario::Workload;
+using sim::CollisionObserver;
+using sim::SingleExec;
+using sim::TrajectoryObserver;
+using sim::run_walk;
+using sim::WalkConfig;
 
-TEST(Trajectory, ValidatesArguments) {
-  const Torus2D torus(16, 16);
-  EXPECT_THROW(run_trajectory(torus, 1, 1, {10}, 1), std::invalid_argument);
-  EXPECT_THROW(run_trajectory(torus, 10, 0, {10}, 1), std::invalid_argument);
-  EXPECT_THROW(run_trajectory(torus, 10, 11, {10}, 1),
-               std::invalid_argument);
-  EXPECT_THROW(run_trajectory(torus, 10, 2, {}, 1), std::invalid_argument);
-  EXPECT_THROW(run_trajectory(torus, 10, 2, {10, 10}, 1),
-               std::invalid_argument);
-  EXPECT_THROW(run_trajectory(torus, 10, 2, {0, 10}, 1),
-               std::invalid_argument);
+ScenarioSpec tiny_spec(const std::string& topology, Workload workload) {
+  ScenarioSpec spec;
+  spec.topology = topology;
+  spec.workload = workload;
+  spec.agents = 40;
+  spec.rounds = 30;
+  spec.trials = 2;
+  spec.seed = 7;
+  return spec;
 }
 
-TEST(Trajectory, ShapeMatchesRequest) {
-  const Torus2D torus(16, 16);
-  const auto r = run_trajectory(torus, 20, 3, {8, 16, 64}, 2);
-  EXPECT_EQ(r.checkpoints, (std::vector<std::uint32_t>{8, 16, 64}));
-  ASSERT_EQ(r.estimates.size(), 3u);
-  for (const auto& row : r.estimates) {
-    EXPECT_EQ(row.size(), 3u);
+TEST(Trajectory, SnapshotsAreRunningEstimates) {
+  // Every snapshot is c/r at its checkpoint round r: a non-negative
+  // multiple of 1/r.  The series is deterministic in the seed.
+  ScenarioSpec spec = tiny_spec("torus2d:16x16", Workload::kTrajectory);
+  spec.trials = 1;
+  spec.agents = 20;
+  spec.tracked = 20;
+  spec.rounds = 50;
+  spec.checkpoints = 3;
+  const ScenarioResult result = Experiment(spec).run();
+  EXPECT_EQ(result.checkpoints, (std::vector<std::uint32_t>{16, 33, 50}));
+  EXPECT_DOUBLE_EQ(result.true_value, 19.0 / 256.0);
+  ASSERT_EQ(result.series.size(), 20u);
+  for (const auto& trace : result.series) {
+    ASSERT_EQ(trace.size(), 3u);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const double scaled = trace[i] * result.checkpoints[i];
+      EXPECT_NEAR(scaled, std::round(scaled), 1e-9);
+      EXPECT_GE(trace[i], 0.0);
+    }
   }
-  EXPECT_DOUBLE_EQ(r.true_density, 19.0 / 256.0);
-}
-
-TEST(Trajectory, FinalSnapshotMatchesFullRun) {
-  // The running estimate at the last checkpoint is exactly c/t of a
-  // full run — verify against run_density_walk via a sanity property:
-  // values must be multiples of 1/t and non-negative.
-  const Torus2D torus(16, 16);
-  constexpr std::uint32_t kRounds = 50;
-  const auto r = run_trajectory(torus, 20, 20, {kRounds}, 3);
-  for (const auto& row : r.estimates) {
-    const double scaled = row[0] * kRounds;
-    EXPECT_NEAR(scaled, std::round(scaled), 1e-9);
-    EXPECT_GE(row[0], 0.0);
-  }
+  EXPECT_EQ(Experiment(spec).run().series, result.series);
+  // The tracked count is clamped to the population, and must be >= 1.
+  spec.tracked = 25;
+  EXPECT_EQ(Experiment(spec).run().series.size(), 20u);
+  spec.tracked = 0;
+  EXPECT_THROW(Experiment{spec}, std::invalid_argument);
 }
 
 TEST(Trajectory, ErrorShrinksAlongTheRun) {
   // Anytime property: pooled absolute error at the late checkpoint is
-  // smaller than at the early one.
-  const Torus2D torus(48, 48);
-  constexpr std::uint32_t kAgents = 231;  // d ~ 0.1
-  stats::Accumulator early, late;
+  // well below the error at the early one.
+  ScenarioSpec spec = tiny_spec("torus2d:48x48", Workload::kTrajectory);
+  spec.trials = 1;
+  spec.agents = 231;  // d ~ 0.1
+  spec.tracked = 231;
+  spec.rounds = 2048;
+  spec.checkpoints = 64;  // the first snapshot is round 32
+  double early = 0.0;
+  double late = 0.0;
   for (std::uint64_t trial = 0; trial < 20; ++trial) {
-    const auto r =
-        run_trajectory(torus, kAgents, kAgents, {32, 2048}, 100 + trial);
-    for (std::uint32_t a = 0; a < kAgents; ++a) {
-      early.add(std::fabs(r.estimates[a][0] - r.true_density));
-      late.add(std::fabs(r.estimates[a][1] - r.true_density));
+    spec.seed = 100 + trial;
+    const ScenarioResult result = Experiment(spec).run();
+    ASSERT_EQ(result.checkpoints.front(), 32u);
+    for (const auto& trace : result.series) {
+      early += std::fabs(trace.front() - result.true_value);
+      late += std::fabs(trace.back() - result.true_value);
     }
   }
-  EXPECT_LT(late.mean(), 0.5 * early.mean());
+  EXPECT_LT(late, 0.5 * early);
 }
 
-TEST(Trajectory, DeterministicInSeed) {
+/// Tracked agents' running estimates at `checkpoints`: the trajectory
+/// workload's observer pair on a single-stream walk.
+std::vector<std::vector<double>> trajectory(const Torus2D& torus,
+                                            std::uint32_t agents,
+                                            std::uint32_t tracked,
+                                            std::vector<std::uint32_t> checkpoints,
+                                            std::uint64_t seed,
+                                            std::vector<std::uint64_t>* counts) {
+  WalkConfig cfg;
+  cfg.num_agents = agents;
+  cfg.rounds = checkpoints.back();
+  CollisionObserver collisions(agents);
+  TrajectoryObserver snapshots(collisions, tracked, std::move(checkpoints));
+  run_walk(torus, cfg, seed, SingleExec{},
+           static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
+           collisions, snapshots);
+  if (counts != nullptr) {
+    *counts = collisions.counts();
+  }
+  return snapshots.take_estimates();
+}
+
+TEST(TrajectoryObserver, FinalSnapshotIsTheWalksEstimate) {
+  // The last snapshot is exactly c/t of the whole walk, and the
+  // snapshots are deterministic in the seed.
   const Torus2D torus(16, 16);
-  const auto a = run_trajectory(torus, 12, 4, {5, 20}, 9);
-  const auto b = run_trajectory(torus, 12, 4, {5, 20}, 9);
-  EXPECT_EQ(a.estimates, b.estimates);
+  std::vector<std::uint64_t> counts;
+  const auto a = trajectory(torus, 12, 4, {5, 20}, 9, &counts);
+  EXPECT_EQ(trajectory(torus, 12, 4, {5, 20}, 9, nullptr), a);
+  ASSERT_EQ(a.size(), 4u);
+  for (std::size_t agent = 0; agent < a.size(); ++agent) {
+    ASSERT_EQ(a[agent].size(), 2u);
+    EXPECT_DOUBLE_EQ(a[agent][1], static_cast<double>(counts[agent]) / 20.0);
+    const double scaled_first = a[agent][0] * 5;
+    EXPECT_NEAR(scaled_first, std::round(scaled_first), 1e-9);
+  }
+}
+
+TEST(TrajectoryObserver, ValidatesArguments) {
+  const CollisionObserver collisions(10);
+  EXPECT_THROW(TrajectoryObserver(collisions, 0, {10}), std::invalid_argument);
+  EXPECT_THROW(TrajectoryObserver(collisions, 11, {10}),
+               std::invalid_argument);
+  EXPECT_THROW(TrajectoryObserver(collisions, 2, {}), std::invalid_argument);
+  EXPECT_THROW(TrajectoryObserver(collisions, 2, {10, 10}),
+               std::invalid_argument);
+  EXPECT_THROW(TrajectoryObserver(collisions, 2, {0, 10}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(TrajectoryObserver(collisions, 10, {1, 10}));
 }
 
 }  // namespace
-}  // namespace antdense::sim
+}  // namespace antdense

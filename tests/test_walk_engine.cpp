@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -23,10 +22,9 @@
 #include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
 #include "graph/torus_kd.hpp"
+#include "local_density_oracle.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/legacy_reference.hpp"
-#include "sim/local_density.hpp"
-#include "sim/trajectory.hpp"
 #include "stats/accumulator.hpp"
 
 namespace antdense::sim {
@@ -291,31 +289,31 @@ TEST(WalkEngine, ComposedObserversMatchSeparateRuns) {
   EXPECT_EQ(properties.total_counts(), collisions.counts());
 }
 
-TEST(WalkEngine, TrajectoryDriverStillMatchesItsContract) {
-  // run_trajectory now rides the engine; shape and determinism hold.
-  const Torus2D torus(16, 16);
-  const TrajectoryResult a = run_trajectory(torus, 12, 4, {5, 20}, 9);
-  const TrajectoryResult b = run_trajectory(torus, 12, 4, {5, 20}, 9);
-  EXPECT_EQ(a.estimates, b.estimates);
-  ASSERT_EQ(a.estimates.size(), 4u);
-  for (const auto& row : a.estimates) {
-    ASSERT_EQ(row.size(), 2u);
-    const double scaled_final = row[1] * 20;
-    EXPECT_NEAR(scaled_final, std::round(scaled_final), 1e-9);
-  }
+/// Every agent's L1-ball local density at `checkpoints` (the oracle
+/// observer), optionally from a given placement.
+std::vector<std::vector<double>> local_densities(
+    const Torus2D& torus, std::uint32_t agents, std::uint32_t radius,
+    std::vector<std::uint32_t> checkpoints, std::uint64_t seed,
+    const std::vector<Torus2D::node_type>* initial_positions) {
+  WalkConfig cfg;
+  cfg.num_agents = agents;
+  cfg.rounds = checkpoints.back();
+  testing::LocalDensityObserver balls(torus, radius, std::move(checkpoints));
+  run_walk(torus, cfg, seed, SingleExec{}, initial_positions, balls);
+  return balls.densities();
 }
 
-TEST(LocalDensityProfile, ClusteredStartRelaxesTowardGlobalDensity) {
+TEST(LocalDensityObserver, ClusteredStartRelaxesTowardGlobalDensity) {
   const Torus2D torus(64, 64);
   constexpr std::uint32_t kAgents = 64;
   std::vector<Torus2D::node_type> clustered;
   for (std::uint32_t i = 0; i < kAgents; ++i) {
     clustered.push_back(Torus2D::pack(i % 8, i / 8));
   }
-  const LocalDensityProfile profile = run_local_density_profile(
-      torus, kAgents, /*radius=*/4, {1, 2048}, 77, &clustered);
-  ASSERT_EQ(profile.densities.size(), 2u);
-  ASSERT_EQ(profile.densities[0].size(), kAgents);
+  const auto densities =
+      local_densities(torus, kAgents, /*radius=*/4, {1, 2048}, 77, &clustered);
+  ASSERT_EQ(densities.size(), 2u);
+  ASSERT_EQ(densities[0].size(), kAgents);
   auto mean = [](const std::vector<double>& v) {
     double s = 0.0;
     for (double x : v) {
@@ -323,37 +321,34 @@ TEST(LocalDensityProfile, ClusteredStartRelaxesTowardGlobalDensity) {
     }
     return s / static_cast<double>(v.size());
   };
-  const double early = mean(profile.densities[0]);
-  const double late = mean(profile.densities[1]);
-  EXPECT_DOUBLE_EQ(profile.global_density, 63.0 / 4096.0);
+  const double early = mean(densities[0]);
+  const double late = mean(densities[1]);
+  const double global_density = 63.0 / 4096.0;
   // Packed 8x8 start: experienced local density starts far above the
   // global density and relaxes most of the way back down.
-  EXPECT_GT(early, 10.0 * profile.global_density);
+  EXPECT_GT(early, 10.0 * global_density);
   EXPECT_LT(late, early / 3.0);
 }
 
-TEST(LocalDensityProfile, DeterministicInSeed) {
+TEST(LocalDensityObserver, DeterministicInSeed) {
   const Torus2D torus(32, 32);
-  const LocalDensityProfile a =
-      run_local_density_profile(torus, 20, 3, {4, 16}, 5);
-  const LocalDensityProfile b =
-      run_local_density_profile(torus, 20, 3, {4, 16}, 5);
-  EXPECT_EQ(a.densities, b.densities);
+  EXPECT_EQ(local_densities(torus, 20, 3, {4, 16}, 5, nullptr),
+            local_densities(torus, 20, 3, {4, 16}, 5, nullptr));
 }
 
-TEST(LocalDensityProfile, ObserverNeedsTheWholePopulationInOneView) {
+TEST(LocalDensityObserver, NeedsTheWholePopulationInOneView) {
   // The observer snapshots every agent per call, so a multi-shard walk
   // is rejected instead of recording one row per shard.
   const Torus2D torus(32, 32);
   WalkConfig cfg;
   cfg.num_agents = 20;
   cfg.rounds = 4;
-  LocalDensityObserver one_shard(torus, 3, {2, 4});
+  testing::LocalDensityObserver one_shard(torus, 3, {2, 4});
   run_walk(torus, cfg, 5, ShardExec{.shard_size = 20},
            static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
            one_shard);
   EXPECT_EQ(one_shard.densities().size(), 2u);
-  LocalDensityObserver sharded(torus, 3, {2, 4});
+  testing::LocalDensityObserver sharded(torus, 3, {2, 4});
   EXPECT_THROW(
       run_walk(torus, cfg, 5, ShardExec{.shard_size = 8},
                static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
