@@ -36,6 +36,12 @@ namespace antdense::scenario {
 
 /// Moment summary of the pooled estimates, plus the paper's headline
 /// accuracy metric: the fraction of estimates within (1 ± eps) of truth.
+///
+/// `standard_error` is stddev / sqrt(count), which treats the agents ×
+/// trials estimates as independent.  They are not: every encounter
+/// counts for both agents in it, so the estimates of one walk pair up
+/// (roughly doubling the pooled mean's variance) and the figure
+/// understates its error.  The campaign claims allow 3·√2 of it.
 struct ScenarioSummary {
   std::uint64_t count = 0;
   double mean = 0.0;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
+#include "stats/moments.hpp"
+#include "walk/recollision.hpp"
 
 namespace antdense::walk {
 namespace {
@@ -77,6 +81,47 @@ TEST(EqualizationCounts, RingReturnsMoreOftenThanTorus) {
   ring_mean /= static_cast<double>(ring_counts.size());
   torus_mean /= static_cast<double>(torus_counts.size());
   EXPECT_GT(ring_mean, 3.0 * torus_mean);
+}
+
+// Corollary 16 / Claim 14: E[c^k] <= k! w^k log^k(2t) with one constant
+// w, so w_k(t) = (E[c^k] / k!)^{1/k} / log(2t) stays in a band over k and
+// t on the 2-D torus, for a single walk's equalizations and for a pair's
+// re-collisions after a first collision.  The ring's counts grow like
+// sqrt(t), so there the same w_k(t) climbs with t.
+std::vector<double> implied_w(const std::vector<double>& counts,
+                              std::uint32_t t) {
+  std::vector<double> w;
+  double factorial = 1.0;
+  for (int k = 1; k <= 4; ++k) {
+    factorial *= k;
+    w.push_back(std::pow(stats::raw_moment(counts, k) / factorial, 1.0 / k) /
+                std::log(2.0 * t));
+  }
+  return w;
+}
+
+TEST(EqualizationCounts, MomentsFollowTheLogEnvelope) {
+  constexpr std::uint64_t kTrials = 20000;
+  const Torus2D torus(256, 256);
+  const Ring ring(1u << 16);
+  std::vector<double> ring_w;
+  for (std::uint32_t t : {64u, 256u, 1024u}) {
+    SCOPED_TRACE(t);
+    for (const auto& counts :
+         {equalization_counts(torus, t, kTrials, 8, 2),
+          pair_collision_counts_given_first(torus, t, kTrials, 9, 2)}) {
+      for (double w : implied_w(counts, t)) {
+        EXPECT_GT(w, 0.2);
+        EXPECT_LT(w, 0.4);
+      }
+    }
+    const auto w = implied_w(
+        pair_collision_counts_given_first(ring, t, kTrials, 10, 2), t);
+    for (std::size_t k = 0; k < ring_w.size(); ++k) {
+      EXPECT_GT(w[k], 1.3 * ring_w[k]) << "k=" << k + 1;
+    }
+    ring_w = w;
+  }
 }
 
 }  // namespace

@@ -2,10 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <optional>
+#include <string>
+
+#include "core/bounds.hpp"
 #include "graph/complete.hpp"
+#include "graph/explicit_topology.hpp"
+#include "graph/generators.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
+#include "graph/torus_kd.hpp"
+#include "spectral/walk_matrix.hpp"
+#include "stats/regression.hpp"
 
 namespace antdense::walk {
 namespace {
@@ -14,6 +25,7 @@ using graph::CompleteGraph;
 using graph::Hypercube;
 using graph::Ring;
 using graph::Torus2D;
+using graph::TorusKD;
 
 TEST(RecollisionCurve, StartsAtProbabilityOne) {
   const Torus2D torus(32, 32);
@@ -71,6 +83,84 @@ TEST(RecollisionCurve, DeterministicAcrossThreadCounts) {
   const auto a = measure_recollision_curve(torus, 8, 10000, 7, 1);
   const auto b = measure_recollision_curve(torus, 8, 10000, 7, 2);
   EXPECT_EQ(a.hits, b.hits);
+}
+
+// One family's measured re-collision curve beside its Lemma 4 / 20 /
+// 22 / 23 / 25 bound beta(m) and, for the ring and the tori, the decay
+// exponent -k/2 that bound carries.
+struct FamilyCurve {
+  std::string family;
+  RecollisionCurve curve;
+  std::function<double(std::uint32_t m)> beta;
+  std::optional<double> slope;  // of log p(m) against log m, over even m
+};
+
+template <typename T>
+RecollisionCurve pairs_on(const T& topo, std::uint32_t m_max,
+                          std::uint64_t seed) {
+  return measure_recollision_curve(topo, m_max, 100000, seed, 2);
+}
+
+std::vector<FamilyCurve> family_curves() {
+  std::vector<FamilyCurve> rows;
+  rows.push_back({"torus2d", pairs_on(Torus2D(256, 256), 64, 11),
+                  [](std::uint32_t m) { return core::beta_torus2d(m, 65536); },
+                  -1.0});
+  rows.push_back({"ring", pairs_on(Ring(1u << 16), 128, 12),
+                  [](std::uint32_t m) { return core::beta_ring(m, 1u << 16); },
+                  -0.5});
+  for (std::uint32_t k : {3u, 4u}) {
+    const TorusKD torus(k, k == 3 ? 48 : 20);
+    const auto nodes = torus.num_nodes();
+    rows.push_back({"toruskd k=" + std::to_string(k),
+                    pairs_on(torus, k == 3 ? 32 : 16, 10 + k),
+                    [k, nodes](std::uint32_t m) {
+                      return core::beta_torus_kd(m, k, nodes);
+                    },
+                    -0.5 * k});
+  }
+  for (std::uint32_t k : {12u, 16u}) {
+    const Hypercube cube(k);
+    const auto nodes = cube.num_nodes();
+    rows.push_back({"hypercube " + std::to_string(k),
+                    pairs_on(cube, 48, 20 + k),
+                    [nodes](std::uint32_t m) {
+                      return core::beta_hypercube(m, nodes);
+                    },
+                    std::nullopt});
+  }
+  for (std::uint32_t d : {4u, 8u}) {
+    constexpr std::uint32_t kNodes = 2048;
+    const auto g = graph::make_random_regular_graph(kNodes, d, 30 + d);
+    const double lambda = spectral::second_eigenvalue_magnitude(g);
+    rows.push_back({"random-regular d=" + std::to_string(d),
+                    pairs_on(graph::ExplicitTopology(g), 24, 40 + d),
+                    [lambda](std::uint32_t m) {
+                      return core::beta_expander(m, lambda, kNodes);
+                    },
+                    std::nullopt});
+  }
+  return rows;
+}
+
+TEST(RecollisionCurve, StaysUnderEachFamilyBound) {
+  for (const auto& row : family_curves()) {
+    SCOPED_TRACE(row.family);
+    const auto& p = row.curve.probability;
+    const double pairs = static_cast<double>(row.curve.trials);
+    std::vector<double> ms, ps;
+    for (std::uint32_t m = 1; m < p.size(); ++m) {
+      const double se = std::sqrt(p[m] * (1.0 - p[m]) / pairs);
+      EXPECT_LE(p[m] - 3.0 * se, row.beta(m)) << "m=" << m;
+      if (m % 2 == 0) {
+        ms.push_back(m);
+        ps.push_back(p[m]);
+      }
+    }
+    if (row.slope) {
+      EXPECT_NEAR(stats::log_log_fit(ms, ps).slope, *row.slope, 0.15);
+    }
+  }
 }
 
 TEST(PairCollisionCounts, AtLeastZeroAndBoundedByT) {
